@@ -210,7 +210,7 @@ def cached_groebner(cache, pres, cap):
     """Groebner basis through the cache; recomputes on miss or corruption."""
     probe = groebner.__name__  # stable component of the key
     label = pres.label if hasattr(pres, "label") else pres.describe()
-    keysrc = "%s|%s|cap=%d" % (probe, label, cap)
+    keysrc = "%s|%s|%s|cap=%d" % (probe, __version__, label, cap)
     key = hashlib.sha256(keysrc.encode()).hexdigest()
     hit = cache.get(key) if cache else None
     if hit is not None:

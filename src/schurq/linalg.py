@@ -1,12 +1,22 @@
 """Dense exact linear algebra over the QScalar field.
 
-Matrices are tuples of row tuples; vectors are tuples.  Everything is small
-and exact, so plain Gaussian elimination over the field is used throughout.
+Matrices are tuples of row tuples; vectors are tuples.  ``nullspace``,
+``mat_rank`` and ``solve`` share one eliminator that never does arithmetic
+in Q(q): each row is scaled by a nonzero element to integer polynomials in q,
+Bareiss fraction-free elimination (Bareiss 1968) runs on int coefficient
+lists with an exact division per update, and every reduced-row-echelon entry
+is formed once as N / D from integer numerators, so a QScalar is put in
+canonical form once per output entry instead of once per operation.  The
+reduced row echelon form of a row space is unique, so the results equal
+those of Gauss-Jordan elimination over the field.  ``Subspace`` keeps
+incremental Gauss-Jordan over any exact field.
 """
 
 from __future__ import annotations
 
-from .qfield import QScalar
+from math import gcd, lcm
+
+from .qfield import CoefficientOverflowError, QScalar, _pmul, get_bit_ceiling
 
 __all__ = [
     "zeros",
@@ -60,75 +70,220 @@ def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), _Z) for row in a)
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    out = []
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in zip(out, pivots):
-            if row[pcol]:
-                f = row[pcol]
-                for j in range(ncols):
-                    if prow[j]:
-                        row[j] = row[j] - f * prow[j]
-        lead = next((j for j in range(ncols) if row[j]), None)
-        if lead is None:
+# ---------------------------------------------------------------------------
+# fraction-free elimination over Z[q]
+# polynomials are int coefficient lists, index = exponent, [] for zero
+# ---------------------------------------------------------------------------
+
+
+def _zmul(a, b):
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b]
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + lb] = [s + x * y for s, y in zip(out[i : i + lb], b)]
+    return out
+
+
+def _zsub(a, b):
+    if len(a) < len(b):
+        out = [x - y for x, y in zip(a, b)] + [-y for y in b[len(a) :]]
+    else:
+        out = [x - y for x, y in zip(a, b)] + a[len(b) :]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv(a, b):
+    """Exact quotient a / b in Z[q]; a nonzero remainder is an internal error."""
+    lb = len(b)
+    if lb == 1:
+        c = b[0]
+        if c == 1:
+            return a
+        out = []
+        for x in a:
+            t, r = divmod(x, c)
+            if r:
+                raise ArithmeticError("inexact fraction-free division")
+            out.append(t)
+        return out
+    rem = list(a)
+    lead = b[-1]
+    quo = [0] * (len(a) - lb + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + lb - 1]
+        if c:
+            c, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact fraction-free division")
+            quo[k] = c
+            rem[k : k + lb] = [s - c * y for s, y in zip(rem[k : k + lb], b)]
+    if any(rem[: lb - 1]):
+        raise ArithmeticError("inexact fraction-free division")
+    return quo
+
+
+def _check_bits(p, ceiling):
+    if p and (max(p).bit_length() > ceiling or min(p).bit_length() > ceiling):
+        raise CoefficientOverflowError("coefficient exceeds %d-bit ceiling" % ceiling)
+
+
+def _clear_row(row, ceiling):
+    """The row times a nonzero scalar, as integer polynomials in q.
+
+    Multiplies by q^(-min shift), by the product of the distinct
+    denominators and by the lcm of the coefficient denominators, then
+    divides out the integer content.
+    """
+    live = [x for x in row if x]
+    if not live:
+        return None
+    low = min(x.shift for x in live)
+    dens = list(dict.fromkeys(x.den for x in live if len(x.den) > 1))
+    polys = []
+    for x in row:
+        if not x:
+            polys.append(())
             continue
-        inv = row[lead].inverse()
-        row = [x * inv for x in row]
-        for prow, pcol in zip(out, pivots):
-            if prow[lead]:
-                f = prow[lead]
-                for j in range(ncols):
-                    if row[j]:
-                        prow[j] = prow[j] - f * row[j]
-        out.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-    return [out[t] for t in order], [pivots[t] for t in order]
+        p = x.num
+        for d in dens:
+            if d != x.den:
+                p = _pmul(p, d)
+        polys.append((0,) * (x.shift - low) + p)
+    scale = lcm(*(c.denominator for p in polys for c in p))
+    polys = [[int(c * scale) for c in p] for p in polys]
+    content = gcd(*(c for p in polys for c in p))
+    out = [[c // content for c in p] for p in polys]
+    for p in out:
+        _check_bits(p, ceiling)
+    return out
+
+
+def _echelon(rows, ncols):
+    """Bareiss fraction-free echelon form of the rows' first ncols columns.
+
+    Returns (rows, pivots): row i of the result has its leading entry at
+    column pivots[i], and that entry is the determinant of the leading
+    i+1 pivot block of the (cleared, permuted) input rows.  Every update
+    is an exact division by the previous pivot.
+    """
+    ceiling = get_bit_ceiling()
+    mat = []
+    for row in rows:
+        z = _clear_row(row[:ncols], ceiling)
+        if z is not None:
+            mat.append(z)
+    pivots = []
+    prev = [1]
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        cands = [i for i in range(r, len(mat)) if mat[i][c]]
+        if not cands:
+            continue
+        best = min(cands, key=lambda i: len(mat[i][c]))
+        mat[r], mat[best] = mat[best], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                x, y = row[j], prow[j]
+                if x:
+                    x = _zmul(p, x)
+                    if f and y:
+                        x = _zsub(x, _zmul(f, y))
+                elif f and y:
+                    x = [-t for t in _zmul(f, y)]
+                else:
+                    continue
+                _check_bits(x, ceiling)
+                row[j] = x = _zdiv(x, prev)
+                _check_bits(x, ceiling)
+            row[c] = []
+        prev = p
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def _back_substitute(mat, pivots, j, ceiling):
+    """Numerators N with RREF entry (row i, column j) = N[i] / det, where det
+    is the last pivot; each N[i] is an integer polynomial (Cramer)."""
+    det = mat[-1][pivots[-1]]
+    num = [None] * len(mat)
+    for i in range(len(mat) - 1, -1, -1):
+        row = mat[i]
+        acc = _zmul(det, row[j]) if row[j] else []
+        for k in range(i + 1, len(mat)):
+            if row[pivots[k]] and num[k]:
+                acc = _zsub(acc, _zmul(row[pivots[k]], num[k]))
+        _check_bits(acc, ceiling)
+        num[i] = _zdiv(acc, row[pivots[i]]) if acc else []
+        _check_bits(num[i], ceiling)
+    return num, det
 
 
 def mat_rank(a):
     if not a:
         return 0
-    return len(_rref([list(r) for r in a], len(a[0]))[1])
+    return len(_echelon(a, len(a[0]))[1])
 
 
 def nullspace(a, ncols=None):
-    """Basis of the right kernel of a (list of coordinate vectors)."""
+    """Basis of the right kernel of a (list of coordinate vectors).
+
+    Vector k has a 1 at the k-th free column, 0 at the other free columns,
+    and minus the reduced-row-echelon entries at the pivot columns.
+    """
     if ncols is None:
         if not a:
             return []
         ncols = len(a[0])
     if not a:
         return [tuple(_O if j == k else _Z for j in range(ncols)) for k in range(ncols)]
-    rows, pivots = _rref([list(r) for r in a], ncols)
+    mat, pivots = _echelon(a, ncols)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    ceiling = get_bit_ceiling()
     basis = []
-    for j in free:
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
         vec = [_Z] * ncols
         vec[j] = _O
-        for prow, pcol in zip(rows, pivots):
-            if prow[j]:
-                vec[pcol] = -prow[j]
+        if mat:
+            num, det = _back_substitute(mat, pivots, j, ceiling)
+            neg = [-c for c in det]
+            for n, pcol in zip(num, pivots):
+                vec[pcol] = QScalar(0, n, neg) if n else _Z
         basis.append(tuple(vec))
     return basis
 
 
 def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
+    """One solution x of a x = b, or None if inconsistent (free variables 0)."""
     if not a:
         return () if not any(b) else None
     ncols = len(a[0])
     aug = [list(r) + [bv] for r, bv in zip(a, b)]
-    rows, pivots = _rref(aug, ncols + 1)
+    mat, pivots = _echelon(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [_Z] * ncols
-    for prow, pcol in zip(rows, pivots):
-        if pcol == ncols:
-            return None
-        x[pcol] = prow[ncols]
+    if mat:
+        num, det = _back_substitute(mat, pivots, ncols, get_bit_ceiling())
+        for n, pcol in zip(num, pivots):
+            x[pcol] = QScalar(0, n, det) if n else _Z
     return tuple(x)
 
 

@@ -24,6 +24,7 @@ from .linalg import (
     mat_add,
     mat_mul,
     mat_scale,
+    nullspace,
     zeros,
 )
 from . import presentation as _pres
@@ -372,8 +373,6 @@ def build_simple(c, f, n0, depth_cap=20):
 
 def _singular_vectors(c, M):
     """Nonzero vectors at depth > 0 killed by every x_i, per weight."""
-    from .linalg import nullspace
-
     top = M.trunc_top
     out = {}
     for n, d in M.dims:

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from schurq import cli
 from schurq.cli import REPORT_SCHEMA, main
 
 
@@ -81,6 +82,24 @@ def test_corrupted_cache_quarantined_and_recomputed(tmp_path, capsys):
     assert "quarantined" in events and "stored" in events
     assert r2["results"] == r1["results"]
     assert any(p.endswith(".quarantine") for p in os.listdir(cache))
+
+
+def test_cache_entry_from_other_version_is_a_miss(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ("hilbert", "--type", "A2", "--cap", "5", "--cache", str(cache))
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    code, out1 = run_cli(capsys, *argv)
+    assert code == 0
+    r1 = json.loads(out1)
+    assert [e["event"] for e in r1["cache_events"]] == ["stored"]
+    monkeypatch.undo()
+    code, out2 = run_cli(capsys, *argv)
+    assert code == 0
+    r2 = json.loads(out2)
+    assert [e["event"] for e in r2["cache_events"]] == ["stored"]
+    assert r2["cache_events"][0]["key"] != r1["cache_events"][0]["key"]
+    assert r2["results"] == r1["results"]
+    assert len([p for p in os.listdir(cache) if p.endswith(".json")]) == 2
 
 
 def test_check_module_simple(capsys):

@@ -1,0 +1,216 @@
+"""Fraction-free elimination in linalg against a textbook Gauss-Jordan oracle."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schurq.linalg import mat_rank, mat_vec, nullspace, solve
+from schurq.qfield import (
+    CoefficientOverflowError,
+    QScalar,
+    get_bit_ceiling,
+    qint,
+    set_bit_ceiling,
+)
+
+_Z = QScalar.zero()
+_O = QScalar.one()
+Q = QScalar.q_pow(1)
+
+
+# -- oracle: Gauss-Jordan over the field, one QScalar operation at a time ---
+
+
+def _gauss_jordan(rows, ncols):
+    out = []
+    pivots = []
+    for row in rows:
+        row = list(row)
+        for prow, pcol in zip(out, pivots):
+            if row[pcol]:
+                f = row[pcol]
+                for j in range(ncols):
+                    if prow[j]:
+                        row[j] = row[j] - f * prow[j]
+        lead = next((j for j in range(ncols) if row[j]), None)
+        if lead is None:
+            continue
+        inv = row[lead].inverse()
+        row = [x * inv for x in row]
+        for prow in out:
+            if prow[lead]:
+                f = prow[lead]
+                for j in range(ncols):
+                    if row[j]:
+                        prow[j] = prow[j] - f * row[j]
+        out.append(row)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
+    return [out[t] for t in order], [pivots[t] for t in order]
+
+
+def oracle_rank(a):
+    return len(_gauss_jordan(a, len(a[0]))[1]) if a else 0
+
+
+def oracle_nullspace(a, ncols):
+    if not a:
+        return [tuple(_O if j == k else _Z for j in range(ncols)) for k in range(ncols)]
+    rows, pivots = _gauss_jordan(a, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [_Z] * ncols
+        vec[j] = _O
+        for prow, pcol in zip(rows, pivots):
+            if prow[j]:
+                vec[pcol] = -prow[j]
+        basis.append(tuple(vec))
+    return basis
+
+
+def oracle_solve(a, b):
+    ncols = len(a[0])
+    rows, pivots = _gauss_jordan([list(r) + [bv] for r, bv in zip(a, b)], ncols + 1)
+    x = [_Z] * ncols
+    for prow, pcol in zip(rows, pivots):
+        if pcol == ncols:
+            return None
+        x[pcol] = prow[ncols]
+    return tuple(x)
+
+
+# -- inputs -----------------------------------------------------------------
+
+small_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=4),
+)
+rationals = small_fractions.map(QScalar.from_rational)
+laurents = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), small_fractions, min_size=1, max_size=3
+).map(QScalar.from_laurent)
+quotients = st.builds(lambda n, d: n / d, laurents, laurents.filter(bool))
+named = st.sampled_from([qint(2).inverse(), Q / (1 + Q * Q), qint(3) / qint(2), Q.inverse()])
+entries = st.one_of(st.just(_Z), st.just(_Z), rationals, laurents, quotients, named)
+
+
+@st.composite
+def matrices(draw, max_rows=3, max_cols=5):
+    m = draw(st.integers(min_value=1, max_value=max_rows))
+    n = draw(st.integers(min_value=1, max_value=max_cols))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        # a dependent row, so the kernel does not only come from n > m
+        c0, c1 = draw(entries), draw(entries)
+        rows.append([c0 * x + c1 * y for x, y in zip(rows[0], rows[-1])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [_Z] * n)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        rows = [r[:k] + [_Z] + r[k + 1 :] for r in rows]
+    return tuple(tuple(r) for r in rows)
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_nullspace_matches_oracle(a):
+    assert nullspace(a) == oracle_nullspace(a, len(a[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_rank_matches_oracle(a):
+    assert mat_rank(a) == oracle_rank(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_oracle(a, data):
+    n = len(a[0])
+    if data.draw(st.booleans()):
+        x = [data.draw(entries) for _ in range(n)]
+        b = mat_vec(a, x)
+    else:
+        b = tuple(data.draw(entries) for _ in a)
+    assert solve(a, b) == oracle_solve(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_cols=4), st.integers(min_value=0, max_value=4))
+def test_ncols_override_uses_leading_columns(a, ncols):
+    ncols = min(ncols, len(a[0]))
+    assert nullspace(a, ncols) == oracle_nullspace([r[:ncols] for r in a], ncols)
+
+
+# -- frozen examples ------------------------------------------------------------
+
+
+def test_empty_matrix():
+    assert nullspace([]) == []
+    assert nullspace([], 2) == [(_O, _Z), (_Z, _O)]
+    assert nullspace((), 0) == []
+    assert mat_rank(()) == 0
+    assert solve((), ()) == ()
+    assert solve((), (_Z,)) == ()
+    assert solve((), (_O,)) is None
+
+
+def test_zero_rows_and_columns():
+    a = ((_Z, _Z, _Z), (_Z, Q, _Z), (_Z, _Z, _Z))
+    assert mat_rank(a) == 1
+    assert nullspace(a) == [(_O, _Z, _Z), (_Z, _Z, _O)]
+    assert nullspace(((_Z, _Z),)) == [(_O, _Z), (_Z, _O)]
+
+
+def test_rational_function_entries_clear_to_the_oracle():
+    half = qint(2).inverse()
+    a = (
+        (half, Q / (1 + Q * Q), QScalar.q_pow(-2)),
+        (_O, qint(3) / qint(2), 1 + Q),
+    )
+    assert nullspace(a) == oracle_nullspace(a, 3)
+    assert nullspace(a)[0][2] == _O
+
+
+def test_inconsistent_solve_is_none():
+    a = ((_O, Q), (QScalar.from_rational(2), 2 * Q))
+    assert solve(a, (_O, QScalar.from_rational(3))) is None
+    assert solve(a, (_O, QScalar.from_rational(2))) == (_O, _Z)
+
+
+def test_laurent_kernel_is_canonical():
+    # q^-1 x + [2] y = 0  =>  x = -q [2] y = -(q^2 + 1) y
+    (vec,) = nullspace(((Q.inverse(), qint(2)),))
+    assert vec == (-(Q * Q + 1), _O)
+    assert vec[0].shift == 0 and vec[0].den == (1,)
+
+
+def test_bit_ceiling_applies_to_elimination():
+    r = QScalar.from_rational
+    # each input trips exactly one check at a 16-bit ceiling: a 41-bit entry
+    # of a cleared row, a 20-bit Bareiss product, a 19-bit back-substitution
+    # numerator; the content of a cleared row is divided out first
+    cleared = ((r(2**40 + 1), _O),)
+    product = ((r(1000), Q, _O), (r(999), r(1000), Q))
+    numerator = ((r(512), r(511)),)
+    old = set_bit_ceiling(16)
+    try:
+        with pytest.raises(CoefficientOverflowError):
+            mat_rank(cleared)
+        with pytest.raises(CoefficientOverflowError):
+            mat_rank(product)
+        with pytest.raises(CoefficientOverflowError):
+            nullspace(numerator)
+    finally:
+        set_bit_ceiling(old)
+    assert get_bit_ceiling() == old
+    for a in (cleared, product, numerator):
+        assert nullspace(a) == oracle_nullspace(a, len(a[0]))
