@@ -10,12 +10,13 @@ requires agreement across two window radii.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .qfield import QScalar
 from .presentation import instantiate_window, word_target
-from .gbasis import groebner, _basis_index, _reduce_full
+from .gbasis import NormalWords, groebner, _reduce_full
 from .linalg import Subspace, mat_rank, mat_vec, nullspace, solve
 from .rootdata import flag_betti, flag_ring, weyl_table
 
@@ -67,8 +68,10 @@ class WindowedAlgebra:
         self.gb = gb
         self.lencap = lencap
         self._idx = gb.order.index()
-        self._index = _basis_index(gb)
+        self._words = NormalWords(gb, box_radius=quiver.radius)
+        self._index = self._words.index
         self._levels = {}  # source -> list per length of [word]
+        self._by_target = {}  # source -> {target: [word]} in levels order
         self._nf_cache = {}
 
     @property
@@ -80,44 +83,25 @@ class WindowedAlgebra:
         return [("x", i) for i in range(r)] + [("y", i) for i in range(r)]
 
     def levels_from(self, source):
+        """Normal paths from source inside the window, per length 0..lencap."""
         source = tuple(source)
         if source in self._levels:
             return self._levels[source]
-        n = self.quiver.radius
-        leads = [(p_lead, src) for (p_lead, src) in self.gb.leads()]
-        current = [()]
-        out = [[()]]
-        for _l in range(self.lencap):
-            nxt = []
-            for word in current:
-                tgt = word_target(word, source)
-                for letter in self.letters():
-                    t2 = word_target((letter,), tgt)
-                    if not all(-n <= x <= n for x in t2):
-                        continue
-                    nw = (letter,) + word
-                    ok = True
-                    for lead, lsrc in leads:
-                        if len(lead) <= len(nw) and nw[: len(lead)] == lead:
-                            if word_target(nw[len(lead):], source) == lsrc:
-                                ok = False
-                                break
-                    if ok:
-                        nxt.append(nw)
-            current = nxt
-            out.append(list(current))
+        out = self._words.by_length(source, self.lencap)
+        by_target = {}
+        for level in out:
+            for w in level:
+                by_target.setdefault(word_target(w, source), []).append(w)
         self._levels[source] = out
+        self._by_target[source] = by_target
         return out
 
     def component(self, source, target, maxlen):
         """Ordered basis of normal paths source -> target with length <= maxlen."""
-        source, target = tuple(source), tuple(target)
-        out = []
-        for level in self.levels_from(source)[: maxlen + 1]:
-            for w in level:
-                if word_target(w, source) == target:
-                    out.append(w)
-        return out
+        source = tuple(source)
+        self.levels_from(source)
+        words = self._by_target[source].get(tuple(target), [])
+        return words[: bisect_right(words, maxlen, key=len)]
 
     def nf(self, word, source):
         """Normal form of an anchored word: dict {word: QScalar}."""
@@ -129,7 +113,7 @@ class WindowedAlgebra:
         key = (word, source)
         hit = self._nf_cache.get(key)
         if hit is None:
-            hit = _reduce_full({word: _O}, source, self._index, self._idx, True)
+            hit = _reduce_full({word: _O}, source, self._index, self._idx)
             self._nf_cache[key] = hit
         return hit
 
@@ -137,11 +121,11 @@ class WindowedAlgebra:
         return "%s;lencap=%d" % (self.quiver.describe(), self.lencap)
 
 
-def build_algebra(c, f, radius, margin, lencap=None, gb_cap=None):
+def build_algebra(c, f, radius, margin, lencap=None):
     if lencap is None:
         lencap = 2 * radius + 4
     quiver = instantiate_window(c, f, radius, margin)
-    gb = groebner(quiver, cap=gb_cap if gb_cap is not None else lencap)
+    gb = groebner(quiver, cap=lencap)
     return WindowedAlgebra(quiver, gb, lencap)
 
 

@@ -5,10 +5,20 @@ overlap word fits under the length cap are resolved, which certifies unique
 normal forms for every word of length <= cap.  Monomials are words with an
 optional vertex anchor; the order is length-first, then lexicographic by a
 fixed generator precedence, then anchor.
+
+Leading words are kept in one lead index per basis (``_LeadIndex``): for each
+lead length ``L`` a dict from ``(lead word, anchor)`` to the element, where the
+anchor is the vertex the lead starts from inside an anchored word (``None``
+for free presentations).  Divisor search during reduction and the normality
+test of normal-word enumeration both hash the subwords of a word against it,
+with the anchors of all suffixes taken from one right-to-left pass over the
+word; no lookup scans the basis.  Completion adds each new element to the
+index as it is found.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 from dataclasses import dataclass
@@ -18,6 +28,7 @@ from .presentation import (
     NCPoly,
     Presentation,
     WindowedQuiver,
+    path_vertices,
     word_degree,
     word_target,
 )
@@ -92,19 +103,58 @@ def _subword_source(word, pos, sublen, source):
     return word_target(word[pos + sublen:], source)
 
 
-def _find_divisor(word, source, basis_index, anchored):
-    for pos in range(len(word)):
-        for g in basis_index.get(word[pos], ()):
-            u = g.lead
-            end = pos + len(u)
-            if end <= len(word) and word[pos:end] == u:
-                if anchored and _subword_source(word, pos, len(u), source) != g.source:
-                    continue
-                return pos, g
+class _LeadIndex:
+    """Leading words of a basis, hashed per lead length.
+
+    ``tables[L]`` maps ``(lead word, anchor)`` to ``(rank, elem)``; the rank is
+    the position at which the element was added and the anchor is ``None``
+    for free presentations.  Of several elements with the same key only the
+    first is kept, which is the one a scan in insertion order meets first.
+    """
+
+    __slots__ = ("anchored", "elems", "lengths", "tables")
+
+    def __init__(self, anchored):
+        self.anchored = anchored
+        self.elems = []  # in rank order
+        self.lengths = []  # distinct lead lengths, ascending
+        self.tables = {}
+
+    def add(self, e):
+        n = len(e.lead)
+        if n == 0:
+            raise GBError("constant element in the ideal at anchor %r" % (e.source,))
+        table = self.tables.get(n)
+        if table is None:
+            table = self.tables[n] = {}
+            bisect.insort(self.lengths, n)
+        key = (e.lead, e.source if self.anchored else None)
+        table.setdefault(key, (len(self.elems), e))
+        self.elems.append(e)
+
+
+def _find_divisor(word, source, index):
+    """Leftmost (pos, g) with lead(g) dividing word at pos, lowest rank first."""
+    n = len(word)
+    # anchors[j]: the anchor of a subword followed by the last j letters
+    anchors = path_vertices(word, source) if index.anchored else None
+    tables = index.tables
+    for pos in range(n):
+        best = None
+        for length in index.lengths:
+            end = pos + length
+            if end > n:
+                break
+            anchor = anchors[n - end] if anchors is not None else None
+            hit = tables[length].get((word[pos:end], anchor))
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best = hit
+        if best is not None:
+            return pos, best[1]
     return None
 
 
-def _reduce_full(terms, source, basis_index, idx, anchored):
+def _reduce_full(terms, source, index, idx):
     """Totally reduce a {word: coeff} dict; returns a new dict."""
     done = {}
     work = dict(terms)
@@ -113,7 +163,7 @@ def _reduce_full(terms, source, basis_index, idx, anchored):
         c = work.pop(w)
         if not c:
             continue
-        hit = _find_divisor(w, source, basis_index, anchored)
+        hit = _find_divisor(w, source, index)
         if hit is None:
             done[w] = done.get(w, QScalar.zero()) + c
             continue
@@ -284,20 +334,19 @@ def groebner(pres, cap, order=None):
         order = default_order(rank)
     idx = order.index()
 
-    basis = []
-    basis_index = {}
+    index = _LeadIndex(anchored)
+    basis = index.elems
 
     def add_elem(terms, source):
         e = _Elem(terms, source, idx)
-        basis.append(e)
-        basis_index.setdefault(e.lead[0], []).append(e)
+        index.add(e)
         return e
 
     # seed with fully reduced input relations (iterate to inter-reduce)
     pending = [(dict(p.terms), p.source) for p in relations if p.terms]
     pending.sort(key=lambda t: _word_key(_lead(t[0], idx), idx))
     for terms, source in pending:
-        red = _reduce_full(terms, source, basis_index, idx, anchored)
+        red = _reduce_full(terms, source, index, idx)
         if red:
             add_elem(red, source)
 
@@ -334,7 +383,7 @@ def groebner(pres, cap, order=None):
             nw = left2 + uw + right2
             terms[nw] = terms.get(nw, QScalar.zero()) - uc
         terms = {w: v for w, v in terms.items() if v}
-        red = _reduce_full(terms, source, basis_index, idx, anchored)
+        red = _reduce_full(terms, source, index, idx)
         if red:
             e = add_elem(red, source)
             if len(e.lead) > cap:
@@ -366,42 +415,52 @@ def groebner(pres, cap, order=None):
 
 
 def _basis_index(g):
+    """The lead index of a completed basis, built once per basis."""
     idx = g.order.index()
-    out = {}
+    index = _LeadIndex(g.anchored)
     for p in g.elements:
-        e = _Elem(dict(p.terms), p.source, idx)
-        out.setdefault(e.lead[0], []).append(e)
-    return out
+        index.add(_Elem(dict(p.terms), p.source, idx))
+    return index
 
 
 def normal_form(x, g, _index_cache=None):
-    """Unique reduced representative of an NCPoly modulo the certified basis."""
+    """Unique reduced representative of an NCPoly modulo the certified basis.
+
+    Pass ``_index_cache=_basis_index(g)`` when reducing many polynomials
+    modulo the same basis.
+    """
     maxlen = max((len(w) for w, _v in x.terms), default=0)
     if maxlen > g.certified_len:
         raise UncertifiedRegionError(
             "word length %d beyond certified %d" % (maxlen, g.certified_len)
         )
     index = _index_cache if _index_cache is not None else _basis_index(g)
-    red = _reduce_full(dict(x.terms), x.source, index, g.order.index(), g.anchored)
+    red = _reduce_full(dict(x.terms), x.source, index, g.order.index())
     return NCPoly.make(red, x.source, g.rank)
 
 
 class NormalWords:
-    """Incremental enumerator of normal words, optionally anchored in a box."""
+    """Enumerator of normal words, optionally anchored and kept in a box.
+
+    ``index`` is the lead index of the basis; ``normal_form`` and
+    ``WindowedAlgebra.nf`` reduce against the same one.
+    """
 
     def __init__(self, g, box_radius=None):
         self.g = g
-        self.leads = [(p_lead, src) for (p_lead, src) in g.leads()]
+        self.index = _basis_index(g)
         self.box_radius = box_radius
 
-    def _is_normal_prefix(self, word, source):
+    def _is_normal_prefix(self, word, anchors):
         # word was obtained by prepending one letter; only position-0 subwords are new
-        for lead, lsrc in self.leads:
-            if len(lead) <= len(word) and word[: len(lead)] == lead:
-                if not self.g.anchored:
-                    return False
-                if _subword_source(word, 0, len(lead), source) == lsrc:
-                    return False
+        n = len(word)
+        index = self.index
+        for length in index.lengths:
+            if length > n:
+                break
+            anchor = anchors[n - length] if index.anchored else None
+            if (word[:length], anchor) in index.tables[length]:
+                return False
         return True
 
     def _in_box(self, v):
@@ -412,27 +471,33 @@ class NormalWords:
         return self.g.letters
 
     def by_length(self, source, maxlen):
-        """Lists of normal words from a given anchor (or None), per length 0..maxlen."""
+        """Lists of normal words from a given anchor (or None), per length 0..maxlen.
+
+        Each level lists the one-letter left extensions of the previous level's
+        words, in that order and then in alphabet order.
+        """
         if maxlen > self.g.certified_len:
             raise UncertifiedRegionError(
                 "length %d beyond certified %d" % (maxlen, self.g.certified_len)
             )
-        current = [((), tuple(source) if source is not None else None)]
+        # with a source, each word carries the vertices of its path (path_vertices)
+        current = [((), (tuple(source),) if source is not None else None)]
         out = [[()]]
         for _l in range(maxlen):
             nxt = []
-            for word, _src in current:
-                tgt = word_target(word, source) if source is not None else None
+            for word, verts in current:
                 for letter in self.letters():
-                    if source is not None:
-                        t2 = word_target((letter,), tgt)
+                    nverts = None
+                    if verts is not None:
+                        t2 = word_target((letter,), verts[-1])
                         if not self._in_box(t2):
                             continue
+                        nverts = verts + (t2,)
                     nw = (letter,) + word
-                    if self._is_normal_prefix(nw, source):
-                        nxt.append((nw, source))
+                    if self._is_normal_prefix(nw, nverts):
+                        nxt.append((nw, nverts))
             current = nxt
-            out.append([w for w, _s in current])
+            out.append([w for w, _v in current])
         return out
 
 

@@ -242,7 +242,9 @@ def truncated_verma(c, f, n0, depth):
         raise ModuleError("depth must be nonnegative")
     pres = _pres_at(yn_presentation(c), f)
     gb = groebner(pres, cap=depth + 1)
-    levels = NormalWords(gb).by_length(None, depth)
+    normal_words = NormalWords(gb)
+    levels = normal_words.by_length(None, depth)
+    gb_index = normal_words.index
     order = gb.order.index()
 
     def wkey(w):
@@ -276,7 +278,9 @@ def truncated_verma(c, f, n0, depth):
             cols = []
             for w in ws:
                 nf = normal_form(
-                    _pres.NCPoly.make({(("y", i),) + w: _O}, None, c.rank), gb
+                    _pres.NCPoly.make({(("y", i),) + w: _O}, None, c.rank),
+                    gb,
+                    _index_cache=gb_index,
                 )
                 cols.append(as_vector(dict(nf.terms), tgt))
             ymat[(i, n)] = tuple(zip(*[tuple(col) for col in cols]))
@@ -297,7 +301,9 @@ def truncated_verma(c, f, n0, depth):
         sub = x_on_word(i, rest)
         for u, coeff in sub.items():
             nf = normal_form(
-                _pres.NCPoly.make({(("y", j),) + u: coeff}, None, c.rank), gb
+                _pres.NCPoly.make({(("y", j),) + u: coeff}, None, c.rank),
+                gb,
+                _index_cache=gb_index,
             )
             for uu, cc in nf.terms:
                 out[uu] = out.get(uu, _Z) + cc

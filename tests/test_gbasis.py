@@ -3,11 +3,29 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schurq import GBResult, groebner, hilbert, kostant, normal_form
-from schurq.gbasis import UncertifiedRegionError, dense_rank_dims
+from schurq import (
+    GBResult,
+    build_algebra,
+    build_cartan,
+    groebner,
+    hilbert,
+    kostant,
+    normal_form,
+)
+from schurq.gbasis import (
+    UncertifiedRegionError,
+    _basis_index,
+    _Elem,
+    _find_divisor,
+    _LeadIndex,
+    default_order,
+    dense_rank_dims,
+)
 from schurq.modules import yn_presentation
-from schurq.presentation import NCPoly, instantiate_window, un_presentation
+from schurq.presentation import NCPoly, instantiate_window, un_presentation, word_target
 from schurq.qfield import QScalar
 
 
@@ -149,3 +167,150 @@ def test_interreduced_leads(a2, b2):
                         w2[k : k + len(w1)] == w1
                         for k in range(len(w2) - len(w1) + 1)
                     )
+
+
+# -- the lead index against the linear scans it replaced --------------------
+
+
+def _scan_find_divisor(word, source, by_letter, anchored):
+    """Divisor search by scanning, per position, every element whose lead
+    starts with that letter, in the order the elements were added."""
+    for pos in range(len(word)):
+        for g in by_letter.get(word[pos], ()):
+            u = g.lead
+            end = pos + len(u)
+            if end <= len(word) and word[pos:end] == u:
+                if anchored and word_target(word[end:], source) != g.source:
+                    continue
+                return pos, g
+    return None
+
+
+def _scan_levels_from(algebra, source):
+    """Normal paths per length, testing each new prefix against every lead."""
+    n = algebra.quiver.radius
+    leads = algebra.gb.leads()
+    current = [()]
+    out = [[()]]
+    for _l in range(algebra.lencap):
+        nxt = []
+        for word in current:
+            tgt = word_target(word, source)
+            for letter in algebra.letters():
+                t2 = word_target((letter,), tgt)
+                if not all(-n <= x <= n for x in t2):
+                    continue
+                nw = (letter,) + word
+                ok = True
+                for lead, lsrc in leads:
+                    if len(lead) <= len(nw) and nw[: len(lead)] == lead:
+                        if word_target(nw[len(lead):], source) == lsrc:
+                            ok = False
+                            break
+                if ok:
+                    nxt.append(nw)
+        current = nxt
+        out.append(list(current))
+    return out
+
+
+@pytest.fixture(scope="module")
+def a1_window(a1, f_classical):
+    return build_algebra(a1, f_classical, 3, margin=2)
+
+
+@pytest.fixture(scope="module")
+def a2_window(a2, f_classical):
+    return build_algebra(a2, f_classical, 2, margin=2)
+
+
+def _overlapping_leads():
+    """A free index whose later, shorter leads divide earlier ones, as during
+    completion: at one position leads of several lengths match and the
+    earliest added must win."""
+    x, y = ("x", 0), ("x", 1)
+    idx = default_order(2).index()
+    index = _LeadIndex(anchored=False)
+    for w in ((x, y, y), (y, x, x, y), (x,), (y, x), (x, y), (y,)):
+        index.add(_Elem({w: QScalar.one()}, None, idx))
+    return index, (x, y)
+
+
+@pytest.fixture(scope="module")
+def lead_cases(a2_window, b2):
+    """Per case: lead index, the same elements by first letter, letters,
+    lead words, anchors and the longest word to draw."""
+    b2_free = groebner(un_presentation(b2), cap=8)
+    overlapping, letters = _overlapping_leads()
+    cases = {}
+    for name, index, letters, anchors, cap in (
+        ("A2 window r2", a2_window._index, a2_window.gb.letters,
+         a2_window.quiver.vertices, a2_window.gb.certified_len),
+        ("B2 free", _basis_index(b2_free), b2_free.letters, (None,), 8),
+        ("overlapping", overlapping, letters, (None,), 8),
+    ):
+        by_letter = {}
+        for e in index.elems:
+            by_letter.setdefault(e.lead[0], []).append(e)
+        leads = sorted({e.lead for e in index.elems})
+        cases[name] = (index, by_letter, letters, leads, anchors, cap)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["A2 window r2", "B2 free", "overlapping"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_find_divisor_matches_linear_scan(lead_cases, name, data):
+    index, by_letter, letters, leads, anchors, cap = lead_cases[name]
+    pieces = st.one_of(
+        st.sampled_from(letters).map(lambda l: (l,)), st.sampled_from(leads)
+    )
+    parts = data.draw(st.lists(pieces, max_size=cap))
+    word = tuple(l for part in parts for l in part)[:cap]
+    source = data.draw(st.sampled_from(anchors))
+    got = _find_divisor(word, source, index)
+    want = _scan_find_divisor(word, source, by_letter, index.anchored)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[0] == want[0] and got[1] is want[1]
+
+
+@pytest.mark.parametrize("window", ["a1_window", "a2_window"])
+def test_levels_from_matches_linear_scan(request, window):
+    algebra = request.getfixturevalue(window)
+    vertices = algebra.quiver.vertices
+    for v in vertices:
+        want = _scan_levels_from(algebra, v)
+        assert algebra.levels_from(v) == want
+        for maxlen in (0, 3, algebra.lencap):
+            words = [w for level in want[: maxlen + 1] for w in level]
+            for t in vertices:
+                expected = [w for w in words if word_target(w, v) == t]
+                assert algebra.component(v, t, maxlen) == expected
+
+
+# sha256 of GBResult.serialize(), recorded from the linear-scan engine
+_WINDOW_HASHES = {
+    "a1_window": "3fb9bf7ada96e71a1af60fb1413f8f9dff766acdd1b9d5efb2a0fafe02886383",
+    "a2_window": "d5bb07f91b9fa7504b88bf7599657863a7e1288ff03f0b8b2eba4e889df62cf2",
+}
+
+
+@pytest.mark.parametrize("window", sorted(_WINDOW_HASHES))
+def test_window_basis_hash_unchanged(request, window):
+    assert request.getfixturevalue(window).gb.content_hash() == _WINDOW_HASHES[window]
+
+
+@pytest.mark.parametrize(
+    "series, rank, cap, digest",
+    [
+        ("A", 4, 10, "3c152b87e83bb49cd8dc348d206cf1a3202387f3845156867a57e73915cf54cc"),
+        ("B", 3, 10, "0548db3f6eab6ad8fbb52a5edd9e8eed7ceeb8feafefa7a9d1aff69bcdb6edd4"),
+        ("G", 2, 14, "677bc0863f11771b9b0021586af4ceaf3de8d1a09e2a33206e3ad426b5252219"),
+    ],
+    ids=["A4", "B3", "G2"],
+)
+def test_free_basis_hash_unchanged(series, rank, cap, digest):
+    g = groebner(un_presentation(build_cartan(series, rank)), cap=cap)
+    assert g.content_hash() == digest
