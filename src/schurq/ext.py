@@ -714,38 +714,42 @@ def _materialize(modules, radius):
     return [m(radius) if callable(m) else m for m in modules]
 
 
-def _ext_matrix_once(c, f, modules, homcap, radius, lencap=None):
+def _ext_matrix_once(c, f, modules, homcap, radius, lencap):
+    """Ext dims of every module pair at one radius: (table, modules, resolutions)."""
     algebra = build_algebra(c, f, radius, margin=homcap, lencap=lencap)
     modules = _materialize(modules, radius)
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
-    table = []
-    for p in range(homcap + 1):
-        layer = {}
-        for i, res in enumerate(resolutions):
-            for j, W in enumerate(modules):
-                layer[(i, j)] = None
-        table.append(layer)
+    table = [{} for _p in range(homcap + 1)]
     for i, res in enumerate(resolutions):
         for j, W in enumerate(modules):
             dims = ext_dims(res, W, homcap)
             for p in range(homcap + 1):
                 table[p][(i, j)] = dims[p]
-    return table, resolutions, algebra
+    return table, modules, resolutions
 
 
-def ext_table(c, f, modules, homcap, windows, labels=None, lencap=None):
-    """Ext^p(V_i, V_j) over at least two window radii with stability flags."""
+def _ext_run(c, f, modules, homcap, windows, labels, lencap):
+    """Two-window Ext table plus the last window's modules and resolutions.
+
+    Each smaller window keeps only its dims: its algebra and resolutions are
+    dropped before the next window is built, so at most one window's objects
+    are alive at a time.  The verdict checks read their cocycles and Yoneda
+    products from the returned resolutions (each carries its ``.algebra``).
+    """
     if len(windows) < 2:
         raise ExtError("stabilization requires at least two window radii")
     if labels is None:
         if any(callable(m) for m in modules):
             raise ExtError("labels are required for radius-dependent modules")
         labels = tuple(V.provenance + str(k) for k, V in enumerate(modules))
-    runs = []
-    for radius in windows:
-        tab, _res, _alg = _ext_matrix_once(c, f, modules, homcap, radius, lencap)
-        runs.append(tab)
-    last, prev = runs[-1], runs[-2]
+    smaller = [
+        _ext_matrix_once(c, f, modules, homcap, radius, lencap)[0]
+        for radius in windows[:-1]
+    ]
+    last, modules, resolutions = _ext_matrix_once(
+        c, f, modules, homcap, windows[-1], lencap
+    )
+    prev = smaller[-1]
     dims = []
     stable = []
     for p in range(homcap + 1):
@@ -753,7 +757,7 @@ def ext_table(c, f, modules, homcap, windows, labels=None, lencap=None):
         stable.append(
             {k: last[p][k] == prev[p][k] for k in last[p]}
         )
-    return ExtTable(
+    table = ExtTable(
         labels=tuple(labels),
         dims=tuple(dims),
         stable=tuple(stable),
@@ -761,6 +765,12 @@ def ext_table(c, f, modules, homcap, windows, labels=None, lencap=None):
         windows=tuple(windows),
         description="%s;f=%s" % (c.series or c.a, f.describe()),
     )
+    return table, modules, resolutions
+
+
+def ext_table(c, f, modules, homcap, windows, labels=None, lencap=None):
+    """Ext^p(V_i, V_j) over at least two window radii with stability flags."""
+    return _ext_run(c, f, modules, homcap, windows, labels, lencap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -945,10 +955,15 @@ class SchurReport:
 
 
 def schur_check(c, f, V, homcap=4, windows=(6, 8), lencap=None, check_ring=True):
-    """Compare Ext^*(V, V) with the flag variety cohomology target."""
+    """Compare Ext^*(V, V) with the flag variety cohomology target.
+
+    The Betti numbers come from the two-window Ext table; the ring check
+    squares the degree-2 class on the resolution of V that the table built at
+    the last window, so no window algebra or resolution is built twice.
+    """
     table_w = weyl_table(c)
     target = flag_betti(c, table_w)
-    tab = ext_table(c, f, [V], homcap, windows, labels=("V",), lencap=lencap)
+    tab, _modules, (res,) = _ext_run(c, f, [V], homcap, windows, ("V",), lencap)
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     padded_target = tuple(
@@ -971,9 +986,6 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8), lencap=None, check_ring=True)
     if check_ring and verdict == "match" and homcap >= 4 and c.rank <= 2:
         ring = flag_ring(c, table_w)
         # degree-2 generators must square per the coinvariant algebra
-        radius = windows[-1]
-        algebra = build_algebra(c, f, radius, margin=homcap, lencap=lencap)
-        res = minimal_resolution(algebra, V, homcap)
         if computed[2] == 1 and computed[4] == 0:
             sq_zero = yoneda_square(res, V, 2)
             ring_sq_zero = all(v == 0 for v in ring.product(1, 0, 1, 0))
@@ -1016,12 +1028,21 @@ def euler_check(table, i=0):
 
 
 def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8), lencap=None):
-    """Degree-1 generation probe: do Ext^2 classes factor through Ext^1 products?"""
-    tab = ext_table(c, f, modules, homcap, windows, labels=labels, lencap=lencap)
-    radius = windows[-1]
-    algebra = build_algebra(c, f, radius, margin=homcap, lencap=lencap)
-    modules = _materialize(modules, radius)
-    resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
+    """Degree-1 generation probe: do Ext^2 classes factor through Ext^1 products?
+
+    Cocycles and Yoneda products are taken on the modules and resolutions that
+    the two-window Ext table built at the last window; each degree-1 cocycle
+    basis Ext^1(X_a, X_b) is computed once per (a, b).
+    """
+    tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels, lencap)
+    cocycles = {}
+
+    def ext1_reps(a, b):
+        reps = cocycles.get((a, b))
+        if reps is None:
+            reps, _img = ext_cocycle_basis(resolutions[a], modules[b], 1)
+            cocycles[(a, b)] = reps
+        return reps
 
     report = {
         "labels": list(labels),
@@ -1057,8 +1078,8 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8), lencap=None):
             baseline = prodspan.dim
             had_factors = False
             for k in range(len(modules)):
-                reps_a, _ = ext_cocycle_basis(resV, modules[k], 1)
-                reps_b, _ = ext_cocycle_basis(resolutions[k], modules[j], 1)
+                reps_a = ext1_reps(i, k)
+                reps_b = ext1_reps(k, j)
                 for va in reps_a:
                     parts_a = _cocycle_components(resV, 1, modules[k], va)
                     for vb in reps_b:

@@ -155,11 +155,19 @@ def _find_divisor(word, source, index):
 
 
 def _reduce_full(terms, source, index, idx):
-    """Totally reduce a {word: coeff} dict; returns a new dict."""
+    """Totally reduce a {word: coeff} dict; returns a new dict.
+
+    Pending words leave a heap largest first.  Each word is keyed once, when
+    it enters ``work``, by ``(-length, letter ranks)``: the reverse of the
+    order ``_word_key`` gives, and distinct for distinct words.
+    """
     done = {}
     work = dict(terms)
-    while work:
-        w = max(work, key=lambda t: _word_key(t, idx))
+    rank = idx.__getitem__
+    heap = [(-len(w), tuple(map(rank, w)), w) for w in work]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[2]
         c = work.pop(w)
         if not c:
             continue
@@ -179,8 +187,11 @@ def _reduce_full(terms, source, index, idx):
                 done[nw] = done[nw] + add
                 if not done[nw]:
                     del done[nw]
+            elif nw in work:
+                work[nw] = work[nw] + add
             else:
-                work[nw] = work.get(nw, QScalar.zero()) + add
+                work[nw] = add
+                heapq.heappush(heap, (-len(nw), tuple(map(rank, nw)), nw))
     return {w: v for w, v in done.items() if v}
 
 

@@ -8,7 +8,7 @@ normal-form order of y-monomials, so every matrix is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .qfield import QScalar
 from .presentation import (
@@ -70,6 +70,17 @@ class GradedModule:
     truncated: bool = False
     trunc_top: tuple = None
     trunc_depth: int = None
+    # lookups derived from dims/xmat/ymat; no part of equality or serialization
+    _dim_of: dict = field(init=False, repr=False, compare=False, hash=False)
+    _mat_of: dict = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        mats = {}
+        for kind, table in (("x", self.xmat), ("y", self.ymat)):
+            for (i, n), m in table:
+                mats[((kind, i), n)] = m
+        object.__setattr__(self, "_dim_of", dict(self.dims))
+        object.__setattr__(self, "_mat_of", mats)
 
     @staticmethod
     def make(rank, dims, xmat, ymat, provenance="custom", truncated=False,
@@ -88,25 +99,18 @@ class GradedModule:
         return tuple(n for n, _d in self.dims)
 
     def dim(self, n):
-        n = tuple(n)
-        for w, d in self.dims:
-            if w == n:
-                return d
-        return 0
+        return self._dim_of.get(tuple(n), 0)
 
     def total_dim(self):
         return sum(d for _n, d in self.dims)
 
     def matrix(self, letter, n):
         """Operator matrix V(n) -> V(n +- e_i); zero map where absent."""
-        kind, i = letter
         n = tuple(n)
-        table = self.xmat if kind == "x" else self.ymat
-        for key, m in table:
-            if key == (i, n):
-                return m
-        tgt = _shift(n, letter)
-        return zeros(self.dim(tgt), self.dim(n))
+        m = self._mat_of.get((tuple(letter), n))
+        if m is None:
+            return zeros(self.dim(_shift(n, letter)), self.dim(n))
+        return m
 
     def word_matrix(self, word, n):
         """Composite matrix of an operator word acting on V(n) (rightmost first)."""

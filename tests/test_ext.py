@@ -17,6 +17,7 @@ from schurq import (
     yoneda_product,
     yoneda_square,
 )
+from schurq import ext as ext_module
 from schurq.ext import (
     ExtError,
     ExtTable,
@@ -24,7 +25,9 @@ from schurq.ext import (
     MarginError,
     ext_cocycle_basis,
     _cocycle_components,
+    _hom_layout,
 )
+from schurq.linalg import Subspace
 from schurq.presentation import instantiate_window
 
 
@@ -232,3 +235,104 @@ def test_koszul_single_list_insufficient(a1, f_classical):
     assert not rep["list_sufficient"]
     statuses = {entry["status"] for entry in rep["classes"]}
     assert statuses == {"list-insufficient"}
+
+
+# -- compute once: verdict checks reuse the last window of the Ext table ---
+
+
+def _count_builds(monkeypatch):
+    """Record the window radius of every groebner and minimal_resolution call."""
+    calls = {"groebner": [], "minimal_resolution": []}
+    resolutions = []
+    real_groebner = ext_module.groebner
+    real_resolution = ext_module.minimal_resolution
+
+    def groebner(quiver, cap):
+        calls["groebner"].append(quiver.radius)
+        return real_groebner(quiver, cap)
+
+    def minimal_resolution(algebra, V, homcap):
+        calls["minimal_resolution"].append(algebra.quiver.radius)
+        res = real_resolution(algebra, V, homcap)
+        resolutions.append(res)
+        return res
+
+    monkeypatch.setattr(ext_module, "groebner", groebner)
+    monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
+    return calls, resolutions
+
+
+def _fresh_last_window(c, f, modules, homcap, windows):
+    """Last-window algebra, modules and resolutions, rebuilt from scratch."""
+    radius = windows[-1]
+    algebra = build_algebra(c, f, radius, margin=homcap)
+    modules = [m(radius) if callable(m) else m for m in modules]
+    return modules, [minimal_resolution(algebra, V, homcap) for V in modules]
+
+
+def _koszul_oracle(c, f, modules, labels, homcap, windows):
+    """koszul_check's report on fresh last-window resolutions, every degree-1
+    cocycle basis recomputed for each pair."""
+    tab = ext_table(c, f, modules, homcap, windows, labels=labels)
+    modules, resolutions = _fresh_last_window(c, f, modules, homcap, windows)
+    n = len(modules)
+    report = {
+        "labels": list(labels), "windows": list(windows), "homcap": homcap,
+        "ext1": {"%s->%s" % (labels[i], labels[j]): tab.dim(1, i, j)
+                 for i in range(n) for j in range(n)},
+        "classes": [], "list_sufficient": True, "verdict": "generated",
+    }
+    for i in range(n):
+        for j in range(n):
+            d2 = tab.dim(2, i, j)
+            if d2 == 0:
+                continue
+            assert tab.is_stable(2, i, j)
+            resV, W = resolutions[i], modules[j]
+            _reps, img2 = ext_cocycle_basis(resV, W, 2)
+            span = Subspace(_hom_layout(resV, 2, W)[1])
+            for row in img2.basis():
+                span.add(row)
+            baseline = span.dim
+            for k in range(n):
+                reps_a, _ = ext_cocycle_basis(resV, modules[k], 1)
+                reps_b, _ = ext_cocycle_basis(resolutions[k], W, 1)
+                for va in reps_a:
+                    parts_a = _cocycle_components(resV, 1, modules[k], va)
+                    for vb in reps_b:
+                        parts_b = _cocycle_components(resolutions[k], 1, W, vb)
+                        span.add(yoneda_product(
+                            resV, resolutions[k], W, 1, parts_a, 1, parts_b))
+            generated = span.dim - baseline
+            assert generated >= d2  # the oracle covers only degree-1 generated pairs
+            report["classes"].append({
+                "pair": [labels[i], labels[j]], "ext2_dim": d2,
+                "generated_by_products": generated, "status": "generated",
+            })
+    return report
+
+
+def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
+    triv = trivial_module(a1, f_classical, (0,))
+    calls, resolutions = _count_builds(monkeypatch)
+    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    assert rep.ring_comparison["compared"]
+    assert calls == {"groebner": [4, 6], "minimal_resolution": [4, 6]}
+    monkeypatch.undo()
+    # oracle: the Yoneda square on a last window rebuilt from scratch
+    _mods, (fresh,) = _fresh_last_window(a1, f_classical, [triv], 4, (4, 6))
+    assert fresh.stages == resolutions[-1].stages
+    assert rep.ring_comparison["square_zero_computed"] == yoneda_square(fresh, triv, 2)
+
+
+def test_koszul_check_builds_each_window_once(a1, f_classical, monkeypatch):
+    triv = lambda radius: trivial_module(a1, f_classical, (0,))
+    verma = lambda radius: truncated_verma(a1, f_classical, (-1,), radius - 1)
+    modules, labels, windows = [triv, verma], ("L0", "M"), (4, 6)
+    calls, _resolutions = _count_builds(monkeypatch)
+    rep = koszul_check(a1, f_classical, modules, labels=labels, homcap=2,
+                       windows=windows)
+    assert calls == {"groebner": [4, 6], "minimal_resolution": [4, 4, 6, 6]}
+    monkeypatch.undo()
+    assert rep["classes"]  # the product loop ran
+    assert rep == _koszul_oracle(a1, f_classical, modules, labels, 2, windows)
