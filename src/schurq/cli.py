@@ -17,7 +17,14 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
 from . import __version__
-from .rootdata import build_cartan, positive_roots, weyl_table, flag_betti, kostant
+from .rootdata import (
+    RootDataError,
+    build_cartan,
+    positive_roots,
+    weyl_table,
+    flag_betti,
+    kostant,
+)
 from .presentation import FSpec, un_presentation
 from .gbasis import groebner, hilbert, GBResult
 from .modules import (
@@ -59,7 +66,6 @@ class RunConfig:
     modules: list = field(default_factory=list)  # koszul-check list
     out: str = ""
     cache: str = ""
-    seed: int = 0
 
     def validated(self):
         if self.series.upper() not in "ABCDEFG" or len(self.series) != 1:
@@ -68,6 +74,13 @@ class RunConfig:
             raise ConfigError("type: rank must be >= 1, got %d" % self.rank)
         if self.f not in ("classical", "qinteger"):
             raise ConfigError("f: expected classical or qinteger, got %r" % self.f)
+        if self.window < 2:
+            raise ConfigError(
+                "window: need window >= 2 so that two radii are compared, got %d"
+                % self.window
+            )
+        if self.cap < 0:
+            raise ConfigError("cap: must be >= 0, got %d" % self.cap)
         margin = self.homcap if self.margin < 0 else self.margin
         if not (self.window >= margin >= self.homcap >= 0):
             raise ConfigError(
@@ -90,7 +103,10 @@ class RunConfig:
         return FSpec.qinteger(at)
 
     def cartan(self):
-        return build_cartan(self.series, self.rank)
+        try:
+            return build_cartan(self.series, self.rank)
+        except RootDataError as exc:
+            raise ConfigError("type: %s" % exc)
 
     def to_dict(self):
         return asdict(self)
@@ -123,8 +139,14 @@ def parse_module_spec(spec, c, f):
     name = parts[0]
     rank = c.rank
 
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError("module: expected an integer, got %r in %r" % (text, spec))
+
     def weight(text):
-        xs = tuple(int(t) for t in text.split(","))
+        xs = tuple(integer(t) for t in text.split(","))
         if len(xs) != rank:
             raise ConfigError(
                 "module: weight %s has %d entries, expected %d" % (text, len(xs), rank)
@@ -144,7 +166,7 @@ def parse_module_spec(spec, c, f):
         n0 = weight(parts[1])
         if parts[2] == "floor":
             return lambda radius: truncated_verma(c, f, n0, radius - 1)
-        return truncated_verma(c, f, n0, int(parts[2]))
+        return truncated_verma(c, f, n0, integer(parts[2]))
     raise ConfigError("module: unknown module spec %r" % spec)
 
 
@@ -293,7 +315,7 @@ def cmd_check_module(cfg):
         "witnesses": [list(map(str, w)) for w in report.witnesses],
     }
     if report.passed:
-        out["simple"] = is_simple(c, f, mod, seed=cfg.seed)
+        out["simple"] = is_simple(c, f, mod)
     return out
 
 
@@ -302,7 +324,7 @@ def _windows(cfg):
     if lo < cfg.effective_margin():
         lo = cfg.effective_margin()
     if lo >= cfg.window:
-        lo = max(1, cfg.window - 1)
+        lo = cfg.window - 1
     return (lo, cfg.window)
 
 
@@ -370,7 +392,6 @@ def build_parser():
     )
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--cache", help="cache directory")
-    p.add_argument("--seed", type=int)
     return p
 
 
@@ -385,7 +406,7 @@ def config_from_args(args):
             raise ConfigError("type: expected SERIES+RANK like A2, got %r" % text)
         data["series"], data["rank"] = text[0].upper(), int(text[1:])
     for name in ("f", "q", "window", "margin", "homcap", "cap", "module",
-                 "out", "cache", "seed"):
+                 "out", "cache"):
         val = getattr(args, name)
         if val is not None:
             data[name] = val

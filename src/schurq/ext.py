@@ -18,6 +18,7 @@ from .qfield import QScalar
 from .presentation import instantiate_window, word_target
 from .gbasis import NormalWords, groebner, _reduce_full
 from .linalg import Subspace, mat_rank, mat_vec, nullspace, solve
+from .modules import _generated_submodule
 from .rootdata import flag_betti, flag_ring, weyl_table
 
 __all__ = [
@@ -152,11 +153,8 @@ class Resolution:
     margin_consumed: int
     margin_ok: bool
 
-    def gen_weights(self, p):
-        return self.stages[p].gens
 
-
-def _module_generators(algebra, V):
+def _module_generators(V):
     """Greedy generating set of V: (weight, vector) pairs, deterministic order."""
     spans = {n: Subspace(d) for n, d in V.dims}
     gens = []
@@ -168,29 +166,10 @@ def _module_generators(algebra, V):
             if spans[n].contains(unit):
                 continue
             gens.append((n, unit))
-            closure = _generated_submodule_vec(algebra, V, n, unit)
-            for m, vecs in closure.items():
-                for v in vecs:
+            for m, space in _generated_submodule(V, {n: [unit]}).items():
+                for v in space.basis():
                     spans[m].add(v)
     return gens
-
-
-def _generated_submodule_vec(algebra, V, n0, vec):
-    spaces = {n: Subspace(d) for n, d in V.dims}
-    queue = [(tuple(n0), tuple(vec))]
-    spaces[tuple(n0)].add(vec)
-    out = {tuple(n0): [tuple(vec)]}
-    while queue:
-        n, v = queue.pop()
-        for letter in algebra.letters():
-            tgt = word_target((letter,), n)
-            if V.dim(tgt) == 0:
-                continue
-            w = mat_vec(V.matrix(letter, n), v)
-            if any(w) and spaces[tgt].add(w):
-                out.setdefault(tgt, []).append(w)
-                queue.append((tgt, w))
-    return out
 
 
 def _pbasis(algebra, stage, m):
@@ -251,7 +230,7 @@ def minimal_resolution(algebra, V, homcap):
         max(abs(x) for x in w) <= n - margin for w, _d in V.dims
     )
 
-    gens0 = _module_generators(algebra, V)
+    gens0 = _module_generators(V)
     stage0 = Stage(
         gens=tuple(g for g, _v in gens0),
         diff=tuple(() for _ in gens0),
@@ -738,6 +717,8 @@ def _ext_run(c, f, modules, homcap, windows, labels, lencap):
     """
     if len(windows) < 2:
         raise ExtError("stabilization requires at least two window radii")
+    if any(a >= b for a, b in zip(windows, windows[1:])):
+        raise ExtError("window radii must strictly increase, got %s" % (tuple(windows),))
     if labels is None:
         if any(callable(m) for m in modules):
             raise ExtError("labels are required for radius-dependent modules")
@@ -918,11 +899,8 @@ def yoneda_square(res, W, p):
         raise ExtError("expected a one-dimensional Ext^%d; got %d" % (p, len(reps)))
     parts = _cocycle_components(res, p, W, reps[0])
     prod = yoneda_product(res, res, W, p, parts, p, parts)
-    reps2, img2 = ext_cocycle_basis(res, W, 2 * p)
-    probe = Subspace(len(prod))
-    for row in img2.basis():
-        probe.add(row)
-    return not probe.add(prod)  # True iff the square is zero in Ext^{2p}
+    _reps2, img2 = ext_cocycle_basis(res, W, 2 * p)
+    return img2.contains(prod)  # True iff the square is zero in Ext^{2p}
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 
+from .linalg import mat_rank
 from .qfield import QScalar
 from .presentation import (
     NCPoly,
@@ -581,26 +582,6 @@ def dense_rank_dims(pres, beta, order=None):
                         vec[i] = vec.get(i, QScalar.zero()) + cval
                     if ok and vec:
                         rows.append(vec)
-    rank = _sparse_rank(rows, len(words))
-    return len(words) - rank
-
-
-def _sparse_rank(rows, ncols):
-    pivots = {}  # col -> row dict
-    rank = 0
-    for row in rows:
-        row = {j: v for j, v in row.items() if v}
-        while row:
-            j = min(row)
-            if j in pivots:
-                f = row[j]
-                prow = pivots[j]
-                for k, v in prow.items():
-                    row[k] = row.get(k, QScalar.zero()) - f * v
-                row = {k: v for k, v in row.items() if v}
-            else:
-                inv = row[j].inverse()
-                pivots[j] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-    return rank
+    zero = QScalar.zero()
+    dense = tuple(tuple(row.get(j, zero) for j in range(len(words))) for row in rows)
+    return len(words) - mat_rank(dense)

@@ -9,7 +9,13 @@ is formed once as N / D from integer numerators, so a QScalar is put in
 canonical form once per output entry instead of once per operation.  The
 reduced row echelon form of a row space is unique, so the results equal
 those of Gauss-Jordan elimination over the field.  ``Subspace`` keeps
-incremental Gauss-Jordan over any exact field.
+incremental Gauss-Jordan over any exact field (QScalar or Fraction).
+
+Every elimination in the package goes through this module: the Q(q)
+kernels, ranks and solves of resolutions and Yoneda lifts, the coinvariant
+ring and the finite-type test in ``rootdata``, the dense-rank oracle
+``gbasis.dense_rank_dims``, and the submodule closures of ``modules`` and
+``ext``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ normal-form order of y-monomials, so every matrix is reproducible.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .qfield import QScalar
@@ -24,6 +23,7 @@ from .linalg import (
     mat_add,
     mat_mul,
     mat_scale,
+    mat_vec,
     nullspace,
     zeros,
 )
@@ -353,7 +353,7 @@ def build_simple(c, f, n0, depth_cap=20):
         sing = _singular_vectors(c, M)
         if not sing:
             break
-        sub = _generated_submodule(c, M, sing)
+        sub = _generated_submodule(M, sing)
         M = _quotient(c, M, sub, provenance="simple")
     maxdepth = max(
         (sum(a - b for a, b in zip(n0, n)) for n in M.support()), default=0
@@ -381,6 +381,14 @@ def build_simple(c, f, n0, depth_cap=20):
     return M
 
 
+def _killed_by_x(c, M, n, d):
+    """Basis of the vectors in the weight space V(n) killed by every x_i."""
+    rows = []
+    for i in range(c.rank):
+        rows.extend(M.matrix(("x", i), n))
+    return nullspace(rows, d)
+
+
 def _singular_vectors(c, M):
     """Nonzero vectors at depth > 0 killed by every x_i, per weight."""
     top = M.trunc_top
@@ -388,16 +396,13 @@ def _singular_vectors(c, M):
     for n, d in M.dims:
         if top is not None and n == top:
             continue
-        rows = []
-        for i in range(c.rank):
-            rows.extend(M.matrix(("x", i), n))
-        basis = nullspace(rows, d)
+        basis = _killed_by_x(c, M, n, d)
         if basis:
             out[n] = basis
     return out
 
 
-def _generated_submodule(c, M, seeds):
+def _generated_submodule(M, seeds):
     """Close seed vectors (per weight) under all operators."""
     spaces = {n: Subspace(d) for n, d in M.dims}
     queue = []
@@ -405,18 +410,14 @@ def _generated_submodule(c, M, seeds):
         for v in vecs:
             if spaces[n].add(v):
                 queue.append((n, v))
-    letters = [("x", i) for i in range(c.rank)] + [("y", i) for i in range(c.rank)]
+    letters = [("x", i) for i in range(M.rank)] + [("y", i) for i in range(M.rank)]
     while queue:
         n, v = queue.pop()
         for letter in letters:
             tgt = _shift(n, letter)
             if M.dim(tgt) == 0:
                 continue
-            mat = M.matrix(letter, n)
-            w = tuple(
-                sum((mat[r][k] * v[k] for k in range(len(v)) if v[k] and mat[r][k]), _Z)
-                for r in range(len(mat))
-            )
+            w = mat_vec(M.matrix(letter, n), v)
             if any(w) and spaces[tgt].add(w):
                 queue.append((tgt, w))
     return {n: sp for n, sp in spaces.items() if sp.dim}
@@ -539,31 +540,26 @@ def check_relations(c, f, M):
     return CheckReport(not witnesses, tuple(witnesses))
 
 
-def is_simple(c, f, M, seed=0, random_probes=3):
-    """True iff no proper nonzero graded-invariant subspace is found.
+def is_simple(c, f, M):
+    """True iff the finite-dimensional weight module M is simple.
 
-    Closes every weight-space basis vector and a few seeded random vectors
-    under the operator algebra; any proper closure is a counterexample.
+    Exact criterion: the vectors killed by every x_i, summed over all weights
+    (the top one included), form a 1-dimensional space, and its spanning
+    vector generates M.  Every nonzero submodule of a finite-dimensional
+    weight module contains such a vector, so the two conditions force every
+    nonzero submodule to be M; conversely a simple M is spanned by y-words on
+    any of its singular vectors (the commutators are scalar at each weight),
+    so two independent singular vectors cannot both generate it.
     """
-    total = M.total_dim()
-    if total == 0:
-        return False
-    rng = random.Random(seed)
-    probes = []
+    singular = {}
     for n, d in M.dims:
-        for k in range(d):
-            unit = [_Z] * d
-            unit[k] = _O
-            probes.append((n, tuple(unit)))
-        for _ in range(random_probes):
-            vec = tuple(QScalar.from_rational(rng.randint(-5, 5)) for _ in range(d))
-            if any(vec):
-                probes.append((n, vec))
-    for n, vec in probes:
-        closure = _generated_submodule(c, M, {n: [vec]})
-        if sum(sp.dim for sp in closure.values()) < total:
-            return False
-    return True
+        basis = _killed_by_x(c, M, n, d)
+        if basis:
+            singular[n] = basis
+    if sum(len(vecs) for vecs in singular.values()) != 1:
+        return False
+    closure = _generated_submodule(M, singular)
+    return sum(sp.dim for sp in closure.values()) == M.total_dim()
 
 
 def perturb_entry(M, kind, i, n, row, col, delta):

@@ -289,9 +289,6 @@ class Presentation:
     relations: tuple  # NCPoly, all with source=None for free presentations
     label: str = ""
 
-    def generator_degrees(self):
-        return tuple(letter_degree(g, self.rank) for g in self.generators)
-
 
 def un_presentation(c):
     """The quantum Serre algebra on x_1..x_r (Definition of the x-side algebra)."""
@@ -323,9 +320,6 @@ class WindowedQuiver:
     @property
     def rank(self):
         return self.cartan.rank
-
-    def in_box(self, v):
-        return all(-self.radius <= x <= self.radius for x in v)
 
     def describe(self):
         return "window[%s;f=%s;N=%d;m=%d]" % (

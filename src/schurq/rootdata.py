@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .linalg import Subspace
+
 __all__ = [
     "CartanDatum",
     "RootList",
@@ -82,16 +84,18 @@ class CartanDatum:
 
 
 def _positive_definite(sym):
-    n = len(sym)
-    m = [[Fraction(x) for x in row] for row in sym]
-    for k in range(n):
-        piv = m[k][k]
-        if piv <= 0:
+    """True iff the symmetric matrix is positive definite.
+
+    Reducing row k modulo the span of rows 0..k-1 leaves the k-th elimination
+    pivot (the ratio of consecutive leading principal minors) at column k;
+    the matrix is positive definite iff every such pivot is positive.
+    """
+    space = Subspace(len(sym))
+    for k, row in enumerate(sym):
+        row = [Fraction(x) for x in row]
+        if space.reduce(row)[k] <= 0:
             return False
-        for i in range(k + 1, n):
-            f = m[i][k] / piv
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
+        space.add(row)
     return True
 
 
@@ -374,33 +378,6 @@ def _substitute(poly, M):
     return {e: v for e, v in new.items() if v != 0}
 
 
-def _rref(rows, ncols):
-    """Row-reduce a list of Fraction vectors; returns (pivot rows, pivot cols)."""
-    pivots = []
-    out = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in zip(out, pivots):
-            if row[pcol] != 0:
-                f = row[pcol]
-                for j in range(ncols):
-                    row[j] -= f * prow[j]
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [x / inv for x in row]
-        for prow, pcol in zip(out, pivots):
-            if prow[lead] != 0:
-                f = prow[lead]
-                for j in range(ncols):
-                    prow[j] -= f * row[j]
-        out.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-    return [out[t] for t in order], [pivots[t] for t in order]
-
-
 def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
     """Coinvariant algebra of the Weyl group (generators in cohomological degree 2).
 
@@ -436,12 +413,12 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
         invariants[deg] = invs
 
     basis = []
-    ideal_reducers = []  # per degree: (pivot rows, pivot cols, monomial list)
+    ideal_spaces = []  # per degree: (Subspace of the ideal, monomial index)
     dims = []
     for deg in range(0, top + 1):
         monos = _monomials(r, deg)
         index = {m: i for i, m in enumerate(monos)}
-        rows = []
+        space = Subspace(len(monos))
         for d1 in range(1, deg + 1):
             lows = _monomials(r, deg - d1)
             for inv in invariants[d1]:
@@ -450,11 +427,11 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
                     for e, v in inv.items():
                         prod = tuple(a + b for a, b in zip(e, low))
                         vec[index[prod]] += v
-                    rows.append(vec)
-        red, pivots = _rref(rows, len(monos))
+                    space.add(vec)
+        pivots = set(space.pivots)
         free = tuple(m for i, m in enumerate(monos) if i not in pivots)
         basis.append(free)
-        ideal_reducers.append((red, pivots, monos))
+        ideal_spaces.append((space, index))
         dims.append(len(free))
 
     graded = []
@@ -469,18 +446,11 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
         )
 
     def reduce_poly(deg, poly):
-        if deg >= len(basis):
-            return {}
-        red, pivots, monos = ideal_reducers[deg]
-        index = {m: i for i, m in enumerate(monos)}
-        vec = [Fraction(0)] * len(monos)
+        space, index = ideal_spaces[deg]
+        vec = [Fraction(0)] * len(index)
         for e, v in poly.items():
             vec[index[e]] += v
-        for prow, pcol in zip(red, pivots):
-            if vec[pcol] != 0:
-                f = vec[pcol]
-                for j in range(len(monos)):
-                    vec[j] -= f * prow[j]
+        vec = space.reduce(vec)
         return {m: vec[index[m]] for m in basis[deg] if vec[index[m]] != 0}
 
     structure = []

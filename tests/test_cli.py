@@ -157,6 +157,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("schur-check", "--type", "A1", "--q", "2"),  # classical has no q
         ("ext", "--type", "A1", "--module", "nonsense:1"),
         ("schur-check", "--type", "A1", "--window", "2", "--homcap", "4"),
+        ("schur-check", "--type", "A1", "--window", "1", "--homcap", "0"),
+        ("schur-check", "--type", "A1", "--window", "0", "--homcap", "0"),
+        ("check-module", "--type", "A1", "--module", "simple:"),
+        ("check-module", "--type", "A1", "--module", "verma:0:x"),
+        ("check-module", "--type", "A1", "--module", "trivial:a"),
+        ("hilbert", "--type", "A2", "--cap", "-1"),
+        ("root-data", "--type", "E9"),
+        ("root-data", "--type", "D1"),
+        ("root-data", "--type", "F3"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -164,6 +173,21 @@ def test_config_errors_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("schur-check", "--type", "A1", "--window", "1", "--homcap", "0"), "window"),
+        (("check-module", "--type", "A1", "--module", "verma:0:x"), "module"),
+        (("hilbert", "--type", "A2", "--cap", "-1"), "cap"),
+        (("root-data", "--type", "E9"), "type"),
+    ],
+)
+def test_config_error_names_field(capsys, argv, field):
+    assert main(list(argv)) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(field + ":")
 
 
 def test_unknown_config_field_rejected(tmp_path, capsys):

@@ -153,6 +153,9 @@ def test_ext_table_requires_two_windows(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
     with pytest.raises(ExtError):
         ext_table(a1, f_classical, [triv], 2, windows=(6,))
+    for windows in ((4, 4), (6, 4)):
+        with pytest.raises(ExtError, match="strictly increase"):
+            ext_table(a1, f_classical, [triv], 2, windows=windows)
 
 
 def test_ext_table_labels_required_for_factories(a1, f_classical):

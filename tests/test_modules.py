@@ -1,5 +1,7 @@
 """Module constructors, exact relation checking, simplicity certification."""
 
+from fractions import Fraction
+
 import pytest
 
 from schurq import (
@@ -11,6 +13,7 @@ from schurq import (
     trivial_module,
     truncated_verma,
 )
+from schurq.linalg import mat_mul, nullspace
 from schurq.modules import GradedModule, ModuleError, perturb_entry
 from schurq.presentation import FSpec
 from schurq.qfield import QScalar
@@ -170,6 +173,66 @@ def test_direct_sum_not_simple(a1, f_classical):
     M = GradedModule.make(1, {(0,): 2}, {}, {})
     assert check_relations(a1, f_classical, M).passed
     assert not is_simple(a1, f_classical, M)
+
+
+def _conjugated(M):
+    """M in the basis given by the columns of P_n at each weight n, where
+    P_n[i][j] = 2^(j-i) for j >= i; P_n^-1 is 1 on the diagonal and -2 just
+    above it."""
+    two = QScalar.from_rational(2)
+    zero, one = QScalar.zero(), QScalar.one()
+
+    def p(d):
+        return tuple(
+            tuple(two ** (j - i) if j >= i else zero for j in range(d)) for i in range(d)
+        )
+
+    def p_inv(d):
+        return tuple(
+            tuple(one if j == i else -two if j == i + 1 else zero for j in range(d))
+            for i in range(d)
+        )
+
+    def conj(table, step):
+        out = {}
+        for (i, n), mat in table:
+            tgt = tuple(x + step if k == i else x for k, x in enumerate(n))
+            out[(i, n)] = mat_mul(p_inv(M.dim(tgt)), mat_mul(mat, p(M.dim(n))))
+        return out
+
+    return GradedModule.make(
+        M.rank, dict(M.dims), conj(M.xmat, 1), conj(M.ymat, -1), M.provenance,
+        M.truncated, M.trunc_top, M.trunc_depth,
+    )
+
+
+def _singular_lines(c, M):
+    """(weight, vector) for each basis vector of the kernels of all x_i."""
+    out = []
+    for n, d in M.dims:
+        rows = [row for i in range(c.rank) for row in M.matrix(("x", i), n)]
+        out.extend((n, v) for v in nullspace(rows, d))
+    return out
+
+
+def test_is_simple_exact_in_non_monomial_bases(a2, f_classical):
+    # simple: the adjoint, whose zero weight space is 2-dimensional
+    L = _conjugated(build_simple(a2, f_classical, (1, 1), depth_cap=6))
+    assert check_relations(a2, f_classical, L).passed
+    assert [n for n, _v in _singular_lines(a2, L)] == [(1, 1)]
+    assert is_simple(a2, f_classical, L)
+    # not simple: with f_i(0) = -1/2 neither y_i v is singular, and the only
+    # singular vector below the top lies in the 2-dimensional weight space
+    # (-1, -1).  In both bases no coordinate vector lies in the submodule it
+    # generates, so closing coordinate vectors never exposes that submodule.
+    f = FSpec.affine([list(row) for row in a2.a], [Fraction(-1, 2)] * 2)
+    V = truncated_verma(a2, f, (0, 0), 3)
+    for M in (V, _conjugated(V)):
+        assert check_relations(a2, f, M).passed
+        lines = _singular_lines(a2, M)
+        assert [n for n, _v in lines] == [(-1, -1), (0, 0)]
+        assert sum(1 for x in lines[0][1] if x) == 2  # not a coordinate vector
+        assert not is_simple(a2, f, M)
 
 
 def test_weight_length_validation(a2, f_classical):

@@ -1,5 +1,6 @@
 """Cartan data, positive roots, Weyl combinatorics, flag cohomology targets."""
 
+import hashlib
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -12,7 +13,7 @@ from schurq import (
     positive_roots,
     weyl_table,
 )
-from schurq.rootdata import RootDataError
+from schurq.rootdata import CartanDatum, RootDataError
 
 
 ALL_SERIES = [("A", 1), ("A", 2), ("A", 3), ("B", 2)]
@@ -46,6 +47,19 @@ def test_bad_series_rejected():
         build_cartan("Z", 2)
     with pytest.raises(RootDataError):
         build_cartan("A", 0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        ((2, -2), (-2, 2)),  # affine A1: singular
+        ((2, -3), (-3, 2)),  # hyperbolic: negative second pivot
+        ((2, -1, 0), (-1, 2, -2), (0, -2, 2)),  # negative third pivot only
+    ],
+)
+def test_non_finite_type_rejected(a):
+    with pytest.raises(RootDataError, match="not positive definite"):
+        CartanDatum(len(a), a, (1,) * len(a))
 
 
 # -- positive roots --------------------------------------------------------
@@ -142,12 +156,27 @@ def test_kostant_matches_brute_force(series, rank):
 # -- coinvariant ring model ------------------------------------------------
 
 
-@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2)])
+# sha256 of repr(ring.structure), recorded before the coinvariant ideal was
+# reduced through linalg.Subspace (it was a private row reduction then)
+RING_STRUCTURE_SHA256 = {
+    ("A", 1): "87b0f1a0f74e591a06a0dc741f790f8b40354c35d414dc376591c6fa4a757c53",
+    ("A", 2): "aeac351d99c9e322ce30f739f2b4550817d6f0d6f6822c0ffa7957b1c83b3960",
+    ("B", 2): "59d33e7218de3896b378882cea852a1dcc014da301e1f89e6dc1bbc806385cef",
+    ("A", 3): "d0ba6254752260d81f4fb540d96eb567d2495f046e5a1a76fa03c4e80e944e3d",
+    ("G", 2): "b2933a57336c0973678b176b4ac8e0ba658711c186d10495f7159e1be921f722",
+}
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("A", 1), ("A", 2), ("B", 2), ("A", 3), ("G", 2)]
+)
 def test_flag_ring_dims_match_betti(series, rank):
     c = build_cartan(series, rank)
-    ring = flag_ring(c)
+    ring = flag_ring(c, rank_cap=rank)
     assert tuple(ring.dims) == flag_betti(c)
     assert ring.total_dim() == weyl_table(c).order
+    digest = hashlib.sha256(repr(ring.structure).encode()).hexdigest()
+    assert digest == RING_STRUCTURE_SHA256[(series, rank)]
 
 
 def test_a1_ring_generator_squares_to_zero():
