@@ -23,7 +23,7 @@ from .rootdata import (
     positive_roots,
     weyl_table,
     flag_betti,
-    kostant,
+    kostant_table,
 )
 from .presentation import FSpec, un_presentation
 from .gbasis import groebner, hilbert, GBResult
@@ -266,11 +266,11 @@ def cmd_hilbert(cfg, cache):
     pres = un_presentation(c)
     g = cached_groebner(cache, pres, cfg.cap)
     dims = hilbert(g, cfg.cap)
-    roots = positive_roots(c)
+    counts = kostant_table(c, cfg.cap)
     rows = []
     confirmed = True
     for beta in sorted(dims):
-        expected = kostant(c, beta, roots)
+        expected = counts.get(beta, 0)
         ok = dims[beta] == expected
         confirmed = confirmed and ok
         rows.append(

@@ -13,11 +13,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .qfield import QScalar
 from .presentation import instantiate_window, word_target
 from .gbasis import NormalWords, groebner, _reduce_full
-from .linalg import Subspace, mat_rank, mat_vec, nullspace, solve
+from .linalg import RationalSpan, Subspace, mat_rank, mat_vec, nullspace, solve
 from .modules import _generated_submodule
 from .rootdata import flag_betti, flag_ring, weyl_table
 
@@ -270,22 +271,35 @@ def _vec_maxlen(dom, vec):
 # Fixed generic evaluation point for span bookkeeping during generator
 # extraction.  A vector outside the specialized span is outside the exact
 # span, so every generator added this way is genuinely needed; the chosen
-# generators and all differentials stay exact.
+# generators and all differentials stay exact.  The specialization is exact
+# over Q; its values are kept as integer numerators over a common
+# denominator, so the span bookkeeping runs on integer rows.
 _GENERIC_Q = Fraction(991, 907)
+
+
+def _specialized(coeffs):
+    """(den, nums): the coefficients at _GENERIC_Q are nums[i] / den."""
+    vals = [c.specialize(_GENERIC_Q) if c else 0 for c in coeffs]
+    den = lcm(*(v.denominator for v in vals))
+    return den, [v.numerator * (den // v.denominator) for v in vals]
 
 
 def _extract_stage(algebra, prev, kernels):
     """Choose a generating set of the kernel submodule from per-weight bases.
 
-    Span membership is tracked at a fixed generic rational value of q, which
-    keeps the bookkeeping over plain rationals; the extracted generators and
-    the differential entries remain exact.
+    Span membership is tracked at a fixed generic rational value of q: each
+    normal form's coefficients are specialized once and kept as integers over
+    a common denominator, every closure image is an integer multiple of the
+    specialized image, and the spans are ``RationalSpan``s of integer rows.
+    Scaling a vector does not change its membership, so the choice is that
+    of the specialized rational bookkeeping; the extracted generators and the
+    differential entries remain exact.
     """
     spans = {}
-    bases = {}
-    for m, (dom, null) in kernels.items():
-        bases[m] = dom
-        spans[m] = Subspace(len(dom))
+    tindex = {}
+    for m, (dom, _null) in kernels.items():
+        spans[m] = RationalSpan(len(dom))
+        tindex[m] = {b: i for i, b in enumerate(dom)}
     candidates = []
     for m in sorted(kernels):
         dom, null = kernels[m]
@@ -295,69 +309,66 @@ def _extract_stage(algebra, prev, kernels):
 
     gens = []
     diffs = []
-    _F0 = Fraction(0)
+    letters = algebra.letters()
     spec_nf_cache = {}
 
     def spec_nf(word, src):
         key = (word, src)
         hit = spec_nf_cache.get(key)
         if hit is None:
-            hit = {
-                w2: c3.specialize(_GENERIC_Q)
-                for w2, c3 in algebra.nf(word, src).items()
-            }
+            nf = algebra.nf(word, src)
+            den, nums = _specialized(nf.values())
+            hit = (den, tuple(zip(nf, nums)))
             spec_nf_cache[key] = hit
         return hit
 
-    def close(m, svec):
-        queue = [(m, tuple(svec))]
-        spans[m].add(svec)
+    def close(m, ivec):
+        """Add the closure of ivec (already in spans[m]) under the arrows."""
+        queue = [(m, ivec)]
         while queue:
             mm, v = queue.pop()
-            dom = bases[mm]
-            elem = {b: c for b, c in zip(dom, v) if c}
-            maxl = max((len(w) for (_g, w) in elem), default=0)
-            for letter in algebra.letters():
+            dom = kernels[mm][0]
+            elem = [(dom[i], c) for i, c in enumerate(v) if c]
+            if max(len(w) for (_g, w), _c in elem) + 1 > prev.budget:
+                continue
+            for letter in letters:
                 tgt = word_target((letter,), mm)
-                if tgt not in bases:
+                index = tindex.get(tgt)
+                if index is None:
                     continue
-                if maxl + 1 > prev.budget:
-                    continue
+                terms = [
+                    (g, c, spec_nf((letter,) + word, prev.gens[g]))
+                    for (g, word), c in elem
+                ]
+                scale = lcm(*(den for _g, _c, (den, _nf) in terms))
                 out = {}
-                for (g, word), coeff in elem.items():
-                    src = prev.gens[g]
-                    for w2, c3 in spec_nf((letter,) + word, src).items():
+                for g, c, (den, nf) in terms:
+                    c *= scale // den
+                    for w2, n in nf:
                         key = (g, w2)
-                        val = out.get(key, _F0) + coeff * c3
-                        if val:
-                            out[key] = val
-                        elif key in out:
-                            del out[key]
-                if not out:
-                    continue
-                tindex = {b: i for i, b in enumerate(bases[tgt])}
-                tv = [_F0] * len(bases[tgt])
-                escaped = False
+                        out[key] = out.get(key, 0) + c * n
+                tv = [0] * len(index)
+                live = False
                 for key, c in out.items():
-                    i = tindex.get(key)
-                    if i is None:
-                        escaped = True
-                        break
-                    tv[i] = c
-                if escaped:
-                    continue
-                if spans[tgt].add(tv):
-                    queue.append((tgt, tuple(tv)))
+                    if c:
+                        i = index.get(key)
+                        if i is None:  # escaped the target's kernel basis
+                            break
+                        tv[i] = c
+                        live = True
+                else:
+                    if live and spans[tgt].add(tv):
+                        queue.append((tgt, tv))
 
     for _len, m, vec in candidates:
-        svec = tuple(c.specialize(_GENERIC_Q) for c in vec)
-        if spans[m].contains(svec):
+        ivec = _specialized(vec)[1]
+        if not spans[m].add(ivec):
             continue
         gens.append(m)
         dom = kernels[m][0]
         entry = tuple(((g, w), c) for (g, w), c in zip(dom, vec) if c)
         diffs.append(entry)
-        close(m, svec)
+        close(m, ivec)
 
     entry_len = max(
         (len(w) for entry in diffs for (_g, w), _c in entry), default=0

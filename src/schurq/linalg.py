@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the QScalar field.
+"""Dense exact linear algebra over the QScalar field, and row spans over Q.
 
 Matrices are tuples of row tuples; vectors are tuples.  ``nullspace``,
 ``mat_rank`` and ``solve`` share one eliminator that never does arithmetic
@@ -8,18 +8,24 @@ lists with an exact division per update, and every reduced-row-echelon entry
 is formed once as N / D from integer numerators, so a QScalar is put in
 canonical form once per output entry instead of once per operation.  The
 reduced row echelon form of a row space is unique, so the results equal
-those of Gauss-Jordan elimination over the field.  ``Subspace`` keeps
-incremental Gauss-Jordan over any exact field (QScalar or Fraction).
+those of Gauss-Jordan elimination over the field.
+
+Two incremental spans keep a row space with membership tests.  ``Subspace``
+runs Gauss-Jordan over QScalar rows.  ``RationalSpan`` is its fraction-free
+counterpart over Q: it takes int or Fraction rows and keeps each reduced row
+echelon row as a sparse primitive integer row, so a membership test is one
+integer combination and ``reduce`` divides once per entry.
 
 Every elimination in the package goes through this module: the Q(q)
 kernels, ranks and solves of resolutions and Yoneda lifts, the coinvariant
 ring and the finite-type test in ``rootdata``, the dense-rank oracle
-``gbasis.dense_rank_dims``, and the submodule closures of ``modules`` and
-``ext``.
+``gbasis.dense_rank_dims``, the submodule closures of ``modules`` and
+``ext``, and the span bookkeeping of stage extraction in ``ext``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .qfield import CoefficientOverflowError, QScalar, _pmul, get_bit_ceiling
@@ -35,6 +41,7 @@ __all__ = [
     "nullspace",
     "solve",
     "Subspace",
+    "RationalSpan",
 ]
 
 _Z = QScalar.zero()
@@ -294,7 +301,7 @@ def solve(a, b):
 
 
 class Subspace:
-    """Incrementally built row space with membership tests."""
+    """Incrementally built row space of QScalar rows with membership tests."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -324,9 +331,7 @@ class Subspace:
         lead = next((j for j in range(self.ncols) if vec[j]), None)
         if lead is None:
             return False
-        pivot = vec[lead]
-        # entries are QScalar or any exact field element (e.g. Fraction)
-        inv = pivot.inverse() if hasattr(pivot, "inverse") else 1 / pivot
+        inv = vec[lead].inverse()
         vec = [x * inv for x in vec]
         for prow in self.rows:
             if prow[lead]:
@@ -341,3 +346,89 @@ class Subspace:
     def basis(self):
         order = sorted(range(len(self.pivots)), key=lambda t: self.pivots[t])
         return [tuple(self.rows[t]) for t in order]
+
+
+_F0 = Fraction(0)
+
+
+def _sub_scaled(out, c, row):
+    """out -= c * row in place, on sparse {column: int} rows."""
+    for j, y in row.items():
+        t = out.get(j, 0) - c * y
+        if t:
+            out[j] = t
+        else:
+            del out[j]
+
+
+class RationalSpan:
+    """Incrementally built row space over Q, kept fraction-free.
+
+    Rows may hold ints or Fractions.  Each basis row is stored as a sparse
+    {column: int} row that is primitive (content 1) with a positive pivot;
+    divided by its pivot it is a row of the reduced row echelon form, so it
+    is zero at every other pivot column.  Scaling a vector changes neither
+    its membership nor whether ``add`` grows the span.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = []  # pivot columns in insertion order
+        self._rows = {}  # pivot column -> primitive row
+
+    @staticmethod
+    def _integral(vec):
+        """(m, row): row is m * vec as a sparse integer row, m > 0."""
+        live = {j: x for j, x in enumerate(vec) if x}
+        m = lcm(*(x.denominator for x in live.values()))
+        return m, {j: x.numerator * (m // x.denominator) for j, x in live.items()}
+
+    def _reduce(self, row):
+        """(s, out): out is s times the reduction of row modulo the span.
+
+        Every basis row is zero at the other pivots, so the reduction is the
+        single combination s * row - sum of row[p] * (s / d_p) * basis row p
+        over the pivots p that row touches, with s the lcm of their d_p.
+        """
+        rows = self._rows
+        hits = [(p, f) for p, f in row.items() if p in rows]
+        if not hits:
+            return 1, row
+        s = lcm(*(rows[p][p] for p, _f in hits))
+        out = {j: s * x for j, x in row.items()} if s != 1 else dict(row)
+        for p, f in hits:
+            _sub_scaled(out, f * (s // rows[p][p]), rows[p])
+        return s, out
+
+    def reduce(self, vec):
+        """The reduction of vec modulo the span, as a list of Fractions."""
+        m, row = self._integral(vec)
+        s, out = self._reduce(row)
+        den = s * m
+        return [Fraction(out[j], den) if j in out else _F0 for j in range(self.ncols)]
+
+    def contains(self, vec):
+        return not self._reduce(self._integral(vec)[1])[1]
+
+    def add(self, vec):
+        """Insert a vector; returns True if it enlarged the span."""
+        out = self._reduce(self._integral(vec)[1])[1]
+        if not out:
+            return False
+        lead = min(out)
+        g = gcd(*out.values())
+        if out[lead] < 0:
+            g = -g
+        new = {j: x // g for j, x in out.items()}
+        d = new[lead]
+        for p, brow in list(self._rows.items()):
+            f = brow.get(lead)
+            if not f:
+                continue
+            upd = {j: d * y for j, y in brow.items()}
+            _sub_scaled(upd, f, new)
+            g = gcd(*upd.values())
+            self._rows[p] = {j: x // g for j, x in upd.items()} if g != 1 else upd
+        self._rows[lead] = new
+        self.pivots.append(lead)
+        return True

@@ -192,18 +192,11 @@ class QScalar:
     def is_one(self):
         return self.shift == 0 and self.num == (_ONE,) and self.den == (_ONE,)
 
-    def is_laurent(self):
-        return self.den == (_ONE,)
-
     def is_rational(self):
-        return self.den == (_ONE,) and (not self.num or (self.shift == 0 and len(self.num) == 1))
-
-    def as_rational(self):
-        if not self.num:
-            return _ZERO
-        if not self.is_rational():
-            raise QArithmeticError("not a constant: %s" % self)
-        return self.num[0]
+        # den is monic, so a constant den is exactly (1,)
+        return len(self.den) == 1 and (
+            not self.num or (self.shift == 0 and len(self.num) == 1)
+        )
 
     # -- arithmetic ----------------------------------------------------
 
@@ -216,7 +209,8 @@ class QScalar:
         if not other.num:
             return self
         if self.is_rational() and other.is_rational():
-            return QScalar.from_rational(self.num[0] + other.num[0])
+            c = self.num[0] + other.num[0]
+            return _from_canonical(0, (c,), self.den) if c else _QZERO
         s = min(self.shift, other.shift)
         a = _shiftpoly(self.num, self.shift - s)
         b = _shiftpoly(other.num, other.shift - s)
@@ -250,12 +244,15 @@ class QScalar:
             return NotImplemented
         if not self.num or not other.num:
             return _QZERO
+        # c * num over the unchanged monic den is already canonical for c != 0
         if self.is_rational():
             c = self.num[0]
-            return QScalar(other.shift, tuple(c * x for x in other.num), other.den)
+            num = tuple(c * x for x in other.num)
+            return _from_canonical(other.shift, num, other.den)
         if other.is_rational():
             c = other.num[0]
-            return QScalar(self.shift, tuple(c * x for x in self.num), self.den)
+            num = tuple(c * x for x in self.num)
+            return _from_canonical(self.shift, num, self.den)
         return QScalar(
             self.shift + other.shift,
             _pmul(self.num, other.num),
@@ -339,6 +336,8 @@ class QScalar:
             x = Fraction(at)
         if not self.num:
             return _ZERO
+        if self.is_rational():
+            return self.num[0]
         d = _peval(self.den, x)
         if d == 0:
             raise QPoleError("pole at q = %s" % x)
@@ -405,6 +404,13 @@ def _canonical(shift, num, den):
     _check_size(num)
     _check_size(den)
     return shift, num, den
+
+
+def _from_canonical(shift, num, den):
+    """A QScalar from parts already in canonical form, size-checked."""
+    _check_size(num)
+    _check_size(den)
+    return QScalar(shift, num, den, _raw=True)
 
 
 def _check_size(p):

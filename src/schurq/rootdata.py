@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .linalg import Subspace
+from .linalg import RationalSpan
 
 __all__ = [
     "CartanDatum",
@@ -27,6 +26,7 @@ __all__ = [
     "weyl_table",
     "flag_betti",
     "kostant",
+    "kostant_table",
     "flag_ring",
 ]
 
@@ -90,7 +90,7 @@ def _positive_definite(sym):
     pivot (the ratio of consecutive leading principal minors) at column k;
     the matrix is positive definite iff every such pivot is positive.
     """
-    space = Subspace(len(sym))
+    space = RationalSpan(len(sym))
     for k, row in enumerate(sym):
         row = [Fraction(x) for x in row]
         if space.reduce(row)[k] <= 0:
@@ -291,14 +291,24 @@ def flag_betti(c, table=None):
 # ---------------------------------------------------------------------------
 
 
-def kostant(c, beta, roots=None):
-    """Number of multisets of positive roots summing to beta."""
-    beta = tuple(int(x) for x in beta)
-    if any(x < 0 for x in beta):
-        raise RootDataError("kostant argument must have nonnegative coordinates")
+def _grid(bounds, cap):
+    """Vectors 0 <= v <= bounds (coordinatewise) with sum(v) <= cap, by (height, v)."""
+    vecs = [()]
+    for b in bounds:
+        vecs = [v + (k,) for v in vecs for k in range(min(b, cap - sum(v)) + 1)]
+    return sorted(vecs, key=lambda v: (sum(v), v))
+
+
+def kostant_table(c, cap, roots=None, box=None):
+    """Kostant partition function on every beta >= 0 of height <= cap.
+
+    One dynamic program over the downward-closed set of such beta (bounded
+    coordinatewise by box, if given), adding one positive root at a time.
+    Returns {beta: count} with the nonzero counts.
+    """
     if roots is None:
         roots = positive_roots(c)
-    grid = sorted(product(*[range(b + 1) for b in beta]), key=lambda v: (sum(v), v))
+    grid = _grid(box if box is not None else (cap,) * c.rank, cap)
     counts = {tuple([0] * c.rank): 1}
     for root in roots.roots:
         new = {}
@@ -310,7 +320,15 @@ def kostant(c, beta, roots=None):
             if total:
                 new[v] = total
         counts = new
-    return counts.get(beta, 0)
+    return counts
+
+
+def kostant(c, beta, roots=None):
+    """Number of multisets of positive roots summing to beta."""
+    beta = tuple(int(x) for x in beta)
+    if any(x < 0 for x in beta):
+        raise RootDataError("kostant argument must have nonnegative coordinates")
+    return kostant_table(c, sum(beta), roots, box=beta).get(beta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +431,12 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
         invariants[deg] = invs
 
     basis = []
-    ideal_spaces = []  # per degree: (Subspace of the ideal, monomial index)
+    ideal_spaces = []  # per degree: (RationalSpan of the ideal, monomial index)
     dims = []
     for deg in range(0, top + 1):
         monos = _monomials(r, deg)
         index = {m: i for i, m in enumerate(monos)}
-        space = Subspace(len(monos))
+        space = RationalSpan(len(monos))
         for d1 in range(1, deg + 1):
             lows = _monomials(r, deg - d1)
             for inv in invariants[d1]:

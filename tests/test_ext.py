@@ -1,9 +1,12 @@
 """Windowed Ext engine: resolutions, stability, Yoneda structure, verdicts."""
 
+import hashlib
+
 import pytest
 
 from schurq import (
     build_algebra,
+    build_cartan,
     build_simple,
     ext_dims,
     ext_table,
@@ -28,7 +31,7 @@ from schurq.ext import (
     _hom_layout,
 )
 from schurq.linalg import Subspace
-from schurq.presentation import instantiate_window
+from schurq.presentation import FSpec, instantiate_window
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,30 @@ def test_resolution_dd_and_margin(a1_setup):
     _algebra, _triv, _simple, res = a1_setup
     assert res.dd_verified
     assert res.margin_ok
+
+
+# sha256 of repr([(gens, diff, budget) per Stage]) for the trivial module,
+# recorded when stage extraction still kept its spans as Fraction rows
+STAGE_SHA256 = {
+    ("A", 2, "classical", 2, 2): (
+        "daae285e2d04a9d328e07580608071d6710c445d2c1b27b8dc6dc9fa510324de"
+    ),
+    ("A", 1, "qinteger", 6, 4): (
+        "5cafbd97fd36d44fc660c39d19eb62eb0b1bc426841d7d2b3edc58ae38f15d8c"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(STAGE_SHA256))
+def test_stage_extraction_is_pinned(key):
+    """Extraction picks the same generators, differentials and budgets."""
+    series, rank, family, radius, homcap = key
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=homcap)
+    res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), homcap)
+    text = repr([(s.gens, s.diff, s.budget) for s in res.stages])
+    assert hashlib.sha256(text.encode()).hexdigest() == STAGE_SHA256[key]
 
 
 def test_trivial_module_ext_dims(a1_setup):

@@ -1,4 +1,4 @@
-"""Fraction-free elimination in linalg against a textbook Gauss-Jordan oracle."""
+"""Fraction-free elimination and spans in linalg against textbook Gauss-Jordan oracles."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.linalg import mat_rank, mat_vec, nullspace, solve
+from schurq.linalg import RationalSpan, mat_rank, mat_vec, nullspace, solve
 from schurq.qfield import (
     CoefficientOverflowError,
     QScalar,
@@ -214,3 +214,108 @@ def test_bit_ceiling_applies_to_elimination():
     assert get_bit_ceiling() == old
     for a in (cleared, product, numerator):
         assert nullspace(a) == oracle_nullspace(a, len(a[0]))
+
+
+# -- RationalSpan against incremental Gauss-Jordan over Fraction --------------
+
+
+class FractionSpan:
+    """Oracle: incremental Gauss-Jordan over Fraction, rows kept fully reduced."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        vec = [Fraction(x) for x in vec]
+        for prow, pcol in zip(self.rows, self.pivots):
+            f = vec[pcol]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, prow)]
+        return vec
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def add(self, vec):
+        vec = self.reduce(vec)
+        lead = next((j for j in range(self.ncols) if vec[j]), None)
+        if lead is None:
+            return False
+        vec = [x / vec[lead] for x in vec]
+        for k, prow in enumerate(self.rows):
+            f = prow[lead]
+            if f:
+                self.rows[k] = [x - f * y for x, y in zip(prow, vec)]
+        self.rows.append(vec)
+        self.pivots.append(lead)
+        return True
+
+
+span_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.integers(min_value=1, max_value=10**12),
+    ),
+    small_fractions,
+)
+
+
+@st.composite
+def span_vectors(draw, max_cols=6, max_vecs=9):
+    """Vectors with zero vectors, scaled copies and combinations of earlier ones."""
+    n = draw(st.integers(min_value=1, max_value=max_cols))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_vecs))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "scaled", "combination"]))
+        if kind == "zero" or (kind != "fresh" and not vecs):
+            vec = [0] * n
+        elif kind == "scaled":
+            c = draw(span_entries.filter(bool))
+            vec = [c * x for x in draw(st.sampled_from(vecs))]
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            c0, c1 = draw(span_entries), draw(span_entries)
+            vec = [c0 * x + c1 * y for x, y in zip(a, b)]
+        else:
+            vec = [draw(span_entries) for _ in range(n)]
+        vecs.append(vec)
+    return n, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_vectors(), st.data())
+def test_rational_span_matches_fraction_oracle(case, data):
+    n, vecs = case
+    span, oracle = RationalSpan(n), FractionSpan(n)
+    for vec in vecs:
+        probe = data.draw(st.sampled_from(vecs))
+        assert span.contains(probe) == oracle.contains(probe)
+        reduced = span.reduce(probe)
+        assert reduced == oracle.reduce(probe)
+        assert all(type(x) is Fraction for x in reduced)
+        assert span.add(vec) == oracle.add(vec)
+        assert span.pivots == oracle.pivots
+        assert span.reduce(vec) == [0] * n
+    for vec in vecs:
+        assert span.contains(vec)
+
+
+def test_rational_span_edges():
+    span = RationalSpan(3)
+    assert not span.add([0, 0, 0])
+    assert span.pivots == []
+    assert span.reduce([Fraction(1, 3), 0, -2]) == [Fraction(1, 3), 0, -2]
+    assert span.add([0, Fraction(-2, 3), 4])
+    assert not span.add([0, 10**50, -6 * 10**50])  # a scaled copy
+    assert span.contains([0, 1, -6]) and not span.contains([1, 1, -6])
+    assert span.add([5, 1, 0])
+    assert span.pivots == [1, 0]
+    assert span.reduce([0, 0, 1]) == [0, 0, 1]
+    assert span.reduce([1, 0, 0]) == [0, 0, Fraction(-6, 5)]

@@ -214,4 +214,4 @@ def test_window_serre_coefficients_follow_the_family(a2):
     for p in cls_serre:
         for _w, coeff in p.terms:
             assert coeff.is_rational()
-            assert coeff.as_rational() in (1, -2)
+            assert coeff in (QScalar.from_rational(1), QScalar.from_rational(-2))

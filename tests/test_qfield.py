@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurq.qfield import (
+    CoefficientOverflowError,
     QPoleError,
     QScalar,
+    _padd,
+    _pmul,
+    get_bit_ceiling,
     parse_qscalar,
     qbinom,
     qint,
+    set_bit_ceiling,
     specialize,
 )
 
@@ -104,7 +109,7 @@ def test_qbinom_symmetry_and_bar_invariance():
             b = qbinom(n, k)
             assert b == qbinom(n, n - k)
             assert b.bar() == b  # invariant under q -> q^-1
-            assert b.is_laurent()
+            assert b.den == (1,)  # a Laurent polynomial
 
 
 def test_qbinom_specializes_to_binomial():
@@ -158,6 +163,75 @@ def test_specialize_is_a_homomorphism(a, b, x):
 @settings(max_examples=40, deadline=None)
 def test_bar_is_an_involution(a):
     assert a.bar().bar() == a
+
+
+# -- rational constants: built without _canonical ---------------------------
+
+rationals = st.one_of(
+    small_fractions,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=1, max_value=10**20),
+    ),
+).map(QScalar.from_rational)
+rational_functions = st.builds(lambda n, d: n / d, laurents, laurents.filter(bool))
+
+
+def _parts(s):
+    assert all(type(c) is Fraction for c in s.num + s.den)
+    return (s.shift, s.num, s.den)
+
+
+def _canonical_product(a, b):
+    """a * b through the general path, which puts the result in canonical form."""
+    if a.is_zero() or b.is_zero():
+        return QScalar.zero()
+    return QScalar(a.shift + b.shift, _pmul(a.num, b.num), _pmul(a.den, b.den))
+
+
+@given(c=rationals, other=st.one_of(rationals, laurents, rational_functions))
+@settings(max_examples=120, deadline=None)
+def test_rational_products_are_canonical(c, other):
+    want = _parts(_canonical_product(c, other))
+    assert _parts(c * other) == want
+    assert _parts(other * c) == want
+
+
+@given(a=rationals, b=rationals)
+@settings(max_examples=80, deadline=None)
+def test_rational_sums_are_canonical(a, b):
+    want = QScalar(0, _padd(a.num, b.num), (1,))
+    assert _parts(a + b) == _parts(want)
+    assert _parts(a - b) == _parts(QScalar(0, _padd(a.num, (-b).num), (1,)))
+
+
+@given(c=rationals, x=points)
+@settings(max_examples=40, deadline=None)
+def test_rational_specializes_to_itself(c, x):
+    value = c.num[0] if c.num else 0
+    assert c.specialize(x) == value
+    assert c.specialize("one") == value
+
+
+def test_rational_fast_path_respects_bit_ceiling():
+    r = QScalar.from_rational
+    big = r(2**20)  # 21 bits
+    old = set_bit_ceiling(16)
+    try:
+        assert _parts(r(3) * r(5)) == _parts(r(15))
+        for make in (
+            lambda: big * r(3),
+            lambda: r(3) * big,
+            lambda: big * (QScalar.one() + QScalar.q_pow(1)),
+            lambda: qint(2).inverse() * big,
+            lambda: big + r(1),
+        ):
+            with pytest.raises(CoefficientOverflowError):
+                make()
+    finally:
+        set_bit_ceiling(old)
+    assert get_bit_ceiling() == old
 
 
 # -- text grammar round-trip ----------------------------------------------

@@ -13,7 +13,7 @@ from schurq import (
     positive_roots,
     weyl_table,
 )
-from schurq.rootdata import CartanDatum, RootDataError
+from schurq.rootdata import CartanDatum, RootDataError, kostant_table
 
 
 ALL_SERIES = [("A", 1), ("A", 2), ("A", 3), ("B", 2)]
@@ -151,6 +151,30 @@ def test_kostant_matches_brute_force(series, rank):
     for beta in product(range(4), repeat=rank):
         if sum(beta) <= 6:
             assert kostant(c, beta) == brute_kostant(c, beta)
+
+
+def brute_kostant_table(c, cap):
+    """Independent oracle: tally every multiset of positive roots of height <= cap."""
+    roots = positive_roots(c).roots
+    table = {}
+    for size in range(cap + 1):
+        for combo in combinations_with_replacement(roots, size):
+            total = tuple(sum(r[i] for r in combo) for i in range(c.rank))
+            if sum(total) <= cap:
+                table[total] = table.get(total, 0) + 1
+    return table
+
+
+@pytest.mark.parametrize(
+    "series,rank,cap", [("A", 2, 7), ("B", 2, 6), ("G", 2, 6), ("A", 3, 5)]
+)
+def test_kostant_table_matches_brute_force(series, rank, cap):
+    c = build_cartan(series, rank)
+    brute = brute_kostant_table(c, cap)
+    assert kostant_table(c, cap) == brute
+    box = (2,) + (1,) * (rank - 1)
+    boxed = {b: n for b, n in brute.items() if all(x <= y for x, y in zip(b, box))}
+    assert kostant_table(c, cap, box=box) == boxed
 
 
 # -- coinvariant ring model ------------------------------------------------
