@@ -320,12 +320,14 @@ def cmd_check_module(cfg):
 
 
 def _windows(cfg):
-    lo = cfg.window - 2
-    if lo < cfg.effective_margin():
-        lo = cfg.effective_margin()
-    if lo >= cfg.window:
-        lo = cfg.window - 1
-    return (lo, cfg.window)
+    """The two radii compared: (max(window - 2, margin), window)."""
+    margin = cfg.effective_margin()
+    if cfg.window - 1 < margin:
+        raise ConfigError(
+            "window: the smaller window radius %d is below margin %d; "
+            "need window - 1 >= margin" % (cfg.window - 1, margin)
+        )
+    return (max(cfg.window - 2, margin), cfg.window)
 
 
 def cmd_ext(cfg):

@@ -3,8 +3,10 @@
 Matrices are tuples of row tuples; vectors are tuples.  ``nullspace``,
 ``mat_rank`` and ``solve`` share one eliminator that never does arithmetic
 in Q(q): each row is scaled by a nonzero element to integer polynomials in q,
-Bareiss fraction-free elimination (Bareiss 1968) runs on int coefficient
-lists with an exact division per update, and every reduced-row-echelon entry
+read straight from the integer numerators and denominators that QScalar
+stores, Bareiss fraction-free elimination (Bareiss 1968) runs on int
+coefficient lists with the Z[q] multiply and exact division of ``qfield``,
+one exact division per update, and every reduced-row-echelon entry
 is formed once as N / D from integer numerators, so a QScalar is put in
 canonical form once per output entry instead of once per operation.  The
 reduced row echelon form of a row space is unique, so the results equal
@@ -28,7 +30,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .qfield import CoefficientOverflowError, QScalar, _pmul, get_bit_ceiling
+from .qfield import (
+    CoefficientOverflowError,
+    QScalar,
+    _zdiv,
+    _zmul,
+    _zsub,
+    get_bit_ceiling,
+)
 
 __all__ = [
     "zeros",
@@ -84,64 +93,9 @@ def mat_vec(a, v):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination over Z[q]
+# fraction-free elimination over Z[q], on the Z[q] kernel of qfield
 # polynomials are int coefficient lists, index = exponent, [] for zero
 # ---------------------------------------------------------------------------
-
-
-def _zmul(a, b):
-    if len(a) == 1:
-        c = a[0]
-        return [c * y for y in b]
-    if len(b) == 1:
-        c = b[0]
-        return [x * c for x in a]
-    lb = len(b)
-    out = [0] * (len(a) + lb - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + lb] = [s + x * y for s, y in zip(out[i : i + lb], b)]
-    return out
-
-
-def _zsub(a, b):
-    if len(a) < len(b):
-        out = [x - y for x, y in zip(a, b)] + [-y for y in b[len(a) :]]
-    else:
-        out = [x - y for x, y in zip(a, b)] + a[len(b) :]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdiv(a, b):
-    """Exact quotient a / b in Z[q]; a nonzero remainder is an internal error."""
-    lb = len(b)
-    if lb == 1:
-        c = b[0]
-        if c == 1:
-            return a
-        out = []
-        for x in a:
-            t, r = divmod(x, c)
-            if r:
-                raise ArithmeticError("inexact fraction-free division")
-            out.append(t)
-        return out
-    rem = list(a)
-    lead = b[-1]
-    quo = [0] * (len(a) - lb + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + lb - 1]
-        if c:
-            c, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("inexact fraction-free division")
-            quo[k] = c
-            rem[k : k + lb] = [s - c * y for s, y in zip(rem[k : k + lb], b)]
-    if any(rem[: lb - 1]):
-        raise ArithmeticError("inexact fraction-free division")
-    return quo
 
 
 def _check_bits(p, ceiling):
@@ -150,31 +104,33 @@ def _check_bits(p, ceiling):
 
 
 def _clear_row(row, ceiling):
-    """The row times a nonzero scalar, as integer polynomials in q.
+    """The row times a nonzero scalar, as primitive integer polynomials in q.
 
-    Multiplies by q^(-min shift), by the product of the distinct
-    denominators and by the lcm of the coefficient denominators, then
-    divides out the integer content.
+    Reads each entry's integer num and den: multiplies by q^(-min shift),
+    by the product of the distinct non-constant denominators and by the lcm
+    of the constant ones, then divides out the integer content.
     """
     live = [x for x in row if x]
     if not live:
         return None
     low = min(x.shift for x in live)
     dens = list(dict.fromkeys(x.den for x in live if len(x.den) > 1))
+    scale = lcm(*(x.den[0] for x in live if len(x.den) == 1))
     polys = []
     for x in row:
         if not x:
-            polys.append(())
+            polys.append([])
             continue
         p = x.num
+        m = scale // x.den[0] if len(x.den) == 1 else scale
+        if m != 1:
+            p = _zmul(p, (m,))
         for d in dens:
             if d != x.den:
-                p = _pmul(p, d)
-        polys.append((0,) * (x.shift - low) + p)
-    scale = lcm(*(c.denominator for p in polys for c in p))
-    polys = [[int(c * scale) for c in p] for p in polys]
+                p = _zmul(p, d)
+        polys.append([0] * (x.shift - low) + list(p))
     content = gcd(*(c for p in polys for c in p))
-    out = [[c // content for c in p] for p in polys]
+    out = [[c // content for c in p] for p in polys] if content != 1 else polys
     for p in out:
         _check_bits(p, ceiling)
     return out

@@ -1,14 +1,37 @@
 """Exact arithmetic in the field Q(q) of rational functions of the quantum parameter.
 
-Scalars are kept in a canonical form: value = q**shift * num(q) / den(q) with
-num, den ordinary polynomials with rational coefficients, nonzero constant
-terms, gcd(num, den) = 1 and den monic.  Equality of values is equality of the
-canonical triples, so QScalar is hashable and usable as a dict key.
+Scalars are kept in a canonical form over the integers:
+value = q**shift * num(q) / den(q), where num and den are tuples of Python
+ints (index = exponent) with nonzero constant and leading coefficients,
+coprime in Q[q], with joint integer content gcd(*num, *den) = 1 and a
+positive leading coefficient den[-1]; zero is (0, (), (1,)).  The form is
+unique, so equality of values is equality of the triples and QScalar is
+hashable and usable as a dict key.
+
+Each operation picks its path from the structure of its operands.  Integer
+Laurent polynomials (den == (1,)) add and multiply with no gcd at all: only
+zero ends are stripped.  Constant denominators take one integer content gcd.
+Non-constant denominators take polynomial gcds over Z[q] by the primitive
+polynomial remainder sequence (Geddes, Czapor and Labahn, *Algorithms for
+Computer Algebra*, 1992, ch. 7) and exact divisions.  ``linalg`` runs its
+fraction-free elimination on the same Z[q] kernel (``_zmul``, ``_zsub``,
+``_zdiv``).
+
+``fractions.Fraction`` appears only at the boundaries: ``from_rational`` and
+``from_laurent`` read rationals by numerator and denominator, ``specialize``
+returns one, ``render`` prints each coefficient as ``Fraction(c, den[-1])``
+(the coefficient of the monic-denominator form, so the text does not depend
+on the integer scaling) and ``parse_qscalar`` reads that text back.
+
+The bit ceiling (``set_bit_ceiling``) bounds the bit length of every integer
+stored in the primitive num and den; every construction path checks it and
+raises CoefficientOverflowError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 import re
 
 __all__ = [
@@ -34,7 +57,7 @@ class QPoleError(QArithmeticError):
 
 
 class CoefficientOverflowError(QArithmeticError):
-    """Raised when rational coefficients exceed the configured bit ceiling."""
+    """Raised when a stored integer coefficient exceeds the configured bit ceiling."""
 
 
 _BIT_CEILING = 1_000_000
@@ -53,99 +76,141 @@ def get_bit_ceiling():
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomial helpers over Fraction
-# coefficient tuples, index = exponent, no trailing zeros
+# dense univariate polynomials over Z
+# int coefficient sequences, index = exponent; results are lists
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _zstrip(p):
+    """Drop trailing zeros from a list in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _pstrip(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _zadd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out.extend(a[len(b) :])
+    return _zstrip(out)
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
+def _zsub(a, b):
+    out = [x - y for x, y in zip(a, b)]
+    if len(a) < len(b):
+        out.extend(-y for y in b[len(a) :])
+    else:
+        out.extend(a[len(b) :])
+    return _zstrip(out)
+
+
+def _zmul(a, b):
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b]
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _pstrip(out)
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
-def _pneg(a):
-    return tuple(-x for x in a)
+def _zdiv(a, b):
+    """Exact quotient a / b in Z[q]; a nonzero remainder is an internal error."""
+    lb = len(b)
+    if lb == 1:
+        c = b[0]
+        if c == 1:
+            return list(a)
+        out = []
+        for x in a:
+            t, r = divmod(x, c)
+            if r:
+                raise ArithmeticError("inexact fraction-free division")
+            out.append(t)
+        return out
+    rem = list(a)
+    lead = b[-1]
+    body = b[:-1]
+    quo = [0] * (len(a) - lb + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + lb - 1]
+        if c:
+            c, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact fraction-free division")
+            quo[k] = c
+            for j, y in enumerate(body, k):
+                rem[j] -= c * y
+    if any(rem[: lb - 1]):
+        raise ArithmeticError("inexact fraction-free division")
+    return quo
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _pstrip(out)
+def _zprim(p):
+    """The primitive part of a nonzero p, with a positive leading coefficient."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [x // g for x in p] if g != 1 else list(p)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
+def _zprem(a, b):
+    """The remainder of a by b times a nonzero integer (sparse pseudo-division)."""
+    r = list(a)
+    n = len(b)
     lb = b[-1]
-    while len(a) >= len(b):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / lb
-        k = len(a) - len(b)
-        q[k] = c
-        for j, y in enumerate(b):
-            a[k + j] -= c * y
-        a.pop()
-    return _pstrip(q), _pstrip(a)
+    body = b[:-1]
+    while len(r) >= n:
+        c = r[-1]
+        g = gcd(c, lb)
+        m, c = lb // g, c // g
+        if m != 1:
+            r = [m * x for x in r]
+        r.pop()
+        for j, y in enumerate(body, len(r) - n + 1):
+            r[j] -= c * y
+        _zstrip(r)
+    return r
 
 
-def _pgcd(a, b):
-    a, b = _pstrip(a), _pstrip(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
+def _zgcd(a, b):
+    """The primitive gcd of nonzero a and b in Z[q], positive leading coefficient.
 
-
-def _peval(a, x):
-    acc = _ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    Primitive polynomial remainder sequence: each pseudo-remainder is
+    replaced by its primitive part, which keeps the coefficients small.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    b = _zprim(b)
+    while len(b) > 1:
+        r = _zprem(a, b)
+        if not r:
+            return b
+        a, b = b, _zprim(r)
+    return [1]
 
 
 # ---------------------------------------------------------------------------
 # QScalar
 # ---------------------------------------------------------------------------
 
+_D1 = (1,)
+
 
 class QScalar:
     __slots__ = ("shift", "num", "den", "_hash")
 
-    def __init__(self, shift, num, den, _raw=False):
-        if not _raw:
-            shift, num, den = _canonical(shift, num, den)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, shift, num, den):
+        """The scalar q**shift * num / den for int coefficient sequences num, den."""
+        return _canonical(shift, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
@@ -162,27 +227,33 @@ class QScalar:
 
     @staticmethod
     def from_rational(x):
-        x = Fraction(x)
-        if x == 0:
+        if type(x) is not int:
+            x = Fraction(x)
+            n, d = x.numerator, x.denominator
+        else:
+            n, d = x, 1
+        if not n:
             return _QZERO
-        return QScalar(0, (x,), (_ONE,), _raw=True)
+        return _build(0, (n,), (d,) if d != 1 else _D1)
 
     @staticmethod
     def q_pow(k):
-        return QScalar(int(k), (_ONE,), (_ONE,), _raw=True)
+        return _build(int(k), _D1, _D1)
 
     @staticmethod
     def from_laurent(terms):
-        """Build from a {exponent: coefficient} mapping."""
-        terms = {int(e): Fraction(c) for e, c in terms.items() if c != 0}
+        """Build from a {exponent: int or Fraction coefficient} mapping."""
+        terms = {int(e): c for e, c in terms.items() if c}
         if not terms:
             return _QZERO
+        d = lcm(*(c.denominator for c in terms.values()))
         lo = min(terms)
-        hi = max(terms)
-        num = [_ZERO] * (hi - lo + 1)
+        num = [0] * (max(terms) - lo + 1)
         for e, c in terms.items():
-            num[e - lo] = c
-        return QScalar(lo, tuple(num), (_ONE,))
+            num[e - lo] = c.numerator * (d // c.denominator)
+        if d == 1:
+            return _build(lo, tuple(num), _D1)
+        return _finish(lo, num, [d])
 
     # -- predicates ----------------------------------------------------
 
@@ -190,10 +261,9 @@ class QScalar:
         return not self.num
 
     def is_one(self):
-        return self.shift == 0 and self.num == (_ONE,) and self.den == (_ONE,)
+        return self.shift == 0 and self.num == _D1 and self.den == _D1
 
     def is_rational(self):
-        # den is monic, so a constant den is exactly (1,)
         return len(self.den) == 1 and (
             not self.num or (self.shift == 0 and len(self.num) == 1)
         )
@@ -201,79 +271,64 @@ class QScalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        if self.is_rational() and other.is_rational():
-            c = self.num[0] + other.num[0]
-            return _from_canonical(0, (c,), self.den) if c else _QZERO
-        s = min(self.shift, other.shift)
-        a = _shiftpoly(self.num, self.shift - s)
-        b = _shiftpoly(other.num, other.shift - s)
-        if self.den == other.den:
-            return QScalar(s, _padd(a, b), self.den)
-        num = _padd(_pmul(a, other.den), _pmul(b, self.den))
-        return QScalar(s, num, _pmul(self.den, other.den))
+        if type(other) is not QScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num:
+        num = self.num
+        if not num:
             return self
-        return QScalar(self.shift, _pneg(self.num), self.den, _raw=True)
+        if len(num) == 1:
+            return _build(self.shift, (-num[0],), self.den)
+        return _build(self.shift, tuple([-x for x in num]), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not QScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, True)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _add(other, self, True)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num or not other.num:
             return _QZERO
-        # c * num over the unchanged monic den is already canonical for c != 0
-        if self.is_rational():
-            c = self.num[0]
-            num = tuple(c * x for x in other.num)
-            return _from_canonical(other.shift, num, other.den)
-        if other.is_rational():
-            c = other.num[0]
-            num = tuple(c * x for x in self.num)
-            return _from_canonical(self.shift, num, self.den)
-        return QScalar(
-            self.shift + other.shift,
-            _pmul(self.num, other.num),
-            _pmul(self.den, other.den),
+        return _mul(
+            self.shift, self.num, self.den, other.shift, other.num, other.den
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             raise ZeroDivisionError("QScalar division by zero")
         if not self.num:
             return _QZERO
-        return QScalar(
-            self.shift - other.shift,
-            _pmul(self.num, other.den),
-            _pmul(self.den, other.num),
-        )
+        num, den = other.den, other.num
+        if den[-1] < 0:
+            num = tuple([-x for x in num])
+            den = tuple([-x for x in den])
+        elif den == _D1:
+            den = _D1
+        return _mul(self.shift, self.num, self.den, -other.shift, num, den)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -282,7 +337,13 @@ class QScalar:
         return other / self
 
     def inverse(self):
-        return _QONE / self
+        num, den = self.den, self.num
+        if not den:
+            raise ZeroDivisionError("QScalar division by zero")
+        if den[-1] < 0:
+            num = tuple([-x for x in num])
+            den = tuple([-x for x in den])
+        return _build(-self.shift, num, den)
 
     def __pow__(self, k):
         k = int(k)
@@ -299,17 +360,23 @@ class QScalar:
 
     def bar(self):
         """The bar involution q -> q^-1."""
-        if not self.num:
+        num, den = self.num, self.den
+        if not num:
             return self
-        shift = -self.shift - (len(self.num) - 1) + (len(self.den) - 1)
-        return QScalar(shift, tuple(reversed(self.num)), tuple(reversed(self.den)))
+        shift = -self.shift - (len(num) - 1) + (len(den) - 1)
+        num, den = num[::-1], den[::-1]
+        if den[-1] < 0:
+            num = tuple([-x for x in num])
+            den = tuple([-x for x in den])
+        return _build(shift, num, den)
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (
             self.shift == other.shift
             and self.num == other.num
@@ -320,43 +387,61 @@ class QScalar:
         return bool(self.num)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.shift, self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set_hash(self, h)
+            return h
 
     # -- evaluation ----------------------------------------------------
 
     def specialize(self, at):
-        """Exact evaluation at a rational point, or at="one" for q = 1."""
+        """Exact evaluation at a rational point, or at="one" for q = 1.
+
+        Numerator and denominator are evaluated by homogeneous integer
+        Horner at x = p/r; one Fraction is formed at the end.
+        """
         if at == "one":
-            x = _ONE
+            p, r = 1, 1
         else:
             x = Fraction(at)
-        if not self.num:
-            return _ZERO
-        if self.is_rational():
-            return self.num[0]
-        d = _peval(self.den, x)
+            p, r = x.numerator, x.denominator
+        num, den, shift = self.num, self.den, self.shift
+        if not num:
+            return Fraction(0)
+        if shift == 0 and len(num) == 1 and len(den) == 1:
+            return Fraction(num[0], den[0])
+        d = _hom_eval(den, p, r)
         if d == 0:
-            raise QPoleError("pole at q = %s" % x)
-        if x == 0:
-            if self.shift < 0:
+            raise QPoleError("pole at q = %s" % Fraction(p, r))
+        if p == 0:
+            if shift < 0:
                 raise QPoleError("pole at q = 0")
-            n = self.num[0] if self.shift == 0 else _ZERO
-            return n / d
-        return x ** self.shift * _peval(self.num, x) / d
+            return Fraction(num[0] if shift == 0 else 0, den[0])
+        n = _hom_eval(num, p, r)
+        # (p/r)**shift * (n / r**(len(num)-1)) / (d / r**(len(den)-1))
+        if shift > 0:
+            n *= p**shift
+        elif shift < 0:
+            d *= p ** (-shift)
+        e = len(den) - len(num) - shift
+        if e > 0:
+            n *= r**e
+        elif e < 0:
+            d *= r ** (-e)
+        return Fraction(n, d)
 
     # -- rendering -----------------------------------------------------
 
     def render(self):
         if not self.num:
             return "0"
-        ntext = _laurent_text(self.shift, self.num)
-        if self.den == (_ONE,):
+        lead = self.den[-1]
+        ntext = _laurent_text(self.shift, self.num, lead)
+        if len(self.den) == 1:
             return ntext
-        dtext = _laurent_text(0, self.den)
+        dtext = _laurent_text(0, self.den, lead)
         return "(%s)/(%s)" % (ntext, dtext)
 
     def __str__(self):
@@ -366,60 +451,183 @@ class QScalar:
         return "QScalar(%s)" % self.render()
 
 
-def _shiftpoly(p, k):
-    if k == 0:
-        return p
-    return (_ZERO,) * k + tuple(p)
+_set_shift = QScalar.shift.__set__
+_set_num = QScalar.num.__set__
+_set_den = QScalar.den.__set__
+_set_hash = QScalar._hash.__set__
+_new = object.__new__
+
+
+def _build(shift, num, den):
+    """A QScalar from tuples already in canonical form; checks the bit ceiling."""
+    ceiling = _BIT_CEILING
+    if len(num) == 1:
+        if num[0].bit_length() > ceiling:
+            _overflow()
+    elif max(num).bit_length() > ceiling or min(num).bit_length() > ceiling:
+        _overflow()
+    if den is not _D1:
+        if den == _D1:
+            den = _D1
+        elif len(den) == 1:
+            if den[0].bit_length() > ceiling:
+                _overflow()
+        elif max(den).bit_length() > ceiling or min(den).bit_length() > ceiling:
+            _overflow()
+    x = _new(QScalar)
+    _set_shift(x, shift)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _overflow():
+    raise CoefficientOverflowError("coefficient exceeds %d-bit ceiling" % _BIT_CEILING)
+
+
+def _finish(shift, num, den):
+    """The QScalar q**shift * num / den for num and den coprime in Q[q] with
+    nonzero constant and leading terms: divides out the joint integer content
+    and makes den[-1] positive."""
+    g = gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num = [x // g for x in num]
+        den = [x // g for x in den]
+    return _build(shift, tuple(num), tuple(den))
 
 
 def _canonical(shift, num, den):
-    num = _pstrip(tuple(Fraction(x) for x in num))
-    den = _pstrip(tuple(Fraction(x) for x in den))
+    """The QScalar q**shift * num / den for int sequences num and den."""
+    num = _zstrip(list(num))
+    den = _zstrip(list(den))
     if not den:
         raise ZeroDivisionError("QScalar with zero denominator")
     if not num:
-        return 0, (), (_ONE,)
+        return _QZERO
     shift = int(shift)
     k = 0
-    while num[k] == 0:
+    while not num[k]:
         k += 1
     if k:
         shift += k
         num = num[k:]
     k = 0
-    while den[k] == 0:
+    while not den[k]:
         k += 1
     if k:
         shift -= k
         den = den[k:]
     if len(den) > 1 and len(num) > 1:
-        g = _pgcd(num, den)
+        g = _zgcd(num, den)
         if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-    lead = den[-1]
-    if lead != 1:
-        num = tuple(x / lead for x in num)
-        den = tuple(x / lead for x in den)
-    _check_size(num)
-    _check_size(den)
-    return shift, num, den
+            num = _zdiv(num, g)
+            den = _zdiv(den, g)
+    return _finish(shift, num, den)
 
 
-def _from_canonical(shift, num, den):
-    """A QScalar from parts already in canonical form, size-checked."""
-    _check_size(num)
-    _check_size(den)
-    return QScalar(shift, num, den, _raw=True)
+def _add(a, b, negate):
+    """a + b, or a - b when negate is true."""
+    bn = b.num
+    if not bn:
+        return a
+    an = a.num
+    if not an:
+        return -b if negate else b
+    ad, bd = a.den, b.den
+    shift, t = a.shift, b.shift
+    if shift == t and len(an) == 1 == len(bn) and len(ad) == 1 == len(bd):
+        # monomials c q^shift with constant denominators
+        n = an[0] * bd[0] - bn[0] * ad[0] if negate else an[0] * bd[0] + bn[0] * ad[0]
+        if not n:
+            return _QZERO
+        if ad is _D1 and bd is _D1:
+            return _build(shift, (n,), _D1)
+        d = ad[0] * bd[0]
+        g = gcd(n, d)
+        return _build(shift, (n // g,), (d // g,))
+    if shift > t:
+        an = (0,) * (shift - t) + an
+        shift = t
+    elif t > shift:
+        bn = (0,) * (t - shift) + bn
+    cancel = None  # the only factor of den that num can share
+    if ad == bd:
+        den = ad
+        if len(den) > 1:
+            cancel = den
+    elif len(ad) == 1 and len(bd) == 1:
+        d1, d2 = ad[0], bd[0]
+        m = gcd(d1, d2)
+        an = [x * (d2 // m) for x in an]
+        bn = [x * (d1 // m) for x in bn]
+        den = (d1 * (d2 // m),)
+    else:
+        if len(ad) > 1 and len(bd) > 1:
+            g = _zgcd(ad, bd)
+            if len(g) > 1:
+                ad = _zdiv(ad, g)
+                bd = _zdiv(bd, g)
+                cancel = g
+        # a/b + c/d = (a d' + c b') / (b' d) with b = g b', d = g d'
+        an, bn = _zmul(an, bd), _zmul(bn, ad)
+        den = _zmul(ad, b.den)
+    num = _zsub(an, bn) if negate else _zadd(an, bn)
+    if not num:
+        return _QZERO
+    k = 0
+    while not num[k]:
+        k += 1
+    if k:
+        shift += k
+        del num[:k]
+    if den is _D1:
+        return _build(shift, tuple(num), _D1)
+    if cancel is not None and len(num) > 1:
+        h = _zgcd(num, cancel)
+        if len(h) > 1:
+            num = _zdiv(num, h)
+            den = _zdiv(den, h)
+    return _finish(shift, num, den)
 
 
-def _check_size(p):
-    ceiling = _BIT_CEILING
-    for c in p:
-        if c.numerator.bit_length() > ceiling or c.denominator.bit_length() > ceiling:
-            raise CoefficientOverflowError(
-                "coefficient exceeds %d-bit ceiling" % ceiling
-            )
+def _mul(s, an, ad, t, bn, bd):
+    """The product of two nonzero canonical scalars given by their parts."""
+    if ad is _D1 and bd is _D1:
+        if len(an) == 1 == len(bn):
+            return _build(s + t, (an[0] * bn[0],), _D1)
+        return _build(s + t, tuple(_zmul(an, bn)), _D1)
+    if len(an) == 1 == len(bn) and len(ad) == 1 == len(bd):
+        n, d = an[0] * bn[0], ad[0] * bd[0]
+        g = gcd(n, d)
+        return _build(s + t, (n // g,), (d // g,))
+    # num/den stay coprime once each numerator is freed of the other's den
+    if len(bd) > 1 and len(an) > 1:
+        g = _zgcd(an, bd)
+        if len(g) > 1:
+            an = _zdiv(an, g)
+            bd = _zdiv(bd, g)
+    if len(ad) > 1 and len(bn) > 1:
+        g = _zgcd(bn, ad)
+        if len(g) > 1:
+            bn = _zdiv(bn, g)
+            ad = _zdiv(ad, g)
+    return _finish(s + t, _zmul(an, bn), _zmul(ad, bd))
+
+
+def _hom_eval(c, p, r):
+    """r**(len(c)-1) * c(p/r) as an int: homogeneous Horner."""
+    acc = c[-1]
+    if r == 1:
+        for x in reversed(c[:-1]):
+            acc = acc * p + x
+        return acc
+    rp = r
+    for x in reversed(c[:-1]):
+        acc = acc * p + x * rp
+        rp *= r
+    return acc
 
 
 def _coerce(x):
@@ -430,8 +638,11 @@ def _coerce(x):
     return NotImplemented
 
 
-_QZERO = QScalar(0, (), (_ONE,), _raw=True)
-_QONE = QScalar(0, (_ONE,), (_ONE,), _raw=True)
+_QZERO = _new(QScalar)
+_set_shift(_QZERO, 0)
+_set_num(_QZERO, ())
+_set_den(_QZERO, _D1)
+_QONE = _build(0, _D1, _D1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +699,14 @@ _TERM_RE = re.compile(
 )
 
 
-def _laurent_text(shift, coeffs):
+def _laurent_text(shift, coeffs, lead):
+    """Text of sum c/lead * q^(shift+i); the coefficients print as Fractions."""
     parts = []
     for i, c in enumerate(coeffs):
-        if c == 0:
+        if not c:
             continue
+        if lead != 1:
+            c = Fraction(c, lead)
         e = shift + i
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
@@ -526,9 +740,9 @@ def _parse_laurent(text):
         if const is not None:
             c, e = Fraction(const), 0
         else:
-            c = Fraction(coeff) if coeff is not None else _ONE
+            c = Fraction(coeff) if coeff is not None else 1
             e = int(exp) if exp is not None else 1
-        terms[e] = terms.get(e, _ZERO) + s * c
+        terms[e] = terms.get(e, 0) + s * c
         pos = m.end()
     return QScalar.from_laurent(terms)
 

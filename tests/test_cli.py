@@ -166,6 +166,9 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("root-data", "--type", "E9"),
         ("root-data", "--type", "D1"),
         ("root-data", "--type", "F3"),
+        ("schur-check", "--type", "A1", "--window", "4", "--homcap", "4"),
+        ("ext", "--type", "A1", "--window", "4"),
+        ("koszul-check", "--type", "A1", "--window", "3", "--homcap", "3"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -182,6 +185,8 @@ def test_config_errors_exit_two(capsys, argv):
         (("check-module", "--type", "A1", "--module", "verma:0:x"), "module"),
         (("hilbert", "--type", "A2", "--cap", "-1"), "cap"),
         (("root-data", "--type", "E9"), "type"),
+        (("schur-check", "--type", "A1", "--window", "4", "--homcap", "4"), "window"),
+        (("ext", "--type", "A1", "--window", "4"), "window"),
     ],
 )
 def test_config_error_names_field(capsys, argv, field):

@@ -11,8 +11,6 @@ from schurq.qfield import (
     CoefficientOverflowError,
     QPoleError,
     QScalar,
-    _padd,
-    _pmul,
     get_bit_ceiling,
     parse_qscalar,
     qbinom,
@@ -165,7 +163,7 @@ def test_bar_is_an_involution(a):
     assert a.bar().bar() == a
 
 
-# -- rational constants: built without _canonical ---------------------------
+# -- rational constants: built without the general canonical path ----------
 
 rationals = st.one_of(
     small_fractions,
@@ -178,16 +176,36 @@ rationals = st.one_of(
 rational_functions = st.builds(lambda n, d: n / d, laurents, laurents.filter(bool))
 
 
+def _zmul(a, b):
+    """Product of int coefficient tuples (schoolbook)."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def _parts(s):
-    assert all(type(c) is Fraction for c in s.num + s.den)
-    return (s.shift, s.num, s.den)
+    """The stored triple, after checking every invariant of the canonical form."""
+    shift, num, den = s.shift, s.num, s.den
+    assert type(shift) is int and type(num) is tuple and type(den) is tuple
+    assert all(type(c) is int for c in num + den)
+    if not num:
+        assert (shift, den) == (0, (1,))
+        return (shift, num, den)
+    assert num[0] and num[-1] and den[0] and den[-1] > 0
+    assert math.gcd(*num, *den) == 1
+    assert len(_ref_pgcd(num, den)) == 1  # coprime in Q[q]
+    return (shift, num, den)
 
 
 def _canonical_product(a, b):
     """a * b through the general path, which puts the result in canonical form."""
     if a.is_zero() or b.is_zero():
         return QScalar.zero()
-    return QScalar(a.shift + b.shift, _pmul(a.num, b.num), _pmul(a.den, b.den))
+    return QScalar(a.shift + b.shift, _zmul(a.num, b.num), _zmul(a.den, b.den))
 
 
 @given(c=rationals, other=st.one_of(rationals, laurents, rational_functions))
@@ -201,15 +219,19 @@ def test_rational_products_are_canonical(c, other):
 @given(a=rationals, b=rationals)
 @settings(max_examples=80, deadline=None)
 def test_rational_sums_are_canonical(a, b):
-    want = QScalar(0, _padd(a.num, b.num), (1,))
-    assert _parts(a + b) == _parts(want)
-    assert _parts(a - b) == _parts(QScalar(0, _padd(a.num, (-b).num), (1,)))
+    def general(sign):
+        n = sum(a.num) * b.den[0] + sign * sum(b.num) * a.den[0]
+        return QScalar(0, (n,), (a.den[0] * b.den[0],))
+
+    assert _parts(a + b) == _parts(general(1))
+    assert _parts(a - b) == _parts(general(-1))
 
 
 @given(c=rationals, x=points)
 @settings(max_examples=40, deadline=None)
 def test_rational_specializes_to_itself(c, x):
-    value = c.num[0] if c.num else 0
+    _parts(c)
+    value = Fraction(c.num[0], c.den[0]) if c.num else 0
     assert c.specialize(x) == value
     assert c.specialize("one") == value
 
@@ -232,6 +254,275 @@ def test_rational_fast_path_respects_bit_ceiling():
     finally:
         set_bit_ceiling(old)
     assert get_bit_ceiling() == old
+
+
+def test_every_constructor_respects_bit_ceiling():
+    big = QScalar.from_rational(2**40)
+    wide = QScalar.from_laurent({0: 1, 3: Fraction(1, 2**40)})
+    old = set_bit_ceiling(16)
+    try:
+        for make in (
+            lambda: QScalar.from_rational(2**40),
+            lambda: QScalar.from_rational(Fraction(1, 2**40)),
+            lambda: QScalar.from_laurent({0: 1, 2: 2**40}),
+            lambda: QScalar(0, (1, 2**40), (3, 1)),
+            lambda: parse_qscalar("q + 1/%d" % 2**40),
+            lambda: -big,
+            lambda: big.inverse(),
+            lambda: wide.bar(),
+        ):
+            with pytest.raises(CoefficientOverflowError):
+                make()
+        assert QScalar.from_rational(Fraction(-(2**15), 3)).num == (-(2**15),)
+    finally:
+        set_bit_ceiling(old)
+    assert get_bit_ceiling() == old
+
+
+# -- oracle: Fraction coefficients over a monic denominator, Euclid over Q --
+
+
+def _ref_strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_padd(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for p in (a, b):
+        for i, x in enumerate(p):
+            out[i] += x
+    return _ref_strip(out)
+
+
+def _ref_pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_strip(out)
+
+
+def _ref_pdivmod(a, b):
+    a = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+        a.pop()
+        a = list(_ref_strip(a))
+    return _ref_strip(q), _ref_strip(a)
+
+
+def _ref_pgcd(a, b):
+    """Monic gcd over Q by Euclid."""
+    a, b = _ref_strip(a), _ref_strip(b)
+    while b:
+        a, b = b, _ref_pdivmod(a, b)[1]
+    return tuple(Fraction(x) / a[-1] for x in a)
+
+
+class RefQ:
+    """q**shift * num / den with Fraction coefficients, den monic, gcd 1."""
+
+    def __init__(self, shift, num, den):
+        num, den = _ref_strip(map(Fraction, num)), _ref_strip(map(Fraction, den))
+        if not num:
+            shift, num, den = 0, (), (Fraction(1),)
+        else:
+            while num[0] == 0:
+                shift, num = shift + 1, num[1:]
+            while den[0] == 0:
+                shift, den = shift - 1, den[1:]
+            g = _ref_pgcd(num, den)
+            num, den = _ref_pdivmod(num, g)[0], _ref_pdivmod(den, g)[0]
+            num = tuple(x / den[-1] for x in num)
+            den = tuple(x / den[-1] for x in den)
+        self.shift, self.num, self.den = shift, num, den
+
+    @staticmethod
+    def from_laurent(terms):
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        if not terms:
+            return RefQ(0, (), (1,))
+        lo = min(terms)
+        num = [Fraction(0)] * (max(terms) - lo + 1)
+        for e, c in terms.items():
+            num[e - lo] = c
+        return RefQ(lo, num, (1,))
+
+    def _aligned(self, other):
+        s = min(self.shift, other.shift)
+        a = (0,) * (self.shift - s) + self.num
+        b = (0,) * (other.shift - s) + other.num
+        return s, a, b
+
+    def __add__(self, other):
+        s, a, b = self._aligned(other)
+        num = _ref_padd(_ref_pmul(a, other.den), _ref_pmul(b, self.den))
+        return RefQ(s, num, _ref_pmul(self.den, other.den))
+
+    def __neg__(self):
+        return RefQ(self.shift, [-x for x in self.num], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        num, den = _ref_pmul(self.num, other.num), _ref_pmul(self.den, other.den)
+        return RefQ(self.shift + other.shift, num, den)
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError
+        return RefQ(-self.shift, self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def bar(self):
+        if not self.num:
+            return self
+        shift = -self.shift - (len(self.num) - 1) + (len(self.den) - 1)
+        return RefQ(shift, self.num[::-1], self.den[::-1])
+
+    def specialize(self, at):
+        x = Fraction(1) if at == "one" else Fraction(at)
+        if not self.num:
+            return Fraction(0)
+        ev = lambda p: sum(c * x**i for i, c in enumerate(p))  # noqa: E731
+        d = ev(self.den)
+        if d == 0:
+            raise QPoleError
+        if x == 0:
+            if self.shift < 0:
+                raise QPoleError
+            return (self.num[0] if self.shift == 0 else 0) / d
+        return x**self.shift * ev(self.num) / d
+
+    def render(self):
+        if not self.num:
+            return "0"
+        ntext = _ref_text(self.shift, self.num)
+        if self.den == (1,):
+            return ntext
+        return "(%s)/(%s)" % (ntext, _ref_text(0, self.den))
+
+
+def _ref_text(shift, coeffs):
+    out = ""
+    for e, c in enumerate(coeffs, shift):
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = str(mag) if e == 0 else ("q" if e == 1 else "q^%d" % e)
+        if e != 0 and mag != 1:
+            body = "%s*%s" % (mag, body)
+        if not out:
+            out = body if c > 0 else "-" + body
+        else:
+            out += " %s %s" % ("-" if c < 0 else "+", body)
+    return out
+
+
+def _ref_qint(m, d=1):
+    sign = -1 if m < 0 else 1
+    m = abs(m)
+    return RefQ.from_laurent({d * (2 * t - m + 1): sign for t in range(m)})
+
+
+def _ref_qbinom(n, k, d=1):
+    acc = RefQ(0, (1,), (1,))
+    for t in range(1, k + 1):
+        acc = acc * _ref_qint(n - k + t, d) / _ref_qint(t, d)
+    return acc
+
+
+wide_fractions = st.one_of(
+    small_fractions,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**12),
+    ),
+)
+laurent_terms = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), wide_fractions, max_size=4
+)
+small_terms = st.dictionaries(
+    st.integers(min_value=-2, max_value=2), small_fractions, min_size=1, max_size=3
+)
+
+
+@st.composite
+def pairs(draw):
+    """The same value built as (QScalar, RefQ) by the same operations.
+
+    Laurent polynomials with rational (up to 40-digit) coefficients, and
+    quotients (n * c) / (d * c) whose parts share the factor c and whose
+    denominator may lead with a negative coefficient.
+    """
+    n = draw(laurent_terms)
+    x = (QScalar.from_laurent(n), RefQ.from_laurent(n))
+    if draw(st.booleans()):
+        d = draw(small_terms.filter(lambda t: any(t.values())))
+        c = draw(small_terms.filter(lambda t: any(t.values())))
+        if draw(st.booleans()):  # a denominator with a negative lead
+            top = max(e for e, v in d.items() if v)
+            d[top] = -abs(d[top])
+        cq, cr = QScalar.from_laurent(c), RefQ.from_laurent(c)
+        dq, dr = QScalar.from_laurent(d), RefQ.from_laurent(d)
+        x = (x[0] * cq / (dq * cq), x[1] * cr / (dr * cr))
+    return x
+
+
+def _agree(got, ref, points):
+    assert got.render() == ref.render()
+    for at in points + ["one"]:
+        try:
+            want = ref.specialize(at)
+        except QPoleError:
+            with pytest.raises(QPoleError):
+                got.specialize(at)
+            continue
+        value = got.specialize(at)
+        assert type(value) is Fraction and value == want
+    assert parse_qscalar(got.render()) == got
+    _parts(got)
+
+
+@given(a=pairs(), b=pairs(), pts=st.lists(points, min_size=1, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_integer_form_matches_fraction_reference(a, b, pts):
+    (aq, ar), (bq, br) = a, b
+    pts = list(pts) + [Fraction(0)]
+    _agree(aq, ar, pts)
+    _agree(aq + bq, ar + br, pts)
+    _agree(aq - bq, ar - br, pts)
+    _agree(aq * bq, ar * br, pts)
+    _agree(aq.bar(), ar.bar(), pts)
+    if bq:
+        _agree(aq / bq, ar / br, pts)
+        _agree(bq.inverse(), br.inverse(), pts)
+        # equal values built by different operations are equal and hash equal
+        again = (aq * bq) / bq
+        assert again == aq and hash(again) == hash(aq)
+    same = (aq + bq) - bq
+    assert same == aq and hash(same) == hash(aq)
+
+
+def test_qbinom_matches_fraction_reference():
+    for d in (1, 2):
+        for n in range(0, 7):
+            for k in range(0, n + 1):
+                _agree(qbinom(n, k, d), _ref_qbinom(n, k, d), [Fraction(2, 3)])
 
 
 # -- text grammar round-trip ----------------------------------------------
