@@ -6,19 +6,23 @@ normal forms for every word of length <= cap.  Monomials are words with an
 optional vertex anchor; the order is length-first, then lexicographic by a
 fixed generator precedence, then anchor.
 
-Leading words are kept in one lead index per basis (``_LeadIndex``): for each
-lead length ``L`` a dict from ``(lead word, anchor)`` to the element, where the
-anchor is the vertex the lead starts from inside an anchored word (``None``
-for free presentations).  Divisor search during reduction and the normality
-test of normal-word enumeration both hash the subwords of a word against it,
-with the anchors of all suffixes taken from one right-to-left pass over the
-word; no lookup scans the basis.  Completion adds each new element to the
-index as it is found.
+Leading words are kept in one trie per basis (``_LeadIndex``).  Each node
+where a lead ends maps the lead's anchor, the vertex at its right end inside
+an anchored word (``None`` for free presentations), to the element.  Divisor
+search during reduction walks the trie from each position of a word, and the
+normality test of normal-word enumeration is one walk from the front of the
+word; the anchors come from one right-to-left pass over the word, made only
+once a walk reaches the end of a lead.
+
+Completion pairs each new element only with the elements a partner index
+(``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
+whole leads of the basis so far, keyed by subword and the anchor at its
+right end.  No lookup scans the basis.  Completion adds each new element to
+both indexes as it is found.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import heapq
 from dataclasses import dataclass
@@ -105,51 +109,62 @@ def _subword_source(word, pos, sublen, source):
 
 
 class _LeadIndex:
-    """Leading words of a basis, hashed per lead length.
+    """Leading words of a basis in one trie.
 
-    ``tables[L]`` maps ``(lead word, anchor)`` to ``(rank, elem)``; the rank is
-    the position at which the element was added and the anchor is ``None``
-    for free presentations.  Of several elements with the same key only the
-    first is kept, which is the one a scan in insertion order meets first.
+    A node is a pair ``(children, ends)``: ``children`` maps a letter to the
+    next node, and ``ends`` maps an anchor to ``(rank, elem)`` for the leads
+    that end at the node.  The rank is the position at which the element was
+    added; the anchor is the element's source, the vertex at the lead's
+    right end, or ``None`` for free presentations.  Of several elements with
+    the same lead and anchor only the first is kept, which is the one a scan
+    in insertion order meets first.
     """
 
-    __slots__ = ("anchored", "elems", "lengths", "tables")
+    __slots__ = ("anchored", "elems", "root")
 
     def __init__(self, anchored):
         self.anchored = anchored
         self.elems = []  # in rank order
-        self.lengths = []  # distinct lead lengths, ascending
-        self.tables = {}
+        self.root = ({}, {})
 
     def add(self, e):
-        n = len(e.lead)
-        if n == 0:
+        if not e.lead:
             raise GBError("constant element in the ideal at anchor %r" % (e.source,))
-        table = self.tables.get(n)
-        if table is None:
-            table = self.tables[n] = {}
-            bisect.insort(self.lengths, n)
-        key = (e.lead, e.source if self.anchored else None)
-        table.setdefault(key, (len(self.elems), e))
+        node = self.root
+        for letter in e.lead:
+            child = node[0].get(letter)
+            if child is None:
+                child = node[0][letter] = ({}, {})
+            node = child
+        node[1].setdefault(e.source if self.anchored else None, (len(self.elems), e))
         self.elems.append(e)
 
 
 def _find_divisor(word, source, index):
     """Leftmost (pos, g) with lead(g) dividing word at pos, lowest rank first."""
     n = len(word)
-    # anchors[j]: the anchor of a subword followed by the last j letters
-    anchors = path_vertices(word, source) if index.anchored else None
-    tables = index.tables
+    anchored = index.anchored
+    # anchors[j]: the anchor of a subword followed by the last j letters,
+    # computed once a walk first reaches the end of a lead
+    anchors = None
+    top = index.root[0]
     for pos in range(n):
         best = None
-        for length in index.lengths:
-            end = pos + length
-            if end > n:
+        children = top
+        for k in range(pos, n):
+            node = children.get(word[k])
+            if node is None:
                 break
-            anchor = anchors[n - end] if anchors is not None else None
-            hit = tables[length].get((word[pos:end], anchor))
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
+            children, ends = node
+            if ends:
+                if anchored:
+                    if anchors is None:
+                        anchors = path_vertices(word, source)
+                    hit = ends.get(anchors[n - k - 1])
+                else:
+                    hit = ends.get(None)
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
         if best is not None:
             return pos, best[1]
     return None
@@ -179,11 +194,12 @@ def _reduce_full(terms, source, index, idx):
         pos, g = hit
         u = g.lead
         left, right = w[:pos], w[pos + len(u):]
+        c = -c
         for uw, uc in g.terms.items():
             if uw == u:
                 continue
             nw = left + uw + right
-            add = -(c * uc)
+            add = c * uc
             if nw in done:
                 done[nw] = done[nw] + add
                 if not done[nw]:
@@ -229,6 +245,92 @@ def _ambiguities(g1, g2, anchored):
             else:
                 source = None
             yield u1, source, 0, p
+
+
+class _PartnerIndex:
+    """Subwords of the leads added so far, for pairing each new element.
+
+    Each table maps ``(subword, anchor)`` to ``(rank, elem)`` entries in rank
+    order, where the anchor is the vertex at the subword's right end inside
+    the element's anchored lead (``None`` for free presentations):
+
+    - ``prefix``: every prefix of a lead, the lead included;
+    - ``suffix``: every suffix of a lead, the lead included;
+    - ``inner``: every subword that stops before the lead's right end;
+    - ``whole``: the lead itself.
+
+    Two leads form an ambiguity only where a suffix of one is a prefix of the
+    other or one sits inside the other, with equal anchors on the shared
+    subword, so the lookups of ``_candidates`` find every element that
+    ``_ambiguities`` can pair with a new one.
+    """
+
+    __slots__ = ("anchored", "count", "prefix", "suffix", "inner", "whole")
+
+    def __init__(self, anchored):
+        self.anchored = anchored
+        self.count = 0
+        self.prefix = {}
+        self.suffix = {}
+        self.inner = {}
+        self.whole = {}
+
+    def _subwords(self, e):
+        """(start, end, key) for every subword of lead(e)."""
+        u = e.lead
+        n = len(u)
+        anchors = path_vertices(u, e.source) if self.anchored else None
+        for j in range(n, 0, -1):
+            anchor = anchors[n - j] if anchors is not None else None
+            for i in range(j):
+                yield i, j, (u[i:j], anchor)
+
+    def add(self, e):
+        entry = (self.count, e)
+        self.count += 1
+        n = len(e.lead)
+        for i, j, key in self._subwords(e):
+            if i == 0:
+                self.prefix.setdefault(key, []).append(entry)
+            if j < n:
+                self.inner.setdefault(key, []).append(entry)
+                continue
+            self.suffix.setdefault(key, []).append(entry)
+            if i == 0:
+                self.whole.setdefault(key, []).append(entry)
+
+    def _candidates(self, e):
+        """{rank: elem} holding every added element that may pair with e."""
+        found = {}
+        n = len(e.lead)
+        for i, j, key in self._subwords(e):
+            if i == 0:
+                # a prefix of lead(e) that ends another lead
+                found.update(self.suffix.get(key, ()))
+            if j < n:
+                # another lead inside lead(e), away from its right end
+                found.update(self.whole.get(key, ()))
+                continue
+            # a suffix of lead(e) that begins another lead
+            found.update(self.prefix.get(key, ()))
+            if i == 0:
+                # lead(e) inside another lead, away from its right end
+                found.update(self.inner.get(key, ()))
+        return found
+
+    def ambiguities(self, e):
+        """Ambiguities of the last added element with itself and each earlier
+        one, as (word, source, g1, g2, pos1, pos2).  Partners come in rank
+        order, each giving ``_ambiguities(e, other)`` then
+        ``_ambiguities(other, e)``: the sequence a scan over all earlier
+        elements yields."""
+        found = self._candidates(e)
+        for rank in sorted(found):
+            other = found[rank]
+            pairs = ((e, other),) if other is e else ((e, other), (other, e))
+            for a, b in pairs:
+                for word, source, p1, p2 in _ambiguities(a, b, self.anchored):
+                    yield word, source, a, b, p1, p2
 
 
 @dataclass(frozen=True)
@@ -347,6 +449,7 @@ def groebner(pres, cap, order=None):
     idx = order.index()
 
     index = _LeadIndex(anchored)
+    partners = _PartnerIndex(anchored)
     basis = index.elems
 
     def add_elem(terms, source):
@@ -366,22 +469,19 @@ def groebner(pres, cap, order=None):
     counter = 0
     heap = []
 
-    def push_pairs(e, against):
+    def push_pairs(e):
         nonlocal counter
-        for other in against:
-            pairs = ((e, other),) if other is e else ((e, other), (other, e))
-            for a, b in pairs:
-                for word, source, p1, p2 in _ambiguities(a, b, anchored):
-                    if len(word) > cap:
-                        continue
-                    counter += 1
-                    heapq.heappush(
-                        heap,
-                        (_word_key(word, idx), counter, word, source, a, b, p1, p2),
-                    )
+        partners.add(e)
+        for word, source, a, b, p1, p2 in partners.ambiguities(e):
+            if len(word) > cap:
+                continue
+            counter += 1
+            heapq.heappush(
+                heap, (_word_key(word, idx), counter, word, source, a, b, p1, p2)
+            )
 
-    for k, e in enumerate(basis):
-        push_pairs(e, basis[: k + 1])
+    for e in basis:
+        push_pairs(e)
 
     while heap:
         _key, _n, word, source, g1, g2, p1, p2 = heapq.heappop(heap)
@@ -401,7 +501,7 @@ def groebner(pres, cap, order=None):
             if len(e.lead) > cap:
                 # cannot happen under a length-compatible order, guard anyway
                 raise GBError("reduction produced an over-cap leading word")
-            push_pairs(e, basis)
+            push_pairs(e)
 
     polys = tuple(
         NCPoly.make(e.terms, e.source, rank)
@@ -462,25 +562,35 @@ class NormalWords:
         self.g = g
         self.index = _basis_index(g)
         self.box_radius = box_radius
+        self._steps = {}  # vertex -> ((letter, target in the box), ...)
 
     def _is_normal_prefix(self, word, anchors):
-        # word was obtained by prepending one letter; only position-0 subwords are new
+        # word was obtained by prepending one letter; only position-0 subwords
+        # are new, and they are the nodes of one trie walk from the root
         n = len(word)
-        index = self.index
-        for length in index.lengths:
-            if length > n:
-                break
-            anchor = anchors[n - length] if index.anchored else None
-            if (word[:length], anchor) in index.tables[length]:
+        anchored = self.index.anchored
+        children = self.index.root[0]
+        for k in range(n):
+            node = children.get(word[k])
+            if node is None:
+                return True
+            children, ends = node
+            if ends and (anchors[n - k - 1] if anchored else None) in ends:
                 return False
         return True
 
-    def _in_box(self, v):
-        n = self.box_radius
-        return n is None or all(-n <= x <= n for x in v)
-
-    def letters(self):
-        return self.g.letters
+    def _steps_from(self, v):
+        """(letter, target) for each letter whose step from v stays in the box."""
+        steps = self._steps.get(v)
+        if steps is None:
+            r = self.box_radius
+            steps = []
+            for letter in self.g.letters:
+                t = word_target((letter,), v)
+                if r is None or all(-r <= x <= r for x in t):
+                    steps.append((letter, t))
+            steps = self._steps[v] = tuple(steps)
+        return steps
 
     def by_length(self, source, maxlen):
         """Lists of normal words from a given anchor (or None), per length 0..maxlen.
@@ -492,21 +602,20 @@ class NormalWords:
             raise UncertifiedRegionError(
                 "length %d beyond certified %d" % (maxlen, self.g.certified_len)
             )
+        anchored = source is not None
+        free_steps = tuple((letter, None) for letter in self.g.letters)
+        is_normal = self._is_normal_prefix
         # with a source, each word carries the vertices of its path (path_vertices)
-        current = [((), (tuple(source),) if source is not None else None)]
+        current = [((), (tuple(source),) if anchored else None)]
         out = [[()]]
         for _l in range(maxlen):
             nxt = []
             for word, verts in current:
-                for letter in self.letters():
-                    nverts = None
-                    if verts is not None:
-                        t2 = word_target((letter,), verts[-1])
-                        if not self._in_box(t2):
-                            continue
-                        nverts = verts + (t2,)
+                steps = self._steps_from(verts[-1]) if anchored else free_steps
+                for letter, t2 in steps:
+                    nverts = verts + (t2,) if anchored else None
                     nw = (letter,) + word
-                    if self._is_normal_prefix(nw, nverts):
+                    if is_normal(nw, nverts):
                         nxt.append((nw, nverts))
             current = nxt
             out.append([w for w, _v in current])

@@ -106,6 +106,21 @@ def test_terminated_resolution_pads_zeros(a1, f_classical):
     assert dims == (1, 0, 1)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="Ext of a fixed window still grows with the Groebner length cap: "
+    "A2 radius 3 gives (1, 0, 2) at lencap 10 and (1, 0, 3) at lencap 12",
+)
+def test_window_ext_independent_of_lencap(a2, f_classical):
+    """Once lencap is large enough, Ext at a fixed radius must not move."""
+    triv = trivial_module(a2, f_classical, (0, 0))
+    dims = []
+    for lencap in (10, 12):
+        algebra = build_algebra(a2, f_classical, 3, margin=2, lencap=lencap)
+        dims.append(ext_dims(minimal_resolution(algebra, triv, 2), triv, 2))
+    assert dims[0] == dims[1]
+
+
 # -- presentation-complex cross-check -------------------------------------
 
 

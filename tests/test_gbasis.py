@@ -17,10 +17,12 @@ from schurq import (
 )
 from schurq.gbasis import (
     UncertifiedRegionError,
+    _ambiguities,
     _basis_index,
     _Elem,
     _find_divisor,
     _LeadIndex,
+    _PartnerIndex,
     default_order,
     dense_rank_dims,
 )
@@ -278,6 +280,57 @@ def test_find_divisor_matches_linear_scan(lead_cases, name, data):
         assert got is not None and got[0] == want[0] and got[1] is want[1]
 
 
+def _scan_ambiguities(elems, anchored):
+    """Per element in rank order, the ambiguities of a scan over all pairs of
+    it with itself and every earlier element, in basis order."""
+    out = []
+    for k, e in enumerate(elems):
+        found = []
+        for other in elems[: k + 1]:
+            pairs = ((e, other),) if other is e else ((e, other), (other, e))
+            for a, b in pairs:
+                for word, source, p1, p2 in _ambiguities(a, b, anchored):
+                    found.append((word, source, a, b, p1, p2))
+        out.append(found)
+    return out
+
+
+def _assert_partners_match_scan(elems, anchored):
+    partners = _PartnerIndex(anchored)
+    want = _scan_ambiguities(elems, anchored)
+    for e, expected in zip(elems, want):
+        partners.add(e)
+        # _Elem compares by identity, so the partners must be the same objects
+        assert list(partners.ambiguities(e)) == expected
+
+
+@pytest.mark.parametrize("name", ["A2 window r2", "B2 free", "overlapping"])
+def test_partner_lookup_matches_all_pairs_scan(lead_cases, name):
+    index = lead_cases[name][0]
+    _assert_partners_match_scan(index.elems, index.anchored)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    anchored=st.booleans(),
+    leads=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([("x", 0), ("y", 0)]), min_size=1, max_size=6),
+            st.integers(-2, 2),
+        ),
+        max_size=12,
+    ),
+)
+def test_partner_lookup_matches_scan_on_random_leads(anchored, leads):
+    """Repeated leads, self-overlaps and leads that differ only by anchor."""
+    idx = default_order(1).index()
+    elems = [
+        _Elem({tuple(w): QScalar.one()}, (v,) if anchored else None, idx)
+        for w, v in leads
+    ]
+    _assert_partners_match_scan(elems, anchored)
+
+
 @pytest.mark.parametrize("window", ["a1_window", "a2_window"])
 def test_levels_from_matches_linear_scan(request, window):
     algebra = request.getfixturevalue(window)
@@ -292,10 +345,18 @@ def test_levels_from_matches_linear_scan(request, window):
                 assert algebra.component(v, t, maxlen) == expected
 
 
-# sha256 of GBResult.serialize(), recorded from the linear-scan engine
+@pytest.fixture(scope="module")
+def a2_window_r3(a2, f_classical):
+    """The larger window of the sl3 probe: radius 3, lencap 10."""
+    return build_algebra(a2, f_classical, 3, margin=2)
+
+
+# sha256 of GBResult.serialize(), recorded from the linear-scan engine (a1, a2)
+# and from the all-pairs ambiguity scan (a2 radius 3)
 _WINDOW_HASHES = {
     "a1_window": "3fb9bf7ada96e71a1af60fb1413f8f9dff766acdd1b9d5efb2a0fafe02886383",
     "a2_window": "d5bb07f91b9fa7504b88bf7599657863a7e1288ff03f0b8b2eba4e889df62cf2",
+    "a2_window_r3": "e1a2845433e1281c9a0b5ab0cc7cbb81acaae6c72668238cc988b1f198eb94d5",
 }
 
 
