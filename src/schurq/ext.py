@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-
-from .qfield import QScalar
+from .qfield import MOD_P, QScalar
 from .presentation import instantiate_window, word_target
 from .gbasis import NormalWords, groebner, _reduce_full
-from .linalg import RationalSpan, Subspace, mat_rank, mat_vec, nullspace, solve
+from .linalg import ModularSpan, Subspace, mat_rank, mat_vec, nullspace, solve
 from .modules import _generated_submodule
 from .rootdata import flag_betti, flag_ring, weyl_table
 
@@ -30,6 +27,7 @@ __all__ = [
     "ExtError",
     "MarginError",
     "InstabilityError",
+    "ExtractionError",
     "build_algebra",
     "low_degree_ext",
     "minimal_resolution",
@@ -57,6 +55,22 @@ class MarginError(ExtError):
 
 class InstabilityError(ExtError):
     """A product or verdict was requested from unstable Ext data."""
+
+
+class ExtractionError(ExtError):
+    """The extracted generators of a stage do not generate its kernel at a weight.
+
+    ``rank`` is the rank of the generated span there, ``dim`` the exact
+    kernel dimension; ``stage`` is the stage's index once it is known.
+    """
+
+    def __init__(self, weight, rank, dim, stage=None):
+        self.weight, self.rank, self.dim, self.stage = weight, rank, dim, stage
+        where = "stage %d" % stage if stage is not None else "a stage"
+        super().__init__(
+            "%s: the generators span %d of the %d kernel dimensions at weight %s"
+            % (where, rank, dim, weight)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +103,12 @@ class WindowedAlgebra:
         source = tuple(source)
         if source in self._levels:
             return self._levels[source]
-        out = self._words.by_length(source, self.lencap)
+        out = []
         by_target = {}
-        for level in out:
-            for w in level:
-                by_target.setdefault(word_target(w, source), []).append(w)
+        for level in self._words.by_length(source, self.lencap, targets=True):
+            out.append([w for w, _t in level])
+            for w, t in level:
+                by_target.setdefault(t, []).append(w)
         self._levels[source] = out
         self._by_target[source] = by_target
         return out
@@ -255,7 +270,10 @@ def minimal_resolution(algebra, V, homcap):
             null = nullspace(rows, len(dom))
             if null:
                 kernels[m] = (dom, null)
-        stage = _extract_stage(algebra, prev, kernels)
+        try:
+            stage = _extract_stage(algebra, prev, kernels)
+        except ExtractionError as exc:
+            raise ExtractionError(exc.weight, exc.rank, exc.dim, stage=p) from None
         stages.append(stage)
         if not stage.gens:
             break
@@ -268,37 +286,31 @@ def _vec_maxlen(dom, vec):
     return max((len(w) for (g, w), c in zip(dom, vec) if c), default=0)
 
 
-# Fixed generic evaluation point for span bookkeeping during generator
-# extraction.  A vector outside the specialized span is outside the exact
-# span, so every generator added this way is genuinely needed; the chosen
-# generators and all differentials stay exact.  The specialization is exact
-# over Q; its values are kept as integer numerators over a common
-# denominator, so the span bookkeeping runs on integer rows.
-_GENERIC_Q = Fraction(991, 907)
-
-
-def _specialized(coeffs):
-    """(den, nums): the coefficients at _GENERIC_Q are nums[i] / den."""
-    vals = [c.specialize(_GENERIC_Q) if c else 0 for c in coeffs]
-    den = lcm(*(v.denominator for v in vals))
-    return den, [v.numerator * (den // v.denominator) for v in vals]
-
-
 def _extract_stage(algebra, prev, kernels):
     """Choose a generating set of the kernel submodule from per-weight bases.
 
-    Span membership is tracked at a fixed generic rational value of q: each
-    normal form's coefficients are specialized once and kept as integers over
-    a common denominator, every closure image is an integer multiple of the
-    specialized image, and the spans are ``RationalSpan``s of integer rows.
-    Scaling a vector does not change its membership, so the choice is that
-    of the specialized rational bookkeeping; the extracted generators and the
-    differential entries remain exact.
+    Candidates are the kernel basis vectors, shortest path entries first;
+    one that falls outside the span of the generators chosen so far becomes
+    a generator, and the span is closed under the arrows within the budget.
+    The span bookkeeping runs in Z/p at q = q0 (``qfield.MOD_P``,
+    ``MOD_Q0``): each normal form is mapped once to ``(word, int mod p)``
+    pairs and every closure image is accumulated mod p in a ``ModularSpan``.
+    The generators and the differential entries stay exact.
+
+    Certificate: every span row is the image mod p of an exact element of
+    the generated submodule, and reduction mod p never raises rank, so a
+    span whose rank equals the exact kernel dimension at a weight proves
+    that the generators generate the whole kernel there, within the budget.
+    A shortfall at any weight raises ExtractionError.  Every kernel basis
+    vector is offered to the span and their images are independent (unit
+    vectors at the free columns), so the check guards the bookkeeping
+    itself: a membership test that wrongly answers "spanned" and keeps
+    answering so for every vector that would restore the rank.
     """
     spans = {}
     tindex = {}
     for m, (dom, _null) in kernels.items():
-        spans[m] = RationalSpan(len(dom))
+        spans[m] = ModularSpan(len(dom))
         tindex[m] = {b: i for i, b in enumerate(dom)}
     candidates = []
     for m in sorted(kernels):
@@ -310,16 +322,14 @@ def _extract_stage(algebra, prev, kernels):
     gens = []
     diffs = []
     letters = algebra.letters()
-    spec_nf_cache = {}
+    mod_nf_cache = {}
 
-    def spec_nf(word, src):
+    def mod_nf(word, src):
         key = (word, src)
-        hit = spec_nf_cache.get(key)
+        hit = mod_nf_cache.get(key)
         if hit is None:
-            nf = algebra.nf(word, src)
-            den, nums = _specialized(nf.values())
-            hit = (den, tuple(zip(nf, nums)))
-            spec_nf_cache[key] = hit
+            hit = tuple((w, c.modp()) for w, c in algebra.nf(word, src).items())
+            mod_nf_cache[key] = hit
         return hit
 
     def close(m, ivec):
@@ -336,20 +346,15 @@ def _extract_stage(algebra, prev, kernels):
                 index = tindex.get(tgt)
                 if index is None:
                     continue
-                terms = [
-                    (g, c, spec_nf((letter,) + word, prev.gens[g]))
-                    for (g, word), c in elem
-                ]
-                scale = lcm(*(den for _g, _c, (den, _nf) in terms))
                 out = {}
-                for g, c, (den, nf) in terms:
-                    c *= scale // den
-                    for w2, n in nf:
+                for (g, word), c in elem:
+                    for w2, n in mod_nf((letter,) + word, prev.gens[g]):
                         key = (g, w2)
                         out[key] = out.get(key, 0) + c * n
                 tv = [0] * len(index)
                 live = False
                 for key, c in out.items():
+                    c %= MOD_P
                     if c:
                         i = index.get(key)
                         if i is None:  # escaped the target's kernel basis
@@ -361,7 +366,7 @@ def _extract_stage(algebra, prev, kernels):
                         queue.append((tgt, tv))
 
     for _len, m, vec in candidates:
-        ivec = _specialized(vec)[1]
+        ivec = [c.modp() for c in vec]
         if not spans[m].add(ivec):
             continue
         gens.append(m)
@@ -369,6 +374,10 @@ def _extract_stage(algebra, prev, kernels):
         entry = tuple(((g, w), c) for (g, w), c in zip(dom, vec) if c)
         diffs.append(entry)
         close(m, ivec)
+
+    for m in sorted(kernels):
+        if spans[m].dim != len(kernels[m][1]):
+            raise ExtractionError(m, spans[m].dim, len(kernels[m][1]))
 
     entry_len = max(
         (len(w) for entry in diffs for (_g, w), _c in entry), default=0

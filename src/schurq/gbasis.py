@@ -592,11 +592,12 @@ class NormalWords:
             steps = self._steps[v] = tuple(steps)
         return steps
 
-    def by_length(self, source, maxlen):
+    def by_length(self, source, maxlen, targets=False):
         """Lists of normal words from a given anchor (or None), per length 0..maxlen.
 
         Each level lists the one-letter left extensions of the previous level's
-        words, in that order and then in alphabet order.
+        words, in that order and then in alphabet order.  With ``targets``
+        (anchored only) each entry is ``(word, target vertex)``.
         """
         if maxlen > self.g.certified_len:
             raise UncertifiedRegionError(
@@ -607,7 +608,7 @@ class NormalWords:
         is_normal = self._is_normal_prefix
         # with a source, each word carries the vertices of its path (path_vertices)
         current = [((), (tuple(source),) if anchored else None)]
-        out = [[()]]
+        out = [[((), tuple(source))]] if targets else [[()]]
         for _l in range(maxlen):
             nxt = []
             for word, verts in current:
@@ -618,7 +619,10 @@ class NormalWords:
                     if is_normal(nw, nverts):
                         nxt.append((nw, nverts))
             current = nxt
-            out.append([w for w, _v in current])
+            if targets:
+                out.append([(w, v[-1]) for w, v in current])
+            else:
+                out.append([w for w, _v in current])
         return out
 
 

@@ -12,17 +12,20 @@ canonical form once per output entry instead of once per operation.  The
 reduced row echelon form of a row space is unique, so the results equal
 those of Gauss-Jordan elimination over the field.
 
-Two incremental spans keep a row space with membership tests.  ``Subspace``
-runs Gauss-Jordan over QScalar rows.  ``RationalSpan`` is its fraction-free
-counterpart over Q: it takes int or Fraction rows and keeps each reduced row
-echelon row as a sparse primitive integer row, so a membership test is one
-integer combination and ``reduce`` divides once per entry.
+Three incremental spans keep a row space with membership tests.
+``Subspace`` runs Gauss-Jordan over QScalar rows.  ``RationalSpan`` is its
+fraction-free counterpart over Q: it takes int or Fraction rows and keeps
+each reduced row echelon row as a sparse primitive integer row, so a
+membership test is one integer combination and ``reduce`` divides once per
+entry.  ``ModularSpan`` keeps rows over Z/p (p = ``qfield.MOD_P``) as sparse
+reduced row echelon rows with pivot 1; its rank never exceeds the rank over
+Q of integer rows that reduce to its inputs.
 
 Every elimination in the package goes through this module: the Q(q)
 kernels, ranks and solves of resolutions and Yoneda lifts, the coinvariant
 ring and the finite-type test in ``rootdata``, the dense-rank oracle
 ``gbasis.dense_rank_dims``, the submodule closures of ``modules`` and
-``ext``, and the span bookkeeping of stage extraction in ``ext``.
+``ext``, and the mod-p span bookkeeping of stage extraction in ``ext``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .qfield import (
+    MOD_P,
     CoefficientOverflowError,
     QScalar,
     _zdiv,
@@ -51,6 +55,7 @@ __all__ = [
     "solve",
     "Subspace",
     "RationalSpan",
+    "ModularSpan",
 ]
 
 _Z = QScalar.zero()
@@ -386,5 +391,54 @@ class RationalSpan:
             g = gcd(*upd.values())
             self._rows[p] = {j: x // g for j, x in upd.items()} if g != 1 else upd
         self._rows[lead] = new
+        self.pivots.append(lead)
+        return True
+
+
+class ModularSpan:
+    """Incrementally built row space over Z/p, p = MOD_P.
+
+    Rows are sequences of ints, read mod p.  Each basis row is a sparse
+    {column: int} row of the reduced row echelon form: its pivot entry is 1
+    and it is zero at every other pivot column.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = []  # pivot columns in insertion order
+        self._rows = {}  # pivot column -> row
+
+    @property
+    def dim(self):
+        return len(self.pivots)
+
+    def add(self, vec):
+        """Insert a vector; returns True if it enlarged the span."""
+        out = {j: x % MOD_P for j, x in enumerate(vec) if x % MOD_P}
+        rows = self._rows
+        for p in [p for p in out if p in rows]:
+            f = out[p]
+            for j, y in rows[p].items():
+                t = (out.get(j, 0) - f * y) % MOD_P
+                if t:
+                    out[j] = t
+                else:
+                    del out[j]
+        if not out:
+            return False
+        lead = min(out)
+        inv = pow(out[lead], -1, MOD_P)
+        if inv != 1:
+            out = {j: x * inv % MOD_P for j, x in out.items()}
+        for brow in rows.values():
+            f = brow.get(lead)
+            if f:
+                for j, y in out.items():
+                    t = (brow.get(j, 0) - f * y) % MOD_P
+                    if t:
+                        brow[j] = t
+                    else:
+                        del brow[j]
+        rows[lead] = out
         self.pivots.append(lead)
         return True

@@ -23,6 +23,11 @@ returns one, ``render`` prints each coefficient as ``Fraction(c, den[-1])``
 (the coefficient of the monic-denominator form, so the text does not depend
 on the integer scaling) and ``parse_qscalar`` reads that text back.
 
+``modp`` maps a scalar to its image in Z/p at q = q0 for the fixed word-size
+prime ``MOD_P`` and point ``MOD_Q0``: Horner mod p on num and den and one
+modular inverse.  Where the denominator vanishes mod p it raises
+ModularPoleError instead of returning a value.
+
 The bit ceiling (``set_bit_ceiling``) bounds the bit length of every integer
 stored in the primitive num and den; every construction path checks it and
 raises CoefficientOverflowError.
@@ -38,7 +43,10 @@ __all__ = [
     "QScalar",
     "QArithmeticError",
     "QPoleError",
+    "ModularPoleError",
     "CoefficientOverflowError",
+    "MOD_P",
+    "MOD_Q0",
     "qint",
     "qbinom",
     "specialize",
@@ -56,8 +64,18 @@ class QPoleError(QArithmeticError):
     """Raised when a scalar is evaluated at a pole."""
 
 
+class ModularPoleError(QPoleError):
+    """Raised when a scalar's denominator vanishes mod MOD_P at q = MOD_Q0."""
+
+
 class CoefficientOverflowError(QArithmeticError):
     """Raised when a stored integer coefficient exceeds the configured bit ceiling."""
+
+
+# The word-size prime and the point of Z/p at which ``QScalar.modp`` evaluates:
+# q0 is the image of 991/907.
+MOD_P = 2**31 - 1
+MOD_Q0 = 991 * pow(907, -1, MOD_P) % MOD_P
 
 
 _BIT_CEILING = 1_000_000
@@ -432,6 +450,32 @@ class QScalar:
             d *= r ** (-e)
         return Fraction(n, d)
 
+    def modp(self):
+        """The image of the scalar in Z/p at q = q0 (MOD_P, MOD_Q0), in [0, p).
+
+        Raises ModularPoleError where the denominator vanishes mod p.
+        """
+        num, den, shift = self.num, self.den, self.shift
+        if not num:
+            return 0
+        if len(den) == 1:
+            d = den[0] % MOD_P
+            if d == 0:
+                raise ModularPoleError("denominator %d vanishes mod %d" % (den[0], MOD_P))
+        else:
+            d = _mod_eval(den)
+            if d == 0:
+                raise ModularPoleError(
+                    "denominator %s vanishes mod %d at q = %d"
+                    % (_laurent_text(0, den, 1), MOD_P, MOD_Q0)
+                )
+        n = num[0] % MOD_P if len(num) == 1 else _mod_eval(num)
+        if shift:
+            n = n * pow(MOD_Q0, shift, MOD_P)
+        if d != 1:
+            n = n * pow(d, -1, MOD_P)
+        return n % MOD_P
+
     # -- rendering -----------------------------------------------------
 
     def render(self):
@@ -627,6 +671,14 @@ def _hom_eval(c, p, r):
     for x in reversed(c[:-1]):
         acc = acc * p + x * rp
         rp *= r
+    return acc
+
+
+def _mod_eval(c):
+    """c(MOD_Q0) mod MOD_P by Horner."""
+    acc = 0
+    for x in reversed(c):
+        acc = (acc * MOD_Q0 + x) % MOD_P
     return acc
 
 

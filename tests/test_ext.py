@@ -21,8 +21,10 @@ from schurq import (
     yoneda_square,
 )
 from schurq import ext as ext_module
+from schurq.cli import main
 from schurq.ext import (
     ExtError,
+    ExtractionError,
     ExtTable,
     InstabilityError,
     MarginError,
@@ -30,7 +32,8 @@ from schurq.ext import (
     _cocycle_components,
     _hom_layout,
 )
-from schurq.linalg import Subspace
+from schurq.linalg import ModularSpan, Subspace
+from schurq.qfield import MOD_P
 from schurq.presentation import FSpec, instantiate_window
 
 
@@ -61,6 +64,13 @@ STAGE_SHA256 = {
     ("A", 1, "qinteger", 6, 4): (
         "5cafbd97fd36d44fc660c39d19eb62eb0b1bc426841d7d2b3edc58ae38f15d8c"
     ),
+    # the larger windows of the sl3_probe and quantum_sl2 benchmark workloads
+    ("A", 2, "classical", 3, 2): (
+        "cf19f867c27751ab27ca3be90008f75682d91331e37df6cdeb08f25ae3991f1b"
+    ),
+    ("A", 1, "qinteger", 8, 4): (
+        "311c5d1cc6470a32629d7e4fc1866a5366fe458a7d571ded55e10fecf25704bb"
+    ),
 }
 
 
@@ -74,6 +84,74 @@ def test_stage_extraction_is_pinned(key):
     res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), homcap)
     text = repr([(s.gens, s.diff, s.budget) for s in res.stages])
     assert hashlib.sha256(text.encode()).hexdigest() == STAGE_SHA256[key]
+
+
+class _BlindSpan(ModularSpan):
+    """A broken span: it calls every vector that touches the lead column of
+    the first vector it was given already spanned.  So it drops that first
+    vector, a generator, together with every vector that could restore the
+    rank, which a correct span never does; the certificate must catch it."""
+
+    blind = None
+
+    def add(self, vec):
+        if self.blind is None:
+            self.blind = next(j for j, x in enumerate(vec) if x % MOD_P)
+        if vec[self.blind] % MOD_P:
+            return False
+        return super().add(vec)
+
+
+def _break_stage(monkeypatch, stage):
+    """Run stage extraction with _BlindSpan spans at the given stage only."""
+    real = ext_module._extract_stage
+    calls = []
+
+    def extract(algebra, prev, kernels):
+        calls.append(kernels)
+        span = _BlindSpan if len(calls) == stage else ModularSpan
+        monkeypatch.setattr(ext_module, "ModularSpan", span)
+        return real(algebra, prev, kernels)
+
+    monkeypatch.setattr(ext_module, "_extract_stage", extract)
+
+
+@pytest.mark.parametrize(
+    "series,rank,family,radius,stage",
+    [
+        ("A", 1, "classical", 4, 1),
+        ("A", 1, "classical", 4, 2),
+        ("A", 1, "qinteger", 4, 1),
+        ("A", 1, "qinteger", 4, 2),
+        ("A", 2, "classical", 2, 2),
+    ],
+)
+def test_dropped_generator_fails_the_certificate(
+    series, rank, family, radius, stage, monkeypatch
+):
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=stage)
+    _break_stage(monkeypatch, stage)
+    with pytest.raises(ExtractionError) as info:
+        minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), stage)
+    err = info.value
+    assert err.stage == stage and err.rank < err.dim
+    text = str(err)
+    assert "stage %d" % stage in text and str(err.weight) in text
+    assert "%d of the %d" % (err.rank, err.dim) in text
+
+
+def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, capsys):
+    triv = trivial_module(a1, f_classical, (0,))
+    _break_stage(monkeypatch, 2)
+    with pytest.raises(ExtractionError):
+        schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    monkeypatch.undo()
+    _break_stage(monkeypatch, 2)
+    code = main(["schur-check", "--type", "A1", "--homcap", "4", "--window", "6"])
+    captured = capsys.readouterr()
+    assert code == 1 and "ExtractionError" in captured.err and not captured.out
 
 
 def test_trivial_module_ext_dims(a1_setup):

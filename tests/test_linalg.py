@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.linalg import RationalSpan, mat_rank, mat_vec, nullspace, solve
+from schurq.linalg import ModularSpan, RationalSpan, mat_rank, mat_vec, nullspace, solve
 from schurq.qfield import (
+    MOD_P,
     CoefficientOverflowError,
     QScalar,
     get_bit_ceiling,
@@ -319,3 +320,50 @@ def test_rational_span_edges():
     assert span.pivots == [1, 0]
     assert span.reduce([0, 0, 1]) == [0, 0, 1]
     assert span.reduce([1, 0, 0]) == [0, 0, Fraction(-6, 5)]
+
+
+# -- ModularSpan against RationalSpan on small integer matrices ---------------
+
+small_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.lists(st.sampled_from([0, 0, 1, -1]), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rows, st.data())
+def test_modular_span_matches_rational_span(rows, data):
+    """Entries |x| <= 9 in at most 6 x 6 keep every minor below p in absolute
+    value (Hadamard), so the rank mod p of every prefix is the rank over Q."""
+    n = len(rows[0])
+    mod, rat = ModularSpan(n), RationalSpan(n)
+    seen = []
+    for row in rows:
+        if seen and data.draw(st.booleans()):
+            row = [-x for x in data.draw(st.sampled_from(seen))]  # a repeat
+        seen.append(row)
+        assert mod.add(row) == rat.add(row)
+        assert mod.dim == len(rat.pivots)
+        assert mod.pivots == rat.pivots
+
+
+def test_modular_span_edges():
+    span = ModularSpan(3)
+    assert not span.add([0, 0, 0])
+    assert not span.add([MOD_P, 0, -2 * MOD_P])  # zero mod p
+    assert span.dim == 0
+    assert span.add([0, 2, 4])
+    assert span._rows == {1: {1: 1, 2: 2}}  # pivot 1
+    assert not span.add([0, -5 + MOD_P, -10])
+    assert span.add([3, 1, 0])
+    assert span.pivots == [1, 0]
+    # fully reduced: zero at the other pivot, entries in [0, p)
+    assert span._rows[0] == {0: 1, 2: (-2 * pow(3, -1, MOD_P)) % MOD_P}
+    assert span.add([0, 0, 1]) and span.dim == 3
+    assert span._rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurq.qfield import (
+    MOD_P,
+    MOD_Q0,
     CoefficientOverflowError,
+    ModularPoleError,
     QPoleError,
     QScalar,
     get_bit_ceiling,
@@ -545,3 +548,42 @@ def test_parse_examples():
     )
     with pytest.raises(ValueError):
         parse_qscalar("q + +")
+
+
+# -- the image in Z/p at q0 ------------------------------------------------
+
+
+def _mod_of(x):
+    """A Fraction's image in Z/p."""
+    return x.numerator * pow(x.denominator, -1, MOD_P) % MOD_P
+
+
+def test_mod_point_is_the_image_of_991_over_907():
+    assert MOD_Q0 * 907 % MOD_P == 991
+    assert QScalar.q_pow(1).modp() == MOD_Q0
+    assert QScalar.q_pow(-3).modp() == pow(MOD_Q0, -3, MOD_P)
+    assert QScalar.zero().modp() == 0 and QScalar.one().modp() == 1
+    assert QScalar.from_rational(-1).modp() == MOD_P - 1
+    assert QScalar.from_rational(Fraction(10**40, 3)).modp() == _mod_of(Fraction(10**40, 3))
+
+
+@given(a=st.one_of(laurents, rational_functions), b=laurents)
+@settings(max_examples=80, deadline=None)
+def test_modp_is_the_reduction_of_the_value_at_991_over_907(a, b):
+    value = a.specialize(Fraction(991, 907))
+    assert a.modp() == _mod_of(value)
+    assert 0 <= a.modp() < MOD_P
+    assert (a + b).modp() == (a.modp() + b.modp()) % MOD_P
+    assert (a * b).modp() == a.modp() * b.modp() % MOD_P
+
+
+def test_modp_denominator_vanishing_mod_p_raises():
+    # q - q0 vanishes at q0 in Z/p but is a unit of Q(q)
+    for den in ((-MOD_Q0, 1), (MOD_P - MOD_Q0, 1), (-MOD_Q0 - 5 * MOD_P, 1)):
+        s = QScalar(2, (1, 1), den)
+        assert s.specialize(Fraction(991, 907))  # no pole over Q
+        with pytest.raises(ModularPoleError, match="vanishes mod"):
+            s.modp()
+    with pytest.raises(ModularPoleError):
+        QScalar.from_rational(Fraction(3, 7 * MOD_P)).modp()
+    assert issubclass(ModularPoleError, QPoleError)
