@@ -2,20 +2,36 @@
 
 The windowed algebra is handled through its normal-path basis, truncated at a
 path-length cap.  Projective resolutions are tracked by generator weights and
-differential entries (normal-form path combinations); kernels are computed
-weight by weight with exact linear algebra.  A per-stage length budget records
-where the truncated computation is faithful; trust for verdicts additionally
-requires agreement across two window radii.
+differential entries (normal-form path combinations).  Kernels are computed
+weight by weight over Z/p at q0 (``qfield.MOD_P``, ``MOD_Q0``) from normal
+forms mod p, and stage extraction chooses generators and closes their span
+there.  Exact arithmetic is kept for what is output or checked exactly: each
+chosen generator is read off the exact kernel at its weight and must reduce
+to its mod-p candidate, and ``d o d = 0``, the Ext ranks and the Yoneda lifts
+are exact.  A per-stage certificate proves that the generators generate each
+kernel; a per-stage length budget records where the truncated computation is
+faithful; trust for verdicts additionally requires agreement across two window
+radii.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+
 from .qfield import MOD_P, QScalar
 from .presentation import instantiate_window, word_target
 from .gbasis import NormalWords, groebner, _reduce_full
-from .linalg import ModularSpan, Subspace, mat_rank, mat_vec, nullspace, solve
+from .linalg import (
+    ModularSpan,
+    Subspace,
+    mat_rank,
+    mat_vec,
+    nullspace,
+    nullspace_mod,
+    solve,
+)
 from .modules import _generated_submodule
 from .rootdata import flag_betti, flag_ring, weyl_table
 
@@ -28,6 +44,7 @@ __all__ = [
     "MarginError",
     "InstabilityError",
     "ExtractionError",
+    "KernelLiftError",
     "build_algebra",
     "low_degree_ext",
     "minimal_resolution",
@@ -60,16 +77,45 @@ class InstabilityError(ExtError):
 class ExtractionError(ExtError):
     """The extracted generators of a stage do not generate its kernel at a weight.
 
-    ``rank`` is the rank of the generated span there, ``dim`` the exact
-    kernel dimension; ``stage`` is the stage's index once it is known.
+    ``rank`` is the rank of the generated span there, ``dim`` the kernel
+    dimension mod p; ``stage`` is the stage's index once it is known.
     """
 
     def __init__(self, weight, rank, dim, stage=None):
         self.weight, self.rank, self.dim, self.stage = weight, rank, dim, stage
-        where = "stage %d" % stage if stage is not None else "a stage"
-        super().__init__(
-            "%s: the generators span %d of the %d kernel dimensions at weight %s"
-            % (where, rank, dim, weight)
+        super().__init__(self._message())
+
+    def _where(self):
+        return "stage %d" % self.stage if self.stage is not None else "a stage"
+
+    def _message(self):
+        return "%s: the generators span %d of the %d kernel dimensions at weight %s" % (
+            self._where(), self.rank, self.dim, self.weight
+        )
+
+    def set_stage(self, stage):
+        self.stage = stage
+        self.args = (self._message(),)
+
+
+class KernelLiftError(ExtractionError):
+    """A kernel vector mod p chosen as a generator is not the image of the
+    exact kernel vector at its position.
+
+    ``index`` is the vector's position in the kernel basis at ``weight``,
+    ``dim`` the exact kernel dimension there.
+    """
+
+    def __init__(self, weight, index, dim, stage=None):
+        self.weight, self.index, self.dim, self.stage = weight, index, dim, stage
+        self.rank = None
+        ExtError.__init__(self, self._message())
+
+    def _message(self):
+        return (
+            "%s: kernel vector %d mod p at weight %s is not the image of the "
+            "exact one (exact kernel dimension %d)"
+            % (self._where(), self.index, self.weight, self.dim)
         )
 
 
@@ -89,6 +135,7 @@ class WindowedAlgebra:
         self._levels = {}  # source -> list per length of [word]
         self._by_target = {}  # source -> {target: [word]} in levels order
         self._nf_cache = {}
+        self._nf_mod_cache = {}
 
     @property
     def rank(self):
@@ -122,16 +169,24 @@ class WindowedAlgebra:
 
     def nf(self, word, source):
         """Normal form of an anchored word: dict {word: QScalar}."""
+        return self._normal_form(word, source, False, self._nf_cache)
+
+    def nf_mod(self, word, source):
+        """The image of ``nf`` mod p at q0: dict {word: int in [0, MOD_P)}."""
+        return self._normal_form(word, source, True, self._nf_mod_cache)
+
+    def _normal_form(self, word, source, modular, cache):
         if len(word) > self.gb.certified_len:
             raise ExtError(
                 "word length %d beyond certified region %d"
                 % (len(word), self.gb.certified_len)
             )
         key = (word, source)
-        hit = self._nf_cache.get(key)
+        hit = cache.get(key)
         if hit is None:
-            hit = _reduce_full({word: _O}, source, self._index, self._idx)
-            self._nf_cache[key] = hit
+            one = 1 if modular else _O
+            hit = _reduce_full({word: one}, source, self._index, self._idx, modular)
+            cache[key] = hit
         return hit
 
     def describe(self):
@@ -197,19 +252,27 @@ def _pbasis(algebra, stage, m):
     return out
 
 
-def _diff_matrix(algebra, stages, p, m, domain=None):
-    """Matrix of d_p at weight m: P_p(m) -> P_{p-1}(m) in the ordered bases."""
+def _diff_matrix(algebra, stages, p, m, diff_mod=None):
+    """Matrix of d_p at weight m: P_p(m) -> P_{p-1}(m) in the ordered bases.
+
+    With ``diff_mod`` (stage p's differential entries mod p) the matrix is
+    over Z/p: its entries are ints, read mod p, built from ``nf_mod``.
+    """
     stage = stages[p]
     prev = stages[p - 1]
-    dom = domain if domain is not None else _pbasis(algebra, stage, m)
+    dom = _pbasis(algebra, stage, m)
     cod = _pbasis(algebra, prev, m)
     cindex = {b: i for i, b in enumerate(cod)}
+    if diff_mod is None:
+        diff, nf, zero = stage.diff, algebra.nf, _Z
+    else:
+        diff, nf, zero = diff_mod, algebra.nf_mod, 0
     cols = []
     for (g, word) in dom:
-        vec = [_Z] * len(cod)
-        for (gp, u), c2 in stage.diff[g]:
+        vec = [zero] * len(cod)
+        for (gp, u), c2 in diff[g]:
             src = prev.gens[gp]
-            for w2, c3 in algebra.nf(word + u, src).items():
+            for w2, c3 in nf(word + u, src).items():
                 i = cindex.get((gp, w2))
                 if i is None:
                     raise ExtError(
@@ -221,24 +284,65 @@ def _diff_matrix(algebra, stages, p, m, domain=None):
     return dom, cod, rows
 
 
-def _aug_matrix(algebra, stage, V, m):
+def _act_mod(V, word, n, vec):
+    """The action of an operator word on an int vector of V(n), mod p."""
+    for letter in reversed(word):
+        vec = [
+            sum(x.modp() * y for x, y in zip(row, vec) if x and y) % MOD_P
+            for row in V.matrix(letter, n)
+        ]
+        n = word_target((letter,), n)
+    return vec
+
+
+def _aug_matrix(algebra, stage, V, m, aug_mod=None):
+    """Matrix of the augmentation P_0(m) -> V(m); over Z/p with ``aug_mod``
+    (the stage's augmentation vectors mod p)."""
     dom = _pbasis(algebra, stage, m)
     dim = V.dim(m)
     cols = []
     for (g, word) in dom:
         w = stage.gens[g]
-        vec = mat_vec(V.word_matrix(word, w), stage.aug[g])
+        if aug_mod is None:
+            vec = mat_vec(V.word_matrix(word, w), stage.aug[g])
+        else:
+            vec = _act_mod(V, word, w, aug_mod[g])
         cols.append(vec)
     rows = tuple(tuple(col[i] for col in cols) for i in range(dim))
     return dom, rows
 
 
+def _map_matrix(algebra, stages, V, k, m, mod=None):
+    """Domain basis and matrix at weight m of the map out of stage k: the
+    augmentation to V for k = 0, d_k otherwise.  With ``mod`` (stage k's
+    augmentation vectors or differential entries mod p) it is over Z/p."""
+    if k == 0:
+        return _aug_matrix(algebra, stages[0], V, m, mod)
+    dom, _cod, rows = _diff_matrix(algebra, stages, k, m, diff_mod=mod)
+    return dom, rows
+
+
+def _exact_kernel(algebra, stages, V, k, m):
+    """Exact kernel basis at weight m of the map out of stage k."""
+    dom, rows = _map_matrix(algebra, stages, V, k, m)
+    return nullspace(rows, len(dom))
+
+
+def _mod_data(stage):
+    """A stage's augmentation vectors (stage 0) or differential entries, mod p."""
+    if stage.aug:
+        return tuple(tuple(x.modp() for x in v) for v in stage.aug)
+    return tuple(tuple((key, c.modp()) for key, c in entry) for entry in stage.diff)
+
+
 def minimal_resolution(algebra, V, homcap):
     """Projective resolution of V over the windowed algebra through homcap stages.
 
-    Generators of each kernel are extracted greedily (short path entries first)
-    and closed under the arrow action to confirm they generate within the
-    length budget; differentials are checked to compose to zero exactly.
+    Each stage's kernels are computed weight by weight over Z/p at q0, from
+    ``nf_mod``; generators are extracted greedily (short path entries first),
+    taken exact from the exact kernel at their weight, and closed under the
+    arrow action to confirm they generate within the length budget.
+    Differentials are checked to compose to zero exactly.
     """
     n = algebra.quiver.radius
     margin = algebra.quiver.margin
@@ -259,21 +363,21 @@ def minimal_resolution(algebra, V, homcap):
     box = list(algebra.quiver.vertices)
     for p in range(1, homcap + 1):
         prev = stages[-1]
+        mod = _mod_data(prev)
         kernels = {}
         for m in box:
-            if p == 1:
-                dom, rows = _aug_matrix(algebra, prev, V, m)
-            else:
-                dom, _cod, rows = _diff_matrix(algebra, stages, p - 1, m)
+            dom, rows = _map_matrix(algebra, stages, V, p - 1, m, mod)
             if not dom:
                 continue
-            null = nullspace(rows, len(dom))
+            null = nullspace_mod(rows, len(dom))
             if null:
-                kernels[m] = (dom, null)
+                exact = partial(_exact_kernel, algebra, stages, V, p - 1, m)
+                kernels[m] = (dom, null, exact)
         try:
             stage = _extract_stage(algebra, prev, kernels)
         except ExtractionError as exc:
-            raise ExtractionError(exc.weight, exc.rank, exc.dim, stage=p) from None
+            exc.set_stage(p)
+            raise
         stages.append(stage)
         if not stage.gens:
             break
@@ -289,48 +393,52 @@ def _vec_maxlen(dom, vec):
 def _extract_stage(algebra, prev, kernels):
     """Choose a generating set of the kernel submodule from per-weight bases.
 
-    Candidates are the kernel basis vectors, shortest path entries first;
-    one that falls outside the span of the generators chosen so far becomes
-    a generator, and the span is closed under the arrows within the budget.
-    The span bookkeeping runs in Z/p at q = q0 (``qfield.MOD_P``,
-    ``MOD_Q0``): each normal form is mapped once to ``(word, int mod p)``
-    pairs and every closure image is accumulated mod p in a ``ModularSpan``.
-    The generators and the differential entries stay exact.
+    ``kernels[m]`` is ``(dom, null, exact)``: the domain basis at weight m,
+    the kernel basis there over Z/p at q0 (``qfield.MOD_P``, ``MOD_Q0``) in
+    ``nullspace``'s normal form, and a function that computes the exact
+    kernel basis.  Candidates are the mod-p kernel vectors, shortest path
+    entries first; one that falls outside the span of the generators chosen
+    so far becomes a generator, and the span is closed under the arrows
+    within the budget.  The span and the closure run in Z/p: closure images
+    come from ``nf_mod`` and are accumulated in a ``ModularSpan``.
 
-    Certificate: every span row is the image mod p of an exact element of
-    the generated submodule, and reduction mod p never raises rank, so a
-    span whose rank equals the exact kernel dimension at a weight proves
-    that the generators generate the whole kernel there, within the budget.
-    A shortfall at any weight raises ExtractionError.  Every kernel basis
-    vector is offered to the span and their images are independent (unit
-    vectors at the free columns), so the check guards the bookkeeping
-    itself: a membership test that wrongly answers "spanned" and keeps
-    answering so for every vector that would restore the rank.
+    Exact only where chosen: a candidate that becomes a generator takes
+    vector k of the exact kernel at its weight (computed at most once per
+    weight), where k is the candidate's position in the mod-p basis.  Its
+    image mod p must equal the candidate, else ``KernelLiftError`` names the
+    weight.  So every generator and differential entry is exact.
+
+    Certificate: at every weight m the span rank must equal the dimension
+    of the kernel mod p, else ExtractionError.  Every span row is the image
+    mod p of an exact element of the generated submodule G, and reduction
+    mod p neither raises the rank of a set of vectors nor lowers the
+    dimension of a kernel, so
+
+        span rank <= dim G(m) <= dim ker(m) <= dim ker_p(m),
+
+    and equality of the two ends proves that the generators generate the
+    whole exact kernel at m, within the budget.  Every kernel basis vector
+    is offered to the span and they are independent (unit vectors at the
+    free columns), so the check also guards the bookkeeping itself: a
+    membership test that wrongly answers "spanned" and keeps answering so
+    for every vector that would restore the rank.
     """
     spans = {}
     tindex = {}
-    for m, (dom, _null) in kernels.items():
+    for m, (dom, _null, _exact) in kernels.items():
         spans[m] = ModularSpan(len(dom))
         tindex[m] = {b: i for i, b in enumerate(dom)}
     candidates = []
     for m in sorted(kernels):
-        dom, null = kernels[m]
-        for vec in null:
-            candidates.append((_vec_maxlen(dom, vec), m, vec))
+        dom, null, _exact = kernels[m]
+        for k, vec in enumerate(null):
+            candidates.append((_vec_maxlen(dom, vec), m, k, vec))
     candidates.sort(key=lambda t: (t[0], t[1]))
 
     gens = []
     diffs = []
     letters = algebra.letters()
-    mod_nf_cache = {}
-
-    def mod_nf(word, src):
-        key = (word, src)
-        hit = mod_nf_cache.get(key)
-        if hit is None:
-            hit = tuple((w, c.modp()) for w, c in algebra.nf(word, src).items())
-            mod_nf_cache[key] = hit
-        return hit
+    exact_kernels = {}
 
     def close(m, ivec):
         """Add the closure of ivec (already in spans[m]) under the arrows."""
@@ -348,7 +456,7 @@ def _extract_stage(algebra, prev, kernels):
                     continue
                 out = {}
                 for (g, word), c in elem:
-                    for w2, n in mod_nf((letter,) + word, prev.gens[g]):
+                    for w2, n in algebra.nf_mod((letter,) + word, prev.gens[g]).items():
                         key = (g, w2)
                         out[key] = out.get(key, 0) + c * n
                 tv = [0] * len(index)
@@ -365,15 +473,18 @@ def _extract_stage(algebra, prev, kernels):
                     if live and spans[tgt].add(tv):
                         queue.append((tgt, tv))
 
-    for _len, m, vec in candidates:
-        ivec = [c.modp() for c in vec]
-        if not spans[m].add(ivec):
+    for _len, m, k, vec in candidates:
+        if not spans[m].add(vec):
             continue
+        dom, _null, exact = kernels[m]
+        if m not in exact_kernels:
+            exact_kernels[m] = exact()
+        basis = exact_kernels[m]
+        if k >= len(basis) or [c.modp() for c in basis[k]] != vec:
+            raise KernelLiftError(m, k, len(basis))
         gens.append(m)
-        dom = kernels[m][0]
-        entry = tuple(((g, w), c) for (g, w), c in zip(dom, vec) if c)
-        diffs.append(entry)
-        close(m, ivec)
+        diffs.append(tuple(((g, w), c) for (g, w), c in zip(dom, basis[k]) if c))
+        close(m, vec)
 
     for m in sorted(kernels):
         if spans[m].dim != len(kernels[m][1]):
@@ -491,10 +602,7 @@ def _top_constraints(res, W, wordmat_cache):
     dom_off, dom_dim = _hom_layout(res, p, W)
     rows = []
     for m, dimW in W.dims:
-        if p == 0:
-            dom, mrows = _aug_matrix(algebra, stages[0], res.module, m)
-        else:
-            dom, _cod, mrows = _diff_matrix(algebra, stages, p, m)
+        dom, mrows = _map_matrix(algebra, stages, res.module, p, m)
         if not dom:
             continue
         null = nullspace(mrows, len(dom))

@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 
 from .linalg import mat_rank
-from .qfield import QScalar
+from .qfield import MOD_P, QScalar
 from .presentation import (
     NCPoly,
     Presentation,
@@ -91,7 +91,7 @@ def _lead(terms, idx):
 
 
 class _Elem:
-    __slots__ = ("terms", "source", "lead")
+    __slots__ = ("terms", "source", "lead", "_mod_terms")
 
     def __init__(self, terms, source, idx):
         lead = _lead(terms, idx)
@@ -101,6 +101,13 @@ class _Elem:
         self.terms = terms
         self.source = source
         self.lead = lead
+        self._mod_terms = None
+
+    def mod_terms(self):
+        """The terms with each coefficient mapped once by ``QScalar.modp``."""
+        if self._mod_terms is None:
+            self._mod_terms = {w: v.modp() for w, v in self.terms.items()}
+        return self._mod_terms
 
 
 def _subword_source(word, pos, sublen, source):
@@ -140,8 +147,15 @@ class _LeadIndex:
         self.elems.append(e)
 
 
-def _find_divisor(word, source, index):
-    """Leftmost (pos, g) with lead(g) dividing word at pos, lowest rank first."""
+def _find_divisor(word, source, index, hint=None):
+    """Leftmost (pos, g, anchors) with lead(g) dividing word at pos, lowest
+    rank first; None if the word is normal.
+
+    ``anchors`` is ``path_vertices(word, source)`` if a walk needed it, else
+    None.  ``hint = (parent, shared)`` says that the last ``shared`` letters
+    of word are those of a word whose anchors list is ``parent``, so only
+    the anchors left of them are computed.
+    """
     n = len(word)
     anchored = index.anchored
     # anchors[j]: the anchor of a subword followed by the last j letters,
@@ -159,43 +173,62 @@ def _find_divisor(word, source, index):
             if ends:
                 if anchored:
                     if anchors is None:
-                        anchors = path_vertices(word, source)
+                        if hint is None:
+                            anchors = path_vertices(word, source)
+                        else:
+                            parent, shared = hint
+                            anchors = parent[:shared] + path_vertices(
+                                word[: n - shared], parent[shared]
+                            )
                     hit = ends.get(anchors[n - k - 1])
                 else:
                     hit = ends.get(None)
                 if hit is not None and (best is None or hit[0] < best[0]):
                     best = hit
         if best is not None:
-            return pos, best[1]
+            return pos, best[1], anchors
     return None
 
 
-def _reduce_full(terms, source, index, idx):
+def _reduce_full(terms, source, index, idx, modular=False):
     """Totally reduce a {word: coeff} dict; returns a new dict.
 
     Pending words leave a heap largest first.  Each word is keyed once, when
     it enters ``work``, by ``(-length, letter ranks)``: the reverse of the
-    order ``_word_key`` gives, and distinct for distinct words.
+    order ``_word_key`` gives, and distinct for distinct words.  A word made
+    by rewriting a divisible word keeps that word's right end, so its
+    anchors are extended from the parent's (``_find_divisor``'s hint).
+
+    With ``modular`` the coefficients are ints read mod ``MOD_P`` and each
+    element contributes ``mod_terms()``.  Sums and products stay unreduced
+    until a word leaves the heap, and the result is in ``[0, MOD_P)``.  The
+    elements are monic and ``QScalar.modp`` is a ring map, so the result is
+    the image mod p of the exact normal form (Bergman's resolvable
+    ambiguities stay resolvable mod p).
     """
     done = {}
     work = dict(terms)
+    hints = {}
     rank = idx.__getitem__
     heap = [(-len(w), tuple(map(rank, w)), w) for w in work]
     heapq.heapify(heap)
     while heap:
         w = heapq.heappop(heap)[2]
         c = work.pop(w)
+        if modular:
+            c %= MOD_P
         if not c:
             continue
-        hit = _find_divisor(w, source, index)
+        hit = _find_divisor(w, source, index, hints.pop(w, None))
         if hit is None:
-            done[w] = done.get(w, QScalar.zero()) + c
+            done[w] = done[w] + c if w in done else c
             continue
-        pos, g = hit
+        pos, g, anchors = hit
         u = g.lead
         left, right = w[:pos], w[pos + len(u):]
+        hint = (anchors, len(right)) if anchors is not None else None
         c = -c
-        for uw, uc in g.terms.items():
+        for uw, uc in (g.mod_terms() if modular else g.terms).items():
             if uw == u:
                 continue
             nw = left + uw + right
@@ -208,7 +241,11 @@ def _reduce_full(terms, source, index, idx):
                 work[nw] = work[nw] + add
             else:
                 work[nw] = add
+                if hint is not None:
+                    hints[nw] = hint
                 heapq.heappush(heap, (-len(nw), tuple(map(rank, nw)), nw))
+    if modular:
+        return {w: v % MOD_P for w, v in done.items() if v % MOD_P}
     return {w: v for w, v in done.items() if v}
 
 

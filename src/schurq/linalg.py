@@ -19,11 +19,15 @@ each reduced row echelon row as a sparse primitive integer row, so a
 membership test is one integer combination and ``reduce`` divides once per
 entry.  ``ModularSpan`` keeps rows over Z/p (p = ``qfield.MOD_P``) as sparse
 reduced row echelon rows with pivot 1; its rank never exceeds the rank over
-Q of integer rows that reduce to its inputs.
+Q(q) of rows that reduce to its inputs.  ``nullspace_mod`` reads a kernel
+basis off those rows in ``nullspace``'s normal form, so where the echelon
+pivots mod p are those over Q(q) it is the image mod p of ``nullspace``'s
+basis, and otherwise it has more vectors.
 
-Every elimination in the package goes through this module: the Q(q)
-kernels, ranks and solves of resolutions and Yoneda lifts, the coinvariant
-ring and the finite-type test in ``rootdata``, the dense-rank oracle
+Every elimination in the package goes through this module: the per-weight
+kernels of resolutions (mod p, and exact where a generator is chosen), the
+Q(q) ranks and solves of Ext and Yoneda lifts, the coinvariant ring and the
+finite-type test in ``rootdata``, the dense-rank oracle
 ``gbasis.dense_rank_dims``, the submodule closures of ``modules`` and
 ``ext``, and the mod-p span bookkeeping of stage extraction in ``ext``.
 """
@@ -56,6 +60,7 @@ __all__ = [
     "Subspace",
     "RationalSpan",
     "ModularSpan",
+    "nullspace_mod",
 ]
 
 _Z = QScalar.zero()
@@ -442,3 +447,36 @@ class ModularSpan:
         rows[lead] = out
         self.pivots.append(lead)
         return True
+
+    def kernel(self):
+        """Basis of the right kernel of the rows added so far, mod p.
+
+        It is read off the reduced row echelon rows in ``nullspace``'s normal
+        form: vector k has a 1 at the k-th free column, 0 at the other free
+        columns, and minus the echelon entries at the pivot columns.
+        """
+        rows = self._rows
+        free = [j for j in range(self.ncols) if j not in rows]
+        basis = {}
+        for j in free:
+            vec = [0] * self.ncols
+            vec[j] = 1
+            basis[j] = vec
+        for p, row in rows.items():
+            for j, x in row.items():
+                if j != p:
+                    basis[j][p] = MOD_P - x
+        return [basis[j] for j in free]
+
+
+def nullspace_mod(a, ncols):
+    """Basis of the right kernel of an int matrix over Z/p (p = MOD_P).
+
+    Entries are read mod p and the basis is in ``nullspace``'s normal form,
+    so where the rank mod p equals the rank over Q(q) it is the image mod p
+    of ``nullspace``'s basis; otherwise it has more vectors.
+    """
+    span = ModularSpan(ncols)
+    for row in a:
+        span.add(row)
+    return span.kernel()

@@ -27,6 +27,7 @@ from schurq.ext import (
     ExtractionError,
     ExtTable,
     InstabilityError,
+    KernelLiftError,
     MarginError,
     ext_cocycle_basis,
     _cocycle_components,
@@ -34,7 +35,7 @@ from schurq.ext import (
 )
 from schurq.linalg import ModularSpan, Subspace
 from schurq.qfield import MOD_P
-from schurq.presentation import FSpec, instantiate_window
+from schurq.presentation import FSpec, instantiate_window, word_target
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,124 @@ def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, caps
     code = main(["schur-check", "--type", "A1", "--homcap", "4", "--window", "6"])
     captured = capsys.readouterr()
     assert code == 1 and "ExtractionError" in captured.err and not captured.out
+
+
+# -- kernels mod p, exact only where a generator is chosen -----------------
+
+
+@pytest.mark.parametrize(
+    "series,rank,family,radius,margin",
+    [("A", 2, "classical", 2, 2), ("A", 1, "qinteger", 6, 4)],
+)
+def test_nf_mod_is_the_image_of_nf(series, rank, family, radius, margin):
+    """Every letter times a normal word, inside the window: the mod-p
+    reducer gives the image mod p of the exact normal form."""
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=margin)
+    box = set(algebra.quiver.vertices)
+    count = 0
+    for v in algebra.quiver.vertices:
+        for level in algebra.levels_from(v)[:-1]:
+            for w in level:
+                end = word_target(w, v)
+                for letter in algebra.letters():
+                    if word_target((letter,), end) not in box:
+                        continue
+                    word = (letter,) + w
+                    exact = {u: x.modp() for u, x in algebra.nf(word, v).items()}
+                    assert algebra.nf_mod(word, v) == {
+                        u: x for u, x in exact.items() if x
+                    }
+                    count += 1
+    assert count > 1000
+
+
+def test_exact_kernels_only_where_a_generator_is_chosen(a1, f_qinteger, monkeypatch):
+    algebra = build_algebra(a1, f_qinteger, 6, margin=4)
+    calls = []
+    real = ext_module.nullspace
+
+    def nullspace(a, ncols=None):
+        calls.append(ncols)
+        return real(a, ncols)
+
+    monkeypatch.setattr(ext_module, "nullspace", nullspace)
+    res = minimal_resolution(algebra, trivial_module(a1, f_qinteger, (0,)), 4)
+    chosen = sum(len(set(stage.gens)) for stage in res.stages[1:])
+    assert chosen and len(calls) == chosen
+
+
+def _corrupt_kernel(monkeypatch, stage, how):
+    """Resolve with a wrong kernel mod p at every weight of one stage.
+
+    ``perturb`` adds 1 to vector 0 at a column the matrix does not kill, so
+    the vector leaves the kernel; ``extra`` appends a second copy of vector
+    0, so the basis claims one dimension too many.
+    """
+    real_kernel = ext_module.nullspace_mod
+    real_extract = ext_module._extract_stage
+    current = [1]  # the stage whose kernels are being computed
+
+    def nullspace_mod(a, ncols):
+        null = real_kernel(a, ncols)
+        if current[0] != stage or not null:
+            return null
+        if how == "extra":
+            return null + [list(null[0])]
+        col = next((j for j in range(ncols) if any(r[j] % MOD_P for r in a)), None)
+        if col is not None:
+            null[0][col] = (null[0][col] + 1) % MOD_P
+        return null
+
+    def extract(algebra, prev, kernels):
+        out = real_extract(algebra, prev, kernels)
+        current[0] += 1
+        return out
+
+    monkeypatch.setattr(ext_module, "nullspace_mod", nullspace_mod)
+    monkeypatch.setattr(ext_module, "_extract_stage", extract)
+
+
+@pytest.mark.parametrize("how", ["perturb", "extra"])
+@pytest.mark.parametrize(
+    "series,rank,family,radius,stage",
+    [
+        ("A", 1, "classical", 4, 1),
+        ("A", 1, "qinteger", 4, 2),
+        ("A", 2, "classical", 2, 2),
+    ],
+)
+def test_wrong_kernel_mod_p_raises(
+    series, rank, family, radius, stage, how, monkeypatch
+):
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=stage)
+    _corrupt_kernel(monkeypatch, stage, how)
+    with pytest.raises(ExtractionError) as info:
+        minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), stage)
+    err = info.value
+    # a vector off the kernel becomes a generator and fails its exact lift;
+    # a claimed extra dimension is never reached by the span
+    assert isinstance(err, KernelLiftError) == (how == "perturb")
+    assert err.stage == stage
+    text = str(err)
+    assert "stage %d" % stage in text and str(err.weight) in text
+
+
+@pytest.mark.parametrize("how", ["perturb", "extra"])
+def test_wrong_kernel_mod_p_never_yields_match(a1, f_classical, monkeypatch, capsys, how):
+    triv = trivial_module(a1, f_classical, (0,))
+    _corrupt_kernel(monkeypatch, 2, how)
+    with pytest.raises(ExtractionError):
+        schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    monkeypatch.undo()
+    _corrupt_kernel(monkeypatch, 2, how)
+    code = main(["schur-check", "--type", "A1", "--homcap", "4", "--window", "6"])
+    captured = capsys.readouterr()
+    name = "KernelLiftError" if how == "perturb" else "ExtractionError"
+    assert code == 1 and name in captured.err and not captured.out
 
 
 def test_trivial_module_ext_dims(a1_setup):

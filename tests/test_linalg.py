@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.linalg import ModularSpan, RationalSpan, mat_rank, mat_vec, nullspace, solve
+from schurq.linalg import (
+    ModularSpan,
+    RationalSpan,
+    mat_rank,
+    mat_vec,
+    nullspace,
+    nullspace_mod,
+    solve,
+)
 from schurq.qfield import (
     MOD_P,
     CoefficientOverflowError,
@@ -367,3 +375,30 @@ def test_modular_span_edges():
     assert span._rows[0] == {0: 1, 2: (-2 * pow(3, -1, MOD_P)) % MOD_P}
     assert span.add([0, 0, 1]) and span.dim == 3
     assert span._rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+
+
+# -- kernels mod p against the image of the exact kernel ----------------------
+
+integer_matrices = small_rows.map(
+    lambda rows: tuple(tuple(QScalar.from_rational(x) for x in r) for r in rows)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_matrices, matrices(max_rows=4, max_cols=6)))
+def test_nullspace_mod_is_the_image_of_nullspace(a):
+    """On small integer and Laurent-in-q matrices the echelon pivots mod p at
+    q0 are those over Q(q), so the two normal-form bases agree mod p."""
+    n = len(a[0])
+    want = [[x.modp() for x in vec] for vec in nullspace(a, n)]
+    assert nullspace_mod([[x.modp() for x in row] for row in a], n) == want
+
+
+def test_nullspace_mod_edges():
+    assert nullspace_mod([], 2) == [[1, 0], [0, 1]]
+    assert nullspace_mod([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # entries are read mod p: the second column is zero, the third is 2
+    (vec,) = nullspace_mod([[1, MOD_P, 0], [0, 0, 2 + MOD_P]], 3)
+    assert vec == [0, 1, 0]
+    # x + 2y - z = 0: y and z free, x = -2y + z
+    assert nullspace_mod([[1, 2, -1]], 3) == [[MOD_P - 2, 1, 0], [1, 0, 1]]
