@@ -165,7 +165,13 @@ def parse_module_spec(spec, c, f):
             raise ConfigError("module: verma spec needs verma:<n0>:<depth|floor>")
         n0 = weight(parts[1])
         if parts[2] == "floor":
-            return lambda radius: truncated_verma(c, f, n0, radius - 1)
+            if rank != 1:
+                raise ConfigError(
+                    "module: verma:<n0>:floor is defined for rank 1 only, got rank %d"
+                    % rank
+                )
+            # the depth whose lowest weight n0 - depth is the floor -radius
+            return lambda radius: truncated_verma(c, f, n0, n0[0] + radius)
         return truncated_verma(c, f, n0, integer(parts[2]))
     raise ConfigError("module: unknown module spec %r" % spec)
 
@@ -342,7 +348,7 @@ def cmd_ext(cfg):
 def cmd_schur_check(cfg):
     c = cfg.cartan()
     f = cfg.fspec()
-    mod = _single_module(cfg, c, f)
+    mod = parse_module_spec(cfg.module, c, f)
     rep = schur_check(c, f, mod, homcap=cfg.homcap, windows=_windows(cfg))
     return {"schur": rep.to_dict()}
 

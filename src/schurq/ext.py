@@ -5,13 +5,16 @@ path-length cap.  Projective resolutions are tracked by generator weights and
 differential entries (normal-form path combinations).  Kernels are computed
 weight by weight over Z/p at q0 (``qfield.MOD_P``, ``MOD_Q0``) from normal
 forms mod p, and stage extraction chooses generators and closes their span
-there.  Exact arithmetic is kept for what is output or checked exactly: each
-chosen generator is read off the exact kernel at its weight and must reduce
-to its mod-p candidate, and ``d o d = 0``, the Ext ranks and the Yoneda lifts
-are exact.  A per-stage certificate proves that the generators generate each
-kernel; a per-stage length budget records where the truncated computation is
-faithful; trust for verdicts additionally requires agreement across two window
-radii.
+there.  Normal forms mod p come from one memoized letter action
+(``WindowedAlgebra.letter_mod``: a letter times a normal word, divisible at
+position 0 only) on which ``nf_mod`` and the closure are built; exact
+normal forms keep the heap reducer of ``gbasis``.  Exact arithmetic is kept
+for what is output or checked exactly: each chosen generator is read off
+the exact kernel at its weight and must reduce to its mod-p candidate, and
+``d o d = 0``, the Ext ranks and the Yoneda lifts are exact.  A per-stage
+certificate proves that the generators generate each kernel; a per-stage
+length budget records where the truncated computation is faithful; trust for
+verdicts additionally requires agreement across two window radii.
 """
 
 from __future__ import annotations
@@ -22,15 +25,18 @@ from functools import partial
 
 from .qfield import MOD_P, QScalar
 from .presentation import instantiate_window, word_target
-from .gbasis import NormalWords, groebner, _reduce_full
+from .gbasis import NormalWords, groebner, _find_divisor, _reduce_full
 from .linalg import (
     ModularSpan,
     Subspace,
+    mat_add,
     mat_rank,
+    mat_scale,
     mat_vec,
     nullspace,
     nullspace_mod,
     solve,
+    zeros,
 )
 from .modules import _generated_submodule
 from .rootdata import flag_betti, flag_ring, weyl_table
@@ -45,6 +51,7 @@ __all__ = [
     "InstabilityError",
     "ExtractionError",
     "KernelLiftError",
+    "WindowModuleError",
     "build_algebra",
     "low_degree_ext",
     "minimal_resolution",
@@ -119,6 +126,26 @@ class KernelLiftError(ExtractionError):
         )
 
 
+class WindowModuleError(ExtError):
+    """The module to resolve is not a module of the window algebra: its
+    support leaves the box, or a window relation does not act as zero.
+
+    ``weight`` is where it fails, ``relation`` the relation's name (None
+    for a weight outside the box).
+    """
+
+    def __init__(self, weight, relation=None):
+        self.weight, self.relation = weight, relation
+        if relation is None:
+            text = "module weight %s lies outside the window box" % (weight,)
+        else:
+            text = (
+                "window relation %s at weight %s does not act as zero on the module"
+                % (relation, weight)
+            )
+        super().__init__(text)
+
+
 # ---------------------------------------------------------------------------
 # windowed algebra with normal-path basis
 # ---------------------------------------------------------------------------
@@ -169,25 +196,93 @@ class WindowedAlgebra:
 
     def nf(self, word, source):
         """Normal form of an anchored word: dict {word: QScalar}."""
-        return self._normal_form(word, source, False, self._nf_cache)
+        self._check_len(word)
+        key = (word, source)
+        hit = self._nf_cache.get(key)
+        if hit is None:
+            hit = _reduce_full({word: _O}, source, self._index, self._idx)
+            self._nf_cache[key] = hit
+        return hit
 
     def nf_mod(self, word, source):
-        """The image of ``nf`` mod p at q0: dict {word: int in [0, MOD_P)}."""
-        return self._normal_form(word, source, True, self._nf_mod_cache)
+        """The image of ``nf`` mod p at q0: dict {word: int in [0, MOD_P)}.
 
-    def _normal_form(self, word, source, modular, cache):
+        It is the letter action of ``word[0]`` on ``nf_mod(word[1:])``, so
+        words that share a suffix share the cached normal forms below it.
+        """
+        self._check_len(word)
+        key = (word, source)
+        hit = self._nf_mod_cache.get(key)
+        if hit is None:
+            if not word:
+                return {word: 1}
+            hit = self._letter_on(word[0], self.nf_mod(word[1:], source), source)
+            self._nf_mod_cache[key] = hit
+        return hit
+
+    def letter_mod(self, letter, word, source):
+        """``nf_mod(letter + word)`` for a normal word: the letter action.
+
+        A divisor of ``letter + word`` can only start at position 0, so one
+        trie walk finds it (``_find_divisor`` with ``stop=1``).  With none the
+        word is normal.  Otherwise write it ``u r`` with ``u`` the lead of the
+        element g found and ``r`` normal; the result is ``-sum c_t nf(t r)``
+        over the other terms ``c_t t`` of g, and each ``nf(t r)`` is the
+        action of the letters of ``t``, right to left, on ``{r: 1}``.  Every
+        word acted on there is smaller than ``letter + word`` in the
+        admissible order, so the recursion ends; results are memoized in the
+        cache ``nf_mod`` uses, under the key ``(letter + word, source)``.
+
+        Soundness: the basis is confluent on words up to ``certified_len``
+        (Bergman's diamond lemma), so whichever divisor is rewritten first
+        the result is the unique normal form; each rewrite maps mod p, since
+        the elements are monic and ``QScalar.modp`` is a ring map.  So the
+        action returns exactly the image mod p of ``nf``.
+        """
+        word = (letter,) + word
+        key = (word, source)
+        hit = self._nf_mod_cache.get(key)
+        if hit is not None:
+            return hit
+        self._check_len(word)
+        found = _find_divisor(word, source, self._index, stop=1)
+        if found is None:
+            hit = {word: 1}
+        else:
+            g = found[1]
+            lead = g.lead
+            rest = word[len(lead):]
+            acc = {}
+            for t, c in g.mod_terms().items():
+                if t == lead:
+                    continue
+                vec = {rest: 1}
+                for l in reversed(t):
+                    vec = self._letter_on(l, vec, source)
+                for w, n in vec.items():
+                    acc[w] = acc.get(w, 0) - c * n
+            hit = {w: n % MOD_P for w, n in acc.items() if n % MOD_P}
+        self._nf_mod_cache[key] = hit
+        return hit
+
+    def _letter_on(self, letter, vec, source):
+        """The letter action on a combination {normal word: int} mod p."""
+        if len(vec) == 1:
+            (w, c), = vec.items()
+            if c == 1:
+                return self.letter_mod(letter, w, source)
+        acc = {}
+        for w, c in vec.items():
+            for w2, n in self.letter_mod(letter, w, source).items():
+                acc[w2] = acc.get(w2, 0) + c * n
+        return {w: n % MOD_P for w, n in acc.items() if n % MOD_P}
+
+    def _check_len(self, word):
         if len(word) > self.gb.certified_len:
             raise ExtError(
                 "word length %d beyond certified region %d"
                 % (len(word), self.gb.certified_len)
             )
-        key = (word, source)
-        hit = cache.get(key)
-        if hit is None:
-            one = 1 if modular else _O
-            hit = _reduce_full({word: one}, source, self._index, self._idx, modular)
-            cache[key] = hit
-        return hit
 
     def describe(self):
         return "%s;lencap=%d" % (self.quiver.describe(), self.lencap)
@@ -335,11 +430,31 @@ def _mod_data(stage):
     return tuple(tuple((key, c.modp()) for key, c in entry) for entry in stage.diff)
 
 
+def _check_window_module(quiver, V):
+    """Raise WindowModuleError unless V is a module of the window algebra:
+    supp(V) lies in the box and every window relation anchored at a weight
+    of supp(V) acts as zero on V, exactly."""
+    box = set(quiver.vertices)
+    support = set(V.support())
+    for n in sorted(support):
+        if n not in box:
+            raise WindowModuleError(n)
+    for name, v, poly in quiver.relations:
+        if v not in support:
+            continue
+        acc = zeros(V.dim(poly.target()), V.dim(v))
+        for w, c in poly.terms:
+            acc = mat_add(acc, mat_scale(V.word_matrix(w, v), c))
+        if any(any(row) for row in acc):
+            raise WindowModuleError(v, name)
+
+
 def minimal_resolution(algebra, V, homcap):
     """Projective resolution of V over the windowed algebra through homcap stages.
 
-    Each stage's kernels are computed weight by weight over Z/p at q0, from
-    ``nf_mod``; generators are extracted greedily (short path entries first),
+    V must be a module of the window algebra (``WindowModuleError``
+    otherwise).  Each stage's kernels are computed weight by weight over Z/p
+    at q0, from ``nf_mod``; generators are extracted greedily (short path entries first),
     taken exact from the exact kernel at their weight, and closed under the
     arrow action to confirm they generate within the length budget.
     Differentials are checked to compose to zero exactly.
@@ -350,6 +465,7 @@ def minimal_resolution(algebra, V, homcap):
         max(abs(x) for x in w) <= n - margin for w, _d in V.dims
     )
 
+    _check_window_module(algebra.quiver, V)
     gens0 = _module_generators(V)
     stage0 = Stage(
         gens=tuple(g for g, _v in gens0),
@@ -400,7 +516,8 @@ def _extract_stage(algebra, prev, kernels):
     entries first; one that falls outside the span of the generators chosen
     so far becomes a generator, and the span is closed under the arrows
     within the budget.  The span and the closure run in Z/p: closure images
-    come from ``nf_mod`` and are accumulated in a ``ModularSpan``.
+    come from the letter action ``algebra.letter_mod`` (the words of a
+    domain basis are normal) and are accumulated in a ``ModularSpan``.
 
     Exact only where chosen: a candidate that becomes a generator takes
     vector k of the exact kernel at its weight (computed at most once per
@@ -456,7 +573,7 @@ def _extract_stage(algebra, prev, kernels):
                     continue
                 out = {}
                 for (g, word), c in elem:
-                    for w2, n in algebra.nf_mod((letter,) + word, prev.gens[g]).items():
+                    for w2, n in algebra.letter_mod(letter, word, prev.gens[g]).items():
                         key = (g, w2)
                         out[key] = out.get(key, 0) + c * n
                 tv = [0] * len(index)
@@ -1063,13 +1180,15 @@ class SchurReport:
 def schur_check(c, f, V, homcap=4, windows=(6, 8), lencap=None, check_ring=True):
     """Compare Ext^*(V, V) with the flag variety cohomology target.
 
-    The Betti numbers come from the two-window Ext table; the ring check
-    squares the degree-2 class on the resolution of V that the table built at
-    the last window, so no window algebra or resolution is built twice.
+    V may be a module or a radius-dependent factory (built per window).  The
+    Betti numbers come from the two-window Ext table; the ring check squares
+    the degree-2 class on the resolution of V that the table built at the
+    last window, and the description names that window's module, so no
+    window algebra, module or resolution is built twice.
     """
     table_w = weyl_table(c)
     target = flag_betti(c, table_w)
-    tab, _modules, (res,) = _ext_run(c, f, [V], homcap, windows, ("V",), lencap)
+    tab, (V,), (res,) = _ext_run(c, f, [V], homcap, windows, ("V",), lencap)
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     padded_target = tuple(

@@ -12,7 +12,10 @@ an anchored word (``None`` for free presentations), to the element.  Divisor
 search during reduction walks the trie from each position of a word, and the
 normality test of normal-word enumeration is one walk from the front of the
 word; the anchors come from one right-to-left pass over the word, made only
-once a walk reaches the end of a lead.
+once a walk reaches the end of a lead.  A word whose every proper suffix is
+normal (a letter times a normal word) can only be divisible at position 0,
+so ``_find_divisor`` takes a bound on the start positions it tries; the
+letter action mod p of ``ext.WindowedAlgebra`` searches with bound 1.
 
 Completion pairs each new element only with the elements a partner index
 (``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
@@ -28,7 +31,7 @@ import heapq
 from dataclasses import dataclass
 
 from .linalg import mat_rank
-from .qfield import MOD_P, QScalar
+from .qfield import QScalar
 from .presentation import (
     NCPoly,
     Presentation,
@@ -147,14 +150,17 @@ class _LeadIndex:
         self.elems.append(e)
 
 
-def _find_divisor(word, source, index, hint=None):
+def _find_divisor(word, source, index, hint=None, stop=None):
     """Leftmost (pos, g, anchors) with lead(g) dividing word at pos, lowest
-    rank first; None if the word is normal.
+    rank first; None if no lead divides the word at a start position tried.
 
-    ``anchors`` is ``path_vertices(word, source)`` if a walk needed it, else
-    None.  ``hint = (parent, shared)`` says that the last ``shared`` letters
-    of word are those of a word whose anchors list is ``parent``, so only
-    the anchors left of them are computed.
+    The start positions tried are those below ``stop`` (all of them when it
+    is None): with ``stop=1`` only divisors at position 0 are found, which
+    are the only ones a word can have when its suffix after one letter is
+    normal.  ``anchors`` is ``path_vertices(word, source)`` if a walk needed
+    it, else None.  ``hint = (parent, shared)`` says that the last ``shared``
+    letters of word are those of a word whose anchors list is ``parent``, so
+    only the anchors left of them are computed.
     """
     n = len(word)
     anchored = index.anchored
@@ -162,7 +168,7 @@ def _find_divisor(word, source, index, hint=None):
     # computed once a walk first reaches the end of a lead
     anchors = None
     top = index.root[0]
-    for pos in range(n):
+    for pos in range(n if stop is None else min(stop, n)):
         best = None
         children = top
         for k in range(pos, n):
@@ -190,7 +196,7 @@ def _find_divisor(word, source, index, hint=None):
     return None
 
 
-def _reduce_full(terms, source, index, idx, modular=False):
+def _reduce_full(terms, source, index, idx):
     """Totally reduce a {word: coeff} dict; returns a new dict.
 
     Pending words leave a heap largest first.  Each word is keyed once, when
@@ -198,13 +204,6 @@ def _reduce_full(terms, source, index, idx, modular=False):
     order ``_word_key`` gives, and distinct for distinct words.  A word made
     by rewriting a divisible word keeps that word's right end, so its
     anchors are extended from the parent's (``_find_divisor``'s hint).
-
-    With ``modular`` the coefficients are ints read mod ``MOD_P`` and each
-    element contributes ``mod_terms()``.  Sums and products stay unreduced
-    until a word leaves the heap, and the result is in ``[0, MOD_P)``.  The
-    elements are monic and ``QScalar.modp`` is a ring map, so the result is
-    the image mod p of the exact normal form (Bergman's resolvable
-    ambiguities stay resolvable mod p).
     """
     done = {}
     work = dict(terms)
@@ -215,8 +214,6 @@ def _reduce_full(terms, source, index, idx, modular=False):
     while heap:
         w = heapq.heappop(heap)[2]
         c = work.pop(w)
-        if modular:
-            c %= MOD_P
         if not c:
             continue
         hit = _find_divisor(w, source, index, hints.pop(w, None))
@@ -228,7 +225,7 @@ def _reduce_full(terms, source, index, idx, modular=False):
         left, right = w[:pos], w[pos + len(u):]
         hint = (anchors, len(right)) if anchors is not None else None
         c = -c
-        for uw, uc in (g.mod_terms() if modular else g.terms).items():
+        for uw, uc in g.terms.items():
             if uw == u:
                 continue
             nw = left + uw + right
@@ -244,8 +241,6 @@ def _reduce_full(terms, source, index, idx, modular=False):
                 if hint is not None:
                     hints[nw] = hint
                 heapq.heappush(heap, (-len(nw), tuple(map(rank, nw)), nw))
-    if modular:
-        return {w: v % MOD_P for w, v in done.items() if v % MOD_P}
     return {w: v for w, v in done.items() if v}
 
 

@@ -338,7 +338,14 @@ def truncated_verma(c, f, n0, depth):
 
 def build_simple(c, f, n0, depth_cap=20):
     """Finite-dimensional simple with highest weight n0, by quotienting a
-    truncated Verma by iterated singular-vector submodules."""
+    truncated Verma by iterated singular-vector submodules.
+
+    The Verma is truncated at depths 2, 4, 8, 16 and then ``depth_cap``;
+    the first quotient that closes below its truncation depth is the simple
+    (every singular vector down to that depth is one of the full Verma, so
+    a deeper truncation gives the same module), and ``DepthCapError`` is
+    raised when the quotient at ``depth_cap`` does not close.
+    """
     n0 = _check_weight(c, n0)
     if f.kind in ("classical", "qinteger"):
         for j in range(c.rank):
@@ -348,17 +355,14 @@ def build_simple(c, f, n0, depth_cap=20):
                     "weight %s not dominant: pairing %d with root %d negative"
                     % (n0, val, j + 1)
                 )
-    M = truncated_verma(c, f, n0, depth_cap)
-    while True:
-        sing = _singular_vectors(c, M)
-        if not sing:
+    for cap in [d for d in (2, 4, 8, 16) if d < depth_cap] + [depth_cap]:
+        M = _highest_weight_quotient(c, f, n0, cap)
+        maxdepth = max(
+            (sum(a - b for a, b in zip(n0, n)) for n in M.support()), default=0
+        )
+        if maxdepth < cap:
             break
-        sub = _generated_submodule(M, sing)
-        M = _quotient(c, M, sub, provenance="simple")
-    maxdepth = max(
-        (sum(a - b for a, b in zip(n0, n)) for n in M.support()), default=0
-    )
-    if maxdepth >= depth_cap:
+    else:
         raise DepthCapError(
             "highest-weight module at %s did not close below depth %d"
             % (n0, depth_cap)
@@ -379,6 +383,17 @@ def build_simple(c, f, n0, depth_cap=20):
             "simple construction produced an invalid module: %s" % (report.witnesses[:1],)
         )
     return M
+
+
+def _highest_weight_quotient(c, f, n0, depth):
+    """The Verma at n0 truncated at depth, quotiented by singular-vector
+    submodules until none is left."""
+    M = truncated_verma(c, f, n0, depth)
+    while True:
+        sing = _singular_vectors(c, M)
+        if not sing:
+            return M
+        M = _quotient(c, M, _generated_submodule(M, sing), provenance="simple")
 
 
 def _killed_by_x(c, M, n, d):

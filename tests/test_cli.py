@@ -6,7 +6,7 @@ import os
 import pytest
 
 from schurq import cli
-from schurq.cli import REPORT_SCHEMA, main
+from schurq.cli import REPORT_SCHEMA, main, parse_module_spec
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,46 @@ def test_koszul_check_command(capsys):
     assert rep["verdict"] == "generated"
 
 
+def test_verma_floor_rebuilt_per_radius(a1, f_classical, capsys):
+    """A rank-1 floor Verma reaches the floor of every window it is built
+    for, whatever its highest weight."""
+    for n0 in (-1, 1, 3):
+        factory = parse_module_spec("verma:%d:floor" % n0, a1, f_classical)
+        for radius in (4, 6):
+            assert min(n for (n,) in factory(radius).support()) == -radius
+    code, out = run_cli(
+        capsys,
+        "schur-check", "--type", "A1", "--module", "verma:1:floor",
+        "--homcap", "2", "--window", "4",
+    )
+    assert code == 0
+    schur = json.loads(out)["results"]["schur"]
+    assert schur["computed_betti"] == [1, 0, 0] and all(schur["stable"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ext", "--module", "verma:1:1"),
+        ("ext", "--modules", "trivial;verma:5:2"),
+        ("schur-check", "--module", "verma:1:1"),
+        ("schur-check", "--module", "verma:5:2"),
+        ("koszul-check", "--modules", "trivial;verma:1:1"),
+        ("koszul-check", "--modules", "verma:5:2;trivial"),
+    ],
+)
+def test_module_of_another_algebra_is_a_typed_error(capsys, argv):
+    """A truncated Verma whose bottom weight sits inside the box is not a
+    module of the window algebra: the run stops before stage 0 and names
+    the weight and the relation, and gives no verdict."""
+    code = main([*argv, "--type", "A1", "--homcap", "2", "--window", "7"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("WindowModuleError:") and "comm[1,1]" in error
+    assert ("(0,)" if "verma:1:1" in argv[2] else "(3,)") in error
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"series": "A", "rank": 2, "cap": 4}))
@@ -169,6 +209,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("schur-check", "--type", "A1", "--window", "4", "--homcap", "4"),
         ("ext", "--type", "A1", "--window", "4"),
         ("koszul-check", "--type", "A1", "--window", "3", "--homcap", "3"),
+        ("schur-check", "--type", "A2", "--module", "verma:0,0:floor"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -187,6 +228,7 @@ def test_config_errors_exit_two(capsys, argv):
         (("root-data", "--type", "E9"), "type"),
         (("schur-check", "--type", "A1", "--window", "4", "--homcap", "4"), "window"),
         (("ext", "--type", "A1", "--window", "4"), "window"),
+        (("ext", "--type", "A2", "--module", "verma:0,0:floor"), "module"),
     ],
 )
 def test_config_error_names_field(capsys, argv, field):

@@ -29,6 +29,7 @@ from schurq.ext import (
     InstabilityError,
     KernelLiftError,
     MarginError,
+    WindowModuleError,
     ext_cocycle_basis,
     _cocycle_components,
     _hom_layout,
@@ -184,6 +185,105 @@ def test_nf_mod_is_the_image_of_nf(series, rank, family, radius, margin):
                     }
                     count += 1
     assert count > 1000
+
+
+def _certified_len_words(algebra, every=7):
+    """Words a + b of length certified_len: b a normal path of length k
+    from an anchor, a one of the first three normal paths from its end.
+    Every seventh pair per anchor and k is kept, to keep the exact side
+    small."""
+    top = algebra.gb.certified_len
+    out = []
+    for v in algebra.quiver.vertices:
+        levels = algebra.levels_from(v)
+        for k in range(1, top):
+            pairs = [
+                (a, b)
+                for b in levels[k]
+                for a in algebra.levels_from(word_target(b, v))[top - k][:3]
+            ]
+            out.extend((a + b, v) for a, b in pairs[::every])
+    return out
+
+
+@pytest.mark.parametrize(
+    "series,rank,family,radius,margin",
+    [("A", 2, "classical", 2, 2), ("A", 1, "qinteger", 6, 4)],
+)
+def test_nf_mod_on_differential_words_without_the_heap(
+    series, rank, family, radius, margin, monkeypatch
+):
+    """Every normal word times a differential entry (the words
+    ``_diff_matrix`` reduces) and words of length certified_len: nf_mod,
+    computed with the heap reducer disabled, is the image mod p of the
+    exact normal form."""
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=margin)
+    res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), margin)
+    queries = set()
+    for p in range(1, len(res.stages)):
+        stage, prev = res.stages[p], res.stages[p - 1]
+        for m in algebra.quiver.vertices:
+            for g, word in ext_module._pbasis(algebra, stage, m):
+                for (gp, u), _c in stage.diff[g]:
+                    queries.add((word + u, prev.gens[gp]))
+    longest = _certified_len_words(algebra)
+    assert {len(w) for w, _v in longest} == {algebra.gb.certified_len}
+    queries.update(longest)
+
+    def heap(*args):
+        raise AssertionError("nf_mod called the heap reducer")
+
+    fresh = ext_module.WindowedAlgebra(algebra.quiver, algebra.gb, algebra.lencap)
+    monkeypatch.setattr(ext_module, "_reduce_full", heap)
+    got = {key: fresh.nf_mod(*key) for key in sorted(queries)}
+    with pytest.raises(ExtError, match="beyond certified"):
+        fresh.nf_mod(longest[0][0] + longest[0][0][:1], longest[0][1])
+    monkeypatch.undo()
+    for (word, v), value in got.items():
+        exact = {u: x.modp() for u, x in algebra.nf(word, v).items()}
+        assert value == {u: x for u, x in exact.items() if x}
+    assert len(got) > 500
+
+
+def test_letter_action_tries_position_0_only(a2, f_classical, monkeypatch):
+    """The letter action searches each word for a divisor at position 0
+    only: its suffix is normal, so a divisor cannot start anywhere else."""
+    algebra = build_algebra(a2, f_classical, 2, margin=2)
+    bounds = []
+    real = ext_module._find_divisor
+
+    def find(word, source, index, hint=None, stop=None):
+        bounds.append(stop)
+        return real(word, source, index, hint, stop)
+
+    monkeypatch.setattr(ext_module, "_find_divisor", find)
+    for word, v in _certified_len_words(algebra, every=50):
+        algebra.nf_mod(word, v)
+    minimal_resolution(algebra, trivial_module(a2, f_classical, (0, 0)), 2)
+    assert bounds and set(bounds) == {1}
+
+
+@pytest.mark.parametrize(
+    "n0,depth,radius,weight,relation",
+    [
+        ((1,), 1, 5, (0,), "comm[1,1]"),
+        ((5,), 2, 5, (3,), "comm[1,1]"),
+        ((5,), 2, 4, (5,), None),
+    ],
+)
+def test_module_of_another_algebra_is_rejected(
+    a1, f_classical, n0, depth, radius, weight, relation
+):
+    """A truncated Verma whose bottom weight sits inside the box breaks a
+    commutator relation there; one with a weight outside the box is no
+    module of the window algebra at all."""
+    algebra = build_algebra(a1, f_classical, radius, margin=2)
+    with pytest.raises(WindowModuleError) as info:
+        minimal_resolution(algebra, truncated_verma(a1, f_classical, n0, depth), 2)
+    assert info.value.weight == weight and info.value.relation == relation
+    assert str(weight) in str(info.value)
 
 
 def test_exact_kernels_only_where_a_generator_is_chosen(a1, f_qinteger, monkeypatch):

@@ -176,10 +176,11 @@ def test_interreduced_leads(a2, b2):
 # -- the lead index against the linear scans it replaced --------------------
 
 
-def _scan_find_divisor(word, source, by_letter, anchored):
-    """Divisor search by scanning, per position, every element whose lead
-    starts with that letter, in the order the elements were added."""
-    for pos in range(len(word)):
+def _scan_find_divisor(word, source, by_letter, anchored, stop=None):
+    """Divisor search by scanning, per position below stop, every element
+    whose lead starts with that letter, in the order the elements were
+    added."""
+    for pos in range(len(word) if stop is None else min(stop, len(word))):
         for g in by_letter.get(word[pos], ()):
             u = g.lead
             end = pos + len(u)
@@ -272,8 +273,9 @@ def test_find_divisor_matches_linear_scan(lead_cases, name, data):
     parts = data.draw(st.lists(pieces, max_size=cap))
     word = tuple(l for part in parts for l in part)[:cap]
     source = data.draw(st.sampled_from(anchors))
-    got = _find_divisor(word, source, index)
-    want = _scan_find_divisor(word, source, by_letter, index.anchored)
+    stop = data.draw(st.sampled_from([None, 1, 2]))
+    got = _find_divisor(word, source, index, stop=stop)
+    want = _scan_find_divisor(word, source, by_letter, index.anchored, stop)
     if want is None:
         assert got is None
     else:

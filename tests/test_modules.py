@@ -1,10 +1,13 @@
 """Module constructors, exact relation checking, simplicity certification."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from schurq import (
+    build_cartan,
     build_simple,
     check_relations,
     is_simple,
@@ -14,7 +17,8 @@ from schurq import (
     truncated_verma,
 )
 from schurq.linalg import mat_mul, nullspace
-from schurq.modules import GradedModule, ModuleError, perturb_entry
+from schurq import modules as modules_module
+from schurq.modules import DepthCapError, GradedModule, ModuleError, perturb_entry
 from schurq.presentation import FSpec
 from schurq.qfield import QScalar
 
@@ -95,6 +99,57 @@ def test_a2_adjoint_simple(a2, f_classical):
     assert M.dim((0, 0)) == 2
     assert check_relations(a2, f_classical, M).passed
     assert is_simple(a2, f_classical, M)
+
+
+# sha256 of json.dumps(to_dict(), sort_keys=True) for simples built from a
+# Verma truncated at depth 20, before the truncation depth grew by doubling
+SIMPLE_SHA256 = {
+    ("A", 1, "classical", (1,)): (
+        "eb6220591e172399af4a3587daceb98809c9396fbeaa44465d9077f9ef832830"
+    ),
+    ("A", 1, "classical", (2,)): (
+        "3007e86446fbeb82549746fd95b6551cbe0d12c85123c2b8096ca09bbccfa7c0"
+    ),
+    ("A", 1, "qinteger", (4,)): (
+        "459cc95f45a2d845e054f9781b322b28e1483aea566f48e668bda22b3b99e013"
+    ),
+    ("A", 2, "classical", (1, 1)): (
+        "0294795a8addd5fe86d4db1e345171d3f122e9590a34a5bc1875a96bd4c75f5b"
+    ),
+}
+
+
+@pytest.fixture
+def verma_depths(monkeypatch):
+    """The depths build_simple truncates its Vermas at, in call order."""
+    depths = []
+    real = modules_module.truncated_verma
+
+    def truncated_verma(c, f, top, depth):
+        depths.append(depth)
+        return real(c, f, top, depth)
+
+    monkeypatch.setattr(modules_module, "truncated_verma", truncated_verma)
+    return depths
+
+
+@pytest.mark.parametrize("key", sorted(SIMPLE_SHA256))
+def test_simple_is_the_depth_20_simple(key, verma_depths):
+    """The first truncation depth the quotient closes below gives the
+    module a depth-20 truncation gives, and the adjoint of sl3 never needs
+    a Verma deeper than 8."""
+    series, rank, family, n0 = key
+    M = build_simple(build_cartan(series, rank), getattr(FSpec, family)(), n0)
+    text = json.dumps(M.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMPLE_SHA256[key]
+    if n0 == (1, 1):
+        assert max(verma_depths) <= 8
+
+
+def test_depth_cap_error_at_the_last_cap(a1, f_classical, verma_depths):
+    with pytest.raises(DepthCapError, match="below depth 5"):
+        build_simple(a1, f_classical, (7,), depth_cap=5)
+    assert verma_depths == [2, 4, 5]
 
 
 def test_non_dominant_weight_rejected(a2, f_classical):
