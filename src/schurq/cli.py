@@ -170,8 +170,18 @@ def parse_module_spec(spec, c, f):
                     "module: verma:<n0>:floor is defined for rank 1 only, got rank %d"
                     % rank
                 )
-            # the depth whose lowest weight n0 - depth is the floor -radius
-            return lambda radius: truncated_verma(c, f, n0, n0[0] + radius)
+
+            def floor_verma(radius):
+                # the depth whose lowest weight n0 - depth is the floor -radius
+                depth = n0[0] + radius
+                if depth < 0:
+                    raise ConfigError(
+                        "module: %r has its highest weight %d below the floor -%d "
+                        "of window radius %d" % (spec, n0[0], radius, radius)
+                    )
+                return truncated_verma(c, f, n0, depth)
+
+            return floor_verma
         return truncated_verma(c, f, n0, integer(parts[2]))
     raise ConfigError("module: unknown module spec %r" % spec)
 

@@ -159,7 +159,10 @@ class WindowedAlgebra:
         self._idx = gb.order.index()
         self._words = NormalWords(gb, box_radius=quiver.radius)
         self._index = self._words.index
-        self._levels = {}  # source -> list per length of [word]
+        # source -> levels 0..depth, where depth is the deepest length asked
+        # of it so far; deeper requests continue from _pending
+        self._levels = {}
+        self._pending = {}  # source -> NormalWords.levels iterator, until lencap
         self._by_target = {}  # source -> {target: [word]} in levels order
         self._nf_cache = {}
         self._nf_mod_cache = {}
@@ -172,25 +175,44 @@ class WindowedAlgebra:
         r = self.rank
         return [("x", i) for i in range(r)] + [("y", i) for i in range(r)]
 
-    def levels_from(self, source):
-        """Normal paths from source inside the window, per length 0..lencap."""
+    def levels_from(self, source, maxlen=None):
+        """Normal paths from source inside the window, per length
+        0..min(maxlen, lencap); all lencap + 1 levels when maxlen is None,
+        none when it is negative.
+
+        Levels are enumerated on demand: a source keeps the levels up to the
+        deepest length requested so far, and a deeper request continues the
+        same ``NormalWords.levels`` iterator, so the words and their order
+        do not depend on the order of requests.
+        """
         source = tuple(source)
-        if source in self._levels:
-            return self._levels[source]
-        out = []
-        by_target = {}
-        for level in self._words.by_length(source, self.lencap, targets=True):
-            out.append([w for w, _t in level])
-            for w, t in level:
-                by_target.setdefault(t, []).append(w)
-        self._levels[source] = out
-        self._by_target[source] = by_target
-        return out
+        depth = self.lencap if maxlen is None else max(min(maxlen, self.lencap), -1)
+        levels = self._levels.get(source)
+        if levels is None:
+            levels = self._levels[source] = []
+            self._by_target[source] = {}
+            self._pending[source] = self._words.levels(source, self.lencap, targets=True)
+        if len(levels) <= depth:
+            by_target = self._by_target[source]
+            pending = self._pending[source]
+            while len(levels) <= depth:
+                level = next(pending)
+                levels.append([w for w, _t in level])
+                for w, t in level:
+                    by_target.setdefault(t, []).append(w)
+            if len(levels) > self.lencap:
+                del self._pending[source]
+        # a copy until the levels are complete: a deeper request extends them
+        return levels if depth == self.lencap else levels[: depth + 1]
 
     def component(self, source, target, maxlen):
-        """Ordered basis of normal paths source -> target with length <= maxlen."""
+        """Ordered basis of normal paths source -> target with length <= maxlen.
+
+        Enumerates the paths from source only to length maxlen (through
+        ``levels_from``), not to lencap.
+        """
         source = tuple(source)
-        self.levels_from(source)
+        self.levels_from(source, maxlen)
         words = self._by_target[source].get(tuple(target), [])
         return words[: bisect_right(words, maxlen, key=len)]
 
@@ -380,11 +402,19 @@ def _diff_matrix(algebra, stages, p, m, diff_mod=None):
 
 
 def _act_mod(V, word, n, vec):
-    """The action of an operator word on an int vector of V(n), mod p."""
-    for letter in reversed(word):
+    """The action of an operator word on an int vector of V(n), mod p.
+
+    Once the vector is zero or meets an operator V lacks, the result is the
+    zero vector of V at the word's target; no further letter is applied.
+    """
+    for k in reversed(range(len(word))):
+        letter = word[k]
+        mat = V.operator(letter, n)
+        if mat is None or not any(vec):
+            return [0] * V.dim(word_target(word[: k + 1], n))
         vec = [
             sum(x.modp() * y for x, y in zip(row, vec) if x and y) % MOD_P
-            for row in V.matrix(letter, n)
+            for row in mat
         ]
         n = word_target((letter,), n)
     return vec
@@ -392,9 +422,15 @@ def _act_mod(V, word, n, vec):
 
 def _aug_matrix(algebra, stage, V, m, aug_mod=None):
     """Matrix of the augmentation P_0(m) -> V(m); over Z/p with ``aug_mod``
-    (the stage's augmentation vectors mod p)."""
+    (the stage's augmentation vectors mod p).
+
+    Where V(m) = 0 the matrix has no rows, so the domain basis is returned
+    without acting on any word.
+    """
     dom = _pbasis(algebra, stage, m)
     dim = V.dim(m)
+    if not dim:
+        return dom, ()
     cols = []
     for (g, word) in dom:
         w = stage.gens[g]

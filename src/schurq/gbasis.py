@@ -631,6 +631,11 @@ class NormalWords:
         words, in that order and then in alphabet order.  With ``targets``
         (anchored only) each entry is ``(word, target vertex)``.
         """
+        return list(self.levels(source, maxlen, targets))
+
+    def levels(self, source, maxlen, targets=False):
+        """The levels of ``by_length``, one at a time: each level is built
+        only when it is asked for, from the last one built."""
         if maxlen > self.g.certified_len:
             raise UncertifiedRegionError(
                 "length %d beyond certified %d" % (maxlen, self.g.certified_len)
@@ -640,7 +645,7 @@ class NormalWords:
         is_normal = self._is_normal_prefix
         # with a source, each word carries the vertices of its path (path_vertices)
         current = [((), (tuple(source),) if anchored else None)]
-        out = [[((), tuple(source))]] if targets else [[()]]
+        yield [((), tuple(source))] if targets else [()]
         for _l in range(maxlen):
             nxt = []
             for word, verts in current:
@@ -652,10 +657,9 @@ class NormalWords:
                         nxt.append((nw, nverts))
             current = nxt
             if targets:
-                out.append([(w, v[-1]) for w, v in current])
+                yield [(w, v[-1]) for w, v in current]
             else:
-                out.append([w for w, _v in current])
-        return out
+                yield [w for w, _v in current]
 
 
 def hilbert(g, cap):

@@ -104,10 +104,14 @@ class GradedModule:
     def total_dim(self):
         return sum(d for _n, d in self.dims)
 
+    def operator(self, letter, n):
+        """Stored operator matrix V(n) -> V(n +- e_i), or None where the
+        operator is absent (a zero map)."""
+        return self._mat_of.get((tuple(letter), tuple(n)))
+
     def matrix(self, letter, n):
         """Operator matrix V(n) -> V(n +- e_i); zero map where absent."""
-        n = tuple(n)
-        m = self._mat_of.get((tuple(letter), n))
+        m = self.operator(letter, n)
         if m is None:
             return zeros(self.dim(_shift(n, letter)), self.dim(n))
         return m

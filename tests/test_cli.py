@@ -1,5 +1,6 @@
 """Command-line interface: reports, caching, configuration validation."""
 
+import hashlib
 import json
 import os
 
@@ -151,6 +152,20 @@ def test_verma_floor_rebuilt_per_radius(a1, f_classical, capsys):
     assert schur["computed_betti"] == [1, 0, 0] and all(schur["stable"])
 
 
+def test_verma_floor_below_the_smaller_window_is_a_config_error(capsys):
+    """verma:<n0>:floor with n0 below the floor -2 of the smaller window
+    (radius 2 of windows 2/4) names the spec and that radius."""
+    code = main([
+        "schur-check", "--type", "A1", "--module", "verma:-9:floor",
+        "--homcap", "2", "--window", "4",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("module:")
+    assert "verma:-9:floor" in error and "radius 2" in error
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -244,3 +259,51 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "vibes" in captured.err
+
+
+# sha256 of the results payload, as main serializes it, recorded in
+# BENCH_13.json; ext/koszul/schur configs from its report_sha256 note, the
+# last two the benchmark's quantum_sl2 and sl3_probe ops
+_RESULT_DIGESTS = {
+    "cli-ext-A1": (
+        ("ext", "--type", "A1", "--window", "6", "--homcap", "3"),
+        "a475c71e18c087ded91e84f40dffdb1d58cca7f465e6f55cff5b138ceb185cac",
+    ),
+    "cli-ext-A1-q32": (
+        ("ext", "--type", "A1", "--f", "qinteger", "--q", "3/2", "--window", "6",
+         "--homcap", "3"),
+        "f02f3bd92c7ce46f1b6dc1a63738cef6314a5fef391323687600f29434ce0835",
+    ),
+    "cli-ext-A1-qgeneric": (
+        ("ext", "--type", "A1", "--f", "qinteger", "--window", "6", "--homcap", "3"),
+        "82a2cff76d62aa3326daf0f330157d922cec61c18c2ed74121e6000915aabdc7",
+    ),
+    "cli-koszul-A1": (
+        ("koszul-check", "--type", "A1", "--window", "8", "--homcap", "2"),
+        "9148e06f34b4353d5f24fcfa75c62f94c40892d91233489ddc8b45b4e6e50b6f",
+    ),
+    "cli-schur-A1": (
+        ("schur-check", "--type", "A1", "--window", "8"),
+        "57f48810297c59e702154ef520ea8b9da1ab6e2e52b90157b6eef8c16bc5a1b3",
+    ),
+    "quantum_sl2": (
+        ("schur-check", "--type", "A1", "--f", "qinteger", "--homcap", "4",
+         "--window", "8"),
+        "1d2cf625bb3252376e6ae81041c0b7bf53a07e1f90d239e1430014f787d4ea62",
+    ),
+    "sl3_probe": (
+        ("schur-check", "--type", "A2", "--f", "classical", "--homcap", "2",
+         "--window", "3"),
+        "c81fc28fa878a081d87b692d1595e79f60b8b85ddd199d0d68f3713153d42a13",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESULT_DIGESTS))
+def test_results_digest_pinned(capsys, name):
+    argv, digest = _RESULT_DIGESTS[name]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    text = json.dumps(results, sort_keys=True, indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Windowed Ext engine: resolutions, stability, Yoneda structure, verdicts."""
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -34,8 +35,8 @@ from schurq.ext import (
     _cocycle_components,
     _hom_layout,
 )
-from schurq.linalg import ModularSpan, Subspace
-from schurq.qfield import MOD_P
+from schurq.linalg import ModularSpan, Subspace, mat_vec
+from schurq.qfield import MOD_P, QScalar
 from schurq.presentation import FSpec, instantiate_window, word_target
 
 
@@ -263,6 +264,27 @@ def test_letter_action_tries_position_0_only(a2, f_classical, monkeypatch):
         algebra.nf_mod(word, v)
     minimal_resolution(algebra, trivial_module(a2, f_classical, (0, 0)), 2)
     assert bounds and set(bounds) == {1}
+
+
+def test_act_mod_is_the_word_matrix_mod_p(a2, f_classical):
+    """The mod-p action of every word up to length 3 on the adjoint module,
+    whose zero weight is 2-dimensional, equals its word matrix mod p; words
+    that meet an absent operator or leave the support give the zero vector
+    of the target weight."""
+    V = build_simple(a2, f_classical, (1, 1))
+    letters = [(k, i) for k in "xy" for i in range(2)]
+    words = [w for length in range(4) for w in product(letters, repeat=length)]
+    count = 0
+    for n in V.support():
+        for k in range(V.dim(n)):
+            unit = [QScalar.zero()] * V.dim(n)
+            unit[k] = QScalar.one()
+            for word in words:
+                want = [x.modp() for x in mat_vec(V.word_matrix(word, n), unit)]
+                got = ext_module._act_mod(V, word, n, [x.modp() for x in unit])
+                assert got == want
+                count += bool(want) and not any(want)
+    assert count >= 50
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,8 @@ from schurq.gbasis import (
     default_order,
     dense_rank_dims,
 )
-from schurq.modules import yn_presentation
+from schurq.ext import WindowedAlgebra, minimal_resolution
+from schurq.modules import trivial_module, yn_presentation
 from schurq.presentation import NCPoly, instantiate_window, un_presentation, word_target
 from schurq.qfield import QScalar
 
@@ -191,13 +192,14 @@ def _scan_find_divisor(word, source, by_letter, anchored, stop=None):
     return None
 
 
-def _scan_levels_from(algebra, source):
-    """Normal paths per length, testing each new prefix against every lead."""
+def _scan_levels_from(algebra, source, maxlen=None):
+    """Normal paths per length to maxlen (default lencap), testing each new
+    prefix against every lead."""
     n = algebra.quiver.radius
     leads = algebra.gb.leads()
     current = [()]
     out = [[()]]
-    for _l in range(algebra.lencap):
+    for _l in range(algebra.lencap if maxlen is None else maxlen):
         nxt = []
         for word in current:
             tgt = word_target(word, source)
@@ -351,6 +353,47 @@ def test_levels_from_matches_linear_scan(request, window):
 def a2_window_r3(a2, f_classical):
     """The larger window of the sl3 probe: radius 3, lencap 10."""
     return build_algebra(a2, f_classical, 3, margin=2)
+
+
+def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_r3):
+    """Resolving the trivial module on the radius-3 window enumerates each
+    source's paths only to the deepest length requested of it; every
+    component read equals the slice of a full-depth enumeration, and a
+    deeper request afterwards gives the full-depth levels."""
+    base = a2_window_r3
+    lencap = base.lencap
+    algebra = WindowedAlgebra(base.quiver, base.gb, lencap)
+    fresh = WindowedAlgebra(base.quiver, base.gb, lencap)
+    deepest, reads = {}, []
+    levels_from, component = algebra.levels_from, algebra.component
+
+    def record_levels(source, maxlen=None):
+        depth = lencap if maxlen is None else min(maxlen, lencap)
+        deepest[source] = max(deepest.get(source, -1), depth)
+        return levels_from(source, maxlen)
+
+    def record_component(source, target, maxlen):
+        out = component(source, target, maxlen)
+        reads.append((source, target, maxlen, out))
+        return out
+
+    algebra.levels_from, algebra.component = record_levels, record_component
+    minimal_resolution(algebra, trivial_module(a2, f_classical, (0, 0)), 2)
+    # all but the stage-0 generator's source are read to length 1 at most
+    assert reads and sum(d <= 1 for d in deepest.values()) >= 20
+    for source, depth in deepest.items():
+        assert len(algebra._levels[source]) == depth + 1
+        full = fresh.levels_from(source)
+        assert _scan_levels_from(algebra, source, depth) == full[: depth + 1]
+    for source, target, maxlen, out in reads:
+        words = [w for level in fresh.levels_from(source)[: maxlen + 1] for w in level]
+        assert out == [w for w in words if word_target(w, source) == target]
+    for source in deepest:
+        assert algebra.levels_from(source) == fresh.levels_from(source)
+        for target in base.quiver.vertices:
+            assert algebra.component(source, target, lencap) == fresh.component(
+                source, target, lencap
+            )
 
 
 # sha256 of GBResult.serialize(), recorded from the linear-scan engine (a1, a2)
