@@ -182,7 +182,10 @@ def parse_module_spec(spec, c, f):
                 return truncated_verma(c, f, n0, depth)
 
             return floor_verma
-        return truncated_verma(c, f, n0, integer(parts[2]))
+        depth = integer(parts[2])
+        if depth < 0:
+            raise ConfigError("module: %r has a negative depth %d" % (spec, depth))
+        return truncated_verma(c, f, n0, depth)
     raise ConfigError("module: unknown module spec %r" % spec)
 
 

@@ -15,6 +15,12 @@ the exact kernel at its weight and must reduce to its mod-p candidate, and
 certificate proves that the generators generate each kernel; a per-stage
 length budget records where the truncated computation is faithful; trust for
 verdicts additionally requires agreement across two window radii.
+
+The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
+``str`` words, ``int`` vertices).  Its normal paths, normal forms and
+letter action, the projective bases and the kernel vectors over them are
+on codes; words are decoded where they leave: into ``Stage.diff``, module
+matrices (``word_matrix``, ``_act_mod``) and the Yoneda lifts.
 """
 
 from __future__ import annotations
@@ -156,14 +162,14 @@ class WindowedAlgebra:
         self.quiver = quiver
         self.gb = gb
         self.lencap = lencap
-        self._idx = gb.order.index()
         self._words = NormalWords(gb, box_radius=quiver.radius)
         self._index = self._words.index
-        # source -> levels 0..depth, where depth is the deepest length asked
-        # of it so far; deeper requests continue from _pending
+        self.code = self._words.code
+        # source code -> levels 0..depth, where depth is the deepest length
+        # asked of it so far; deeper requests continue from _pending
         self._levels = {}
-        self._pending = {}  # source -> NormalWords.levels iterator, until lencap
-        self._by_target = {}  # source -> {target: [word]} in levels order
+        self._pending = {}  # source code -> NormalWords.levels iterator, until lencap
+        self._by_target = {}  # source code -> {target code: [word]} in levels order
         self._nf_cache = {}
         self._nf_mod_cache = {}
 
@@ -175,17 +181,25 @@ class WindowedAlgebra:
         r = self.rank
         return [("x", i) for i in range(r)] + [("y", i) for i in range(r)]
 
+    def encode(self, word):
+        """The code of a tuple of letters (``gbasis.WordCode``)."""
+        return self.code.encode(word)
+
+    def decode(self, word):
+        """The tuple of letters of a coded word."""
+        return self.code.decode(word)
+
     def levels_from(self, source, maxlen=None):
-        """Normal paths from source inside the window, per length
-        0..min(maxlen, lencap); all lencap + 1 levels when maxlen is None,
-        none when it is negative.
+        """Coded normal paths from the vertex source inside the window, per
+        length 0..min(maxlen, lencap); all lencap + 1 levels when maxlen is
+        None, none when it is negative.
 
         Levels are enumerated on demand: a source keeps the levels up to the
         deepest length requested so far, and a deeper request continues the
         same ``NormalWords.levels`` iterator, so the words and their order
         do not depend on the order of requests.
         """
-        source = tuple(source)
+        source = self.code.vertex(tuple(source))
         depth = self.lencap if maxlen is None else max(min(maxlen, self.lencap), -1)
         levels = self._levels.get(source)
         if levels is None:
@@ -206,23 +220,25 @@ class WindowedAlgebra:
         return levels if depth == self.lencap else levels[: depth + 1]
 
     def component(self, source, target, maxlen):
-        """Ordered basis of normal paths source -> target with length <= maxlen.
+        """Ordered basis of coded normal paths source -> target with length
+        <= maxlen, for vertices source and target.
 
         Enumerates the paths from source only to length maxlen (through
         ``levels_from``), not to lencap.
         """
         source = tuple(source)
         self.levels_from(source, maxlen)
-        words = self._by_target[source].get(tuple(target), [])
+        code = self.code
+        words = self._by_target[code.vertex(source)].get(code.vertex(tuple(target)), [])
         return words[: bisect_right(words, maxlen, key=len)]
 
     def nf(self, word, source):
-        """Normal form of an anchored word: dict {word: QScalar}."""
+        """Normal form of a coded word from a vertex code: dict {word: QScalar}."""
         self._check_len(word)
         key = (word, source)
         hit = self._nf_cache.get(key)
         if hit is None:
-            hit = _reduce_full({word: _O}, source, self._index, self._idx)
+            hit = _reduce_full({word: _O}, source, self._index)
             self._nf_cache[key] = hit
         return hit
 
@@ -261,7 +277,7 @@ class WindowedAlgebra:
         the elements are monic and ``QScalar.modp`` is a ring map.  So the
         action returns exactly the image mod p of ``nf``.
         """
-        word = (letter,) + word
+        word = letter + word
         key = (word, source)
         hit = self._nf_mod_cache.get(key)
         if hit is not None:
@@ -361,7 +377,7 @@ def _module_generators(V):
 
 
 def _pbasis(algebra, stage, m):
-    """Ordered basis [(gen_idx, word)] of the stage's projective at weight m."""
+    """Ordered basis [(gen_idx, coded word)] of the stage's projective at weight m."""
     out = []
     for g, w in enumerate(stage.gens):
         for word in algebra.component(w, m, stage.budget):
@@ -372,8 +388,9 @@ def _pbasis(algebra, stage, m):
 def _diff_matrix(algebra, stages, p, m, diff_mod=None):
     """Matrix of d_p at weight m: P_p(m) -> P_{p-1}(m) in the ordered bases.
 
-    With ``diff_mod`` (stage p's differential entries mod p) the matrix is
-    over Z/p: its entries are ints, read mod p, built from ``nf_mod``.
+    With ``diff_mod`` (stage p's coded differential entries mod p,
+    ``_mod_data``) the matrix is over Z/p: its entries are ints, read mod p,
+    built from ``nf_mod``.
     """
     stage = stages[p]
     prev = stages[p - 1]
@@ -381,15 +398,15 @@ def _diff_matrix(algebra, stages, p, m, diff_mod=None):
     cod = _pbasis(algebra, prev, m)
     cindex = {b: i for i, b in enumerate(cod)}
     if diff_mod is None:
-        diff, nf, zero = stage.diff, algebra.nf, _Z
+        diff, nf, zero = _coded_diff(stage, algebra.code), algebra.nf, _Z
     else:
         diff, nf, zero = diff_mod, algebra.nf_mod, 0
+    sources = [algebra.code.vertex(w) for w in prev.gens]
     cols = []
     for (g, word) in dom:
         vec = [zero] * len(cod)
         for (gp, u), c2 in diff[g]:
-            src = prev.gens[gp]
-            for w2, c3 in nf(word + u, src).items():
+            for w2, c3 in nf(word + u, sources[gp]).items():
                 i = cindex.get((gp, w2))
                 if i is None:
                     raise ExtError(
@@ -434,6 +451,7 @@ def _aug_matrix(algebra, stage, V, m, aug_mod=None):
     cols = []
     for (g, word) in dom:
         w = stage.gens[g]
+        word = algebra.decode(word)
         if aug_mod is None:
             vec = mat_vec(V.word_matrix(word, w), stage.aug[g])
         else:
@@ -459,11 +477,21 @@ def _exact_kernel(algebra, stages, V, k, m):
     return nullspace(rows, len(dom))
 
 
-def _mod_data(stage):
-    """A stage's augmentation vectors (stage 0) or differential entries, mod p."""
+def _coded_diff(stage, code, mod=False):
+    """A stage's differential entries with coded words; with ``mod`` their
+    coefficients mod p."""
+    return tuple(
+        tuple(((g, code.encode(u)), c.modp() if mod else c) for (g, u), c in entry)
+        for entry in stage.diff
+    )
+
+
+def _mod_data(stage, code):
+    """A stage's augmentation vectors (stage 0) or coded differential
+    entries, mod p."""
     if stage.aug:
         return tuple(tuple(x.modp() for x in v) for v in stage.aug)
-    return tuple(tuple((key, c.modp()) for key, c in entry) for entry in stage.diff)
+    return _coded_diff(stage, code, mod=True)
 
 
 def _check_window_module(quiver, V):
@@ -515,7 +543,7 @@ def minimal_resolution(algebra, V, homcap):
     box = list(algebra.quiver.vertices)
     for p in range(1, homcap + 1):
         prev = stages[-1]
-        mod = _mod_data(prev)
+        mod = _mod_data(prev, algebra.code)
         kernels = {}
         for m in box:
             dom, rows = _map_matrix(algebra, stages, V, p - 1, m, mod)
@@ -545,7 +573,7 @@ def _vec_maxlen(dom, vec):
 def _extract_stage(algebra, prev, kernels):
     """Choose a generating set of the kernel submodule from per-weight bases.
 
-    ``kernels[m]`` is ``(dom, null, exact)``: the domain basis at weight m,
+    ``kernels[m]`` is ``(dom, null, exact)``: the coded domain basis at weight m,
     the kernel basis there over Z/p at q0 (``qfield.MOD_P``, ``MOD_Q0``) in
     ``nullspace``'s normal form, and a function that computes the exact
     kernel basis.  Candidates are the mod-p kernel vectors, shortest path
@@ -590,7 +618,9 @@ def _extract_stage(algebra, prev, kernels):
 
     gens = []
     diffs = []
-    letters = algebra.letters()
+    code = algebra.code
+    letters = [(letter, code.encode((letter,))) for letter in algebra.letters()]
+    sources = [code.vertex(w) for w in prev.gens]
     exact_kernels = {}
 
     def close(m, ivec):
@@ -602,14 +632,14 @@ def _extract_stage(algebra, prev, kernels):
             elem = [(dom[i], c) for i, c in enumerate(v) if c]
             if max(len(w) for (_g, w), _c in elem) + 1 > prev.budget:
                 continue
-            for letter in letters:
+            for letter, char in letters:
                 tgt = word_target((letter,), mm)
                 index = tindex.get(tgt)
                 if index is None:
                     continue
                 out = {}
                 for (g, word), c in elem:
-                    for w2, n in algebra.letter_mod(letter, word, prev.gens[g]).items():
+                    for w2, n in algebra.letter_mod(char, word, sources[g]).items():
                         key = (g, w2)
                         out[key] = out.get(key, 0) + c * n
                 tv = [0] * len(index)
@@ -636,7 +666,9 @@ def _extract_stage(algebra, prev, kernels):
         if k >= len(basis) or [c.modp() for c in basis[k]] != vec:
             raise KernelLiftError(m, k, len(basis))
         gens.append(m)
-        diffs.append(tuple(((g, w), c) for (g, w), c in zip(dom, basis[k]) if c))
+        diffs.append(
+            tuple(((g, code.decode(w)), c) for (g, w), c in zip(dom, basis[k]) if c)
+        )
         close(m, vec)
 
     for m in sorted(kernels):
@@ -673,10 +705,9 @@ def _check_dd(algebra, stages, V):
             else:
                 out = {}
                 for (gp, u), c in entry:
-                    src = prev.gens[gp]
                     for (gpp, u2), c2 in prev.diff[gp]:
-                        src2 = stages[p - 2].gens[gpp]
-                        for w2, c3 in algebra.nf(u + u2, src2).items():
+                        src2 = algebra.code.vertex(stages[p - 2].gens[gpp])
+                        for w2, c3 in algebra.nf(algebra.encode(u + u2), src2).items():
                             key = (gpp, w2)
                             val = out.get(key, _Z) + c * c2 * c3
                             if val:
@@ -768,6 +799,7 @@ def _top_constraints(res, W, wordmat_cache):
                 dW = W.dim(wsrc)
                 if dW == 0:
                     continue
+                word = algebra.decode(word)
                 key = (word, wsrc)
                 mat = wordmat_cache.get(key)
                 if mat is None:
@@ -1116,9 +1148,10 @@ def _lift_chain_map(resV, resW, p, phi_parts, depth):
             # rhs = f_{k-1}(d(e_g)) in P_{k-1}(W)(w)
             rhs = {}
             for (gp, u), c in stageV.diff[g]:
+                u = algebra.encode(u)
                 for bb, cc in prev_f[gp].items():
                     gw, word = bb
-                    src = resW.stages[k - 1].gens[gw]
+                    src = algebra.code.vertex(resW.stages[k - 1].gens[gw])
                     for w2, c3 in algebra.nf(u + word, src).items():
                         key = (gw, w2)
                         val = rhs.get(key, _Z) + c * cc * c3
@@ -1164,7 +1197,7 @@ def yoneda_product(resV, resW, U, p, phiV_parts, r, psiW_parts):
             src = resW.stages[r].gens[gw]
             if U.dim(src) == 0:
                 continue
-            mat = U.word_matrix(word, src)
+            mat = U.word_matrix(resV.algebra.decode(word), src)
             contrib = mat_vec(mat, psiW_parts[gw])
             for t in range(len(acc)):
                 acc[t] = acc[t] + c * contrib[t]

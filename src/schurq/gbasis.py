@@ -6,6 +6,14 @@ normal forms for every word of length <= cap.  Monomials are words with an
 optional vertex anchor; the order is length-first, then lexicographic by a
 fixed generator precedence, then anchor.
 
+Inside the engine a word is a ``str`` with one character per letter and a
+vertex is one ``int`` (``WordCode``): letter k of the precedence is
+``chr(0x30 + k)``, so on words of one length string order is precedence
+order, and a letter step is one int addition.  Tuples of letters and of
+coordinates appear only where words enter or leave the engine: the
+relations going into ``groebner``, ``GBResult.elements`` and ``leads``,
+``normal_form`` and ``NormalWords.by_length``.
+
 Leading words are kept in one trie per basis (``_LeadIndex``).  Each node
 where a lead ends maps the lead's anchor, the vertex at its right end inside
 an anchored word (``None`` for free presentations), to the element.  Divisor
@@ -29,23 +37,19 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .linalg import mat_rank
 from .qfield import QScalar
-from .presentation import (
-    NCPoly,
-    Presentation,
-    WindowedQuiver,
-    path_vertices,
-    word_degree,
-    word_target,
-)
+from .presentation import NCPoly, Presentation, WindowedQuiver, word_degree
 
 __all__ = [
     "MonomialOrder",
+    "WordCode",
     "GBResult",
     "GBError",
     "UncertifiedRegionError",
+    "VertexRangeError",
     "default_order",
     "groebner",
     "normal_form",
@@ -60,6 +64,10 @@ class GBError(RuntimeError):
 
 class UncertifiedRegionError(GBError):
     """A normal form or dimension was requested beyond the certified cap."""
+
+
+class VertexRangeError(GBError):
+    """A vertex lies outside the range of a vertex code."""
 
 
 @dataclass(frozen=True)
@@ -81,23 +89,109 @@ def default_order(rank):
 
 
 # ---------------------------------------------------------------------------
-# engine internals: polys as dict {word: QScalar} plus a common anchor
+# coded words: letters as characters, vertices as integers
 # ---------------------------------------------------------------------------
 
 
-def _word_key(word, idx):
-    return (len(word), tuple(-idx[l] for l in word))
+class WordCode:
+    """Words as ``str`` and vertices as ``int``, for one precedence and rank.
+
+    Letter k of ``precedence`` is the character ``chr(0x30 + k)``; the first
+    letter is the highest in the order.  So of two words of one length the
+    larger in the order is the smaller string, and ``flip`` (a
+    ``str.translate`` table) maps each character to its mirror, which
+    reverses that.
+
+    Completion's ambiguity queue pops the shortest word first and, of one
+    length, the smallest in the order: ``ascending`` keys it so.
+
+    A vertex is one int by mixed radix: coordinate i plus ``reach`` is digit
+    i in base ``2 * reach + 1``.  ``vertex`` refuses a coordinate beyond
+    ``reach`` (``VertexRangeError``), so distinct vertices in range get
+    distinct codes.  A letter step adds ``step[letter]`` to a code; a path
+    whose vertices all stay in range has as vertex codes the running sums.
+    Callers take ``reach`` as the box radius plus the longest path walked,
+    so no path of that length from the box leaves the range.
+    """
+
+    def __init__(self, precedence, rank, reach):
+        self.rank = rank
+        self.reach = reach
+        self.base = base = 2 * reach + 1
+        chars = "".join(chr(0x30 + k) for k in range(len(precedence)))
+        self._enc = dict(zip(precedence, chars))
+        self._dec = dict(zip(chars, precedence))
+        self.flip = str.maketrans(chars, chars[::-1])
+        self.step = {
+            c: (1 if kind == "x" else -1) * base**i for (kind, i), c in self._enc.items()
+        }
+        self._vertices = {}  # vertex -> code, for the vertices coded so far
+
+    def ascending(self, word):
+        """Sort key of coded words: shortest first, then the smallest in the order."""
+        return (len(word), word.translate(self.flip))
+
+    def encode(self, word):
+        """The code of a tuple of letters."""
+        return "".join(map(self._enc.__getitem__, word))
+
+    def decode(self, word):
+        """The tuple of letters of a code."""
+        return tuple(map(self._dec.__getitem__, word))
+
+    def vertex(self, v):
+        """The code of a vertex (a tuple of ``rank`` ints)."""
+        code = self._vertices.get(v)
+        if code is None:
+            reach = self.reach
+            if len(v) != self.rank or any(abs(x) > reach for x in v):
+                raise VertexRangeError(
+                    "vertex %s outside the code range: rank %d, coordinates within %d"
+                    % (v, self.rank, reach)
+                )
+            code = 0
+            for x in reversed(v):
+                code = code * self.base + x + reach
+            self._vertices[v] = code
+        return code
+
+    def point(self, code):
+        """The vertex of a code."""
+        out = []
+        for _i in range(self.rank):
+            code, digit = divmod(code, self.base)
+            out.append(digit - self.reach)
+        return tuple(out)
+
+    def target(self, word, source):
+        """The vertex code reached by a coded word from ``source``."""
+        return source + sum(map(self.step.__getitem__, word))
+
+    def path(self, word, source):
+        """The vertex codes a coded word visits, rightmost letter first."""
+        steps = map(self.step.__getitem__, reversed(word))
+        return list(accumulate(steps, initial=source))
 
 
-def _lead(terms, idx):
-    return max(terms, key=lambda w: _word_key(w, idx))
+def _descending(word):
+    """Sort key that puts the largest word in the order first."""
+    return (-len(word), word)
+
+
+def _lead(words):
+    return min(words, key=_descending)
+
+
+# ---------------------------------------------------------------------------
+# engine internals: polys as dict {word: QScalar} plus a common anchor
+# ---------------------------------------------------------------------------
 
 
 class _Elem:
     __slots__ = ("terms", "source", "lead", "_mod_terms")
 
-    def __init__(self, terms, source, idx):
-        lead = _lead(terms, idx)
+    def __init__(self, terms, source):
+        lead = _lead(terms)
         inv = terms[lead].inverse()
         if not inv.is_one():
             terms = {w: v * inv for w, v in terms.items()}
@@ -113,11 +207,6 @@ class _Elem:
         return self._mod_terms
 
 
-def _subword_source(word, pos, sublen, source):
-    """Anchor of word[pos:pos+sublen] inside an anchored word."""
-    return word_target(word[pos + sublen:], source)
-
-
 class _LeadIndex:
     """Leading words of a basis in one trie.
 
@@ -127,19 +216,21 @@ class _LeadIndex:
     added; the anchor is the element's source, the vertex at the lead's
     right end, or ``None`` for free presentations.  Of several elements with
     the same lead and anchor only the first is kept, which is the one a scan
-    in insertion order meets first.
+    in insertion order meets first.  ``code`` is the basis's ``WordCode``.
     """
 
-    __slots__ = ("anchored", "elems", "root")
+    __slots__ = ("code", "anchored", "elems", "root")
 
-    def __init__(self, anchored):
+    def __init__(self, code, anchored):
+        self.code = code
         self.anchored = anchored
         self.elems = []  # in rank order
         self.root = ({}, {})
 
     def add(self, e):
         if not e.lead:
-            raise GBError("constant element in the ideal at anchor %r" % (e.source,))
+            source = self.code.point(e.source) if self.anchored else None
+            raise GBError("constant element in the ideal at anchor %r" % (source,))
         node = self.root
         for letter in e.lead:
             child = node[0].get(letter)
@@ -157,10 +248,10 @@ def _find_divisor(word, source, index, hint=None, stop=None):
     The start positions tried are those below ``stop`` (all of them when it
     is None): with ``stop=1`` only divisors at position 0 are found, which
     are the only ones a word can have when its suffix after one letter is
-    normal.  ``anchors`` is ``path_vertices(word, source)`` if a walk needed
-    it, else None.  ``hint = (parent, shared)`` says that the last ``shared``
-    letters of word are those of a word whose anchors list is ``parent``, so
-    only the anchors left of them are computed.
+    normal.  ``anchors`` is ``index.code.path(word, source)`` if a walk
+    needed it, else None.  ``hint = (parent, shared)`` says that the last
+    ``shared`` letters of word are those of a word whose anchors list is
+    ``parent``, so only the anchors left of them are computed.
     """
     n = len(word)
     anchored = index.anchored
@@ -180,10 +271,10 @@ def _find_divisor(word, source, index, hint=None, stop=None):
                 if anchored:
                     if anchors is None:
                         if hint is None:
-                            anchors = path_vertices(word, source)
+                            anchors = index.code.path(word, source)
                         else:
                             parent, shared = hint
-                            anchors = parent[:shared] + path_vertices(
+                            anchors = parent[:shared] + index.code.path(
                                 word[: n - shared], parent[shared]
                             )
                     hit = ends.get(anchors[n - k - 1])
@@ -196,23 +287,21 @@ def _find_divisor(word, source, index, hint=None, stop=None):
     return None
 
 
-def _reduce_full(terms, source, index, idx):
+def _reduce_full(terms, source, index):
     """Totally reduce a {word: coeff} dict; returns a new dict.
 
-    Pending words leave a heap largest first.  Each word is keyed once, when
-    it enters ``work``, by ``(-length, letter ranks)``: the reverse of the
-    order ``_word_key`` gives, and distinct for distinct words.  A word made
-    by rewriting a divisible word keeps that word's right end, so its
-    anchors are extended from the parent's (``_find_divisor``'s hint).
+    Pending words leave a heap largest first, keyed once, when they enter
+    ``work``, by ``(-length, word)``.  A word made by rewriting a divisible
+    word keeps that word's right end, so its anchors are extended from the
+    parent's (``_find_divisor``'s hint).
     """
     done = {}
     work = dict(terms)
     hints = {}
-    rank = idx.__getitem__
-    heap = [(-len(w), tuple(map(rank, w)), w) for w in work]
+    heap = [(-len(w), w) for w in work]
     heapq.heapify(heap)
     while heap:
-        w = heapq.heappop(heap)[2]
+        w = heapq.heappop(heap)[1]
         c = work.pop(w)
         if not c:
             continue
@@ -240,15 +329,16 @@ def _reduce_full(terms, source, index, idx):
                 work[nw] = add
                 if hint is not None:
                     hints[nw] = hint
-                heapq.heappush(heap, (-len(nw), tuple(map(rank, nw)), nw))
+                heapq.heappush(heap, (-len(nw), nw))
     return {w: v for w, v in done.items() if v}
 
 
-def _ambiguities(g1, g2, anchored):
+def _ambiguities(g1, g2, code):
     """Overlap and inclusion ambiguities between two leading words.
 
     Yields (word, source, pos1, pos2): the ambiguity word with lead(g1) at
-    offset pos1 and lead(g2) at offset pos2.
+    offset pos1 and lead(g2) at offset pos2.  ``code`` is the ``WordCode``
+    of anchored leads, None for free presentations.
     """
     u1, u2 = g1.lead, g2.lead
     l1, l2 = len(u1), len(u2)
@@ -258,11 +348,11 @@ def _ambiguities(g1, g2, anchored):
             continue
         if u1[l1 - t:] == u2[:t]:
             word = u1 + u2[t:]
-            if anchored:
+            if code is not None:
                 source = g2.source if t < l2 else g1.source
-                if _subword_source(word, 0, l1, source) != g1.source:
+                if code.target(word[l1:], source) != g1.source:
                     continue
-                if _subword_source(word, l1 - t, l2, source) != g2.source:
+                if code.target(word[l1 - t + l2:], source) != g2.source:
                     continue
             else:
                 source = None
@@ -270,9 +360,9 @@ def _ambiguities(g1, g2, anchored):
     # u2 strictly inside u1 away from the right end
     for p in range(0, l1 - l2):
         if u1[p:p + l2] == u2:
-            if anchored:
+            if code is not None:
                 source = g1.source
-                if _subword_source(u1, p, l2, source) != g2.source:
+                if code.target(u1[p + l2:], source) != g2.source:
                     continue
             else:
                 source = None
@@ -284,7 +374,8 @@ class _PartnerIndex:
 
     Each table maps ``(subword, anchor)`` to ``(rank, elem)`` entries in rank
     order, where the anchor is the vertex at the subword's right end inside
-    the element's anchored lead (``None`` for free presentations):
+    the element's anchored lead (``None`` for free presentations, whose
+    ``code`` is None):
 
     - ``prefix``: every prefix of a lead, the lead included;
     - ``suffix``: every suffix of a lead, the lead included;
@@ -297,10 +388,10 @@ class _PartnerIndex:
     ``_ambiguities`` can pair with a new one.
     """
 
-    __slots__ = ("anchored", "count", "prefix", "suffix", "inner", "whole")
+    __slots__ = ("code", "count", "prefix", "suffix", "inner", "whole")
 
-    def __init__(self, anchored):
-        self.anchored = anchored
+    def __init__(self, code):
+        self.code = code
         self.count = 0
         self.prefix = {}
         self.suffix = {}
@@ -311,7 +402,7 @@ class _PartnerIndex:
         """(start, end, key) for every subword of lead(e)."""
         u = e.lead
         n = len(u)
-        anchors = path_vertices(u, e.source) if self.anchored else None
+        anchors = self.code.path(u, e.source) if self.code is not None else None
         for j in range(n, 0, -1):
             anchor = anchors[n - j] if anchors is not None else None
             for i in range(j):
@@ -361,7 +452,7 @@ class _PartnerIndex:
             other = found[rank]
             pairs = ((e, other),) if other is e else ((e, other), (other, e))
             for a, b in pairs:
-                for word, source, p1, p2 in _ambiguities(a, b, self.anchored):
+                for word, source, p1, p2 in _ambiguities(a, b, self.code):
                     yield word, source, a, b, p1, p2
 
 
@@ -379,12 +470,11 @@ class GBResult:
     input_hash: str = ""
 
     def leads(self):
-        idx = self.order.index()
-        out = []
-        for p in self.elements:
-            terms = dict(p.terms)
-            out.append((_lead(terms, idx), p.source))
-        return tuple(out)
+        code = WordCode(self.order.precedence, self.rank, 0)  # words only
+        return tuple(
+            (code.decode(_lead([code.encode(w) for w, _v in p.terms])), p.source)
+            for p in self.elements
+        )
 
     # -- serialization --------------------------------------------------
 
@@ -458,7 +548,7 @@ def _input_hash(label, relations):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def groebner(pres, cap, order=None):
+def groebner(pres, cap):
     """Truncated completion of a Presentation or WindowedQuiver up to word length cap."""
     if isinstance(pres, WindowedQuiver):
         anchored = True
@@ -468,32 +558,40 @@ def groebner(pres, cap, order=None):
         letters = tuple(("x", i) for i in range(rank)) + tuple(
             ("y", i) for i in range(rank)
         )
+        reach = pres.radius + cap
     elif isinstance(pres, Presentation):
         anchored = False
         rank = pres.rank
         relations = list(pres.relations)
         label = pres.label
         letters = tuple(pres.generators)
+        reach = cap
     else:
         raise GBError("unsupported presentation type %r" % type(pres).__name__)
-    if order is None:
-        order = default_order(rank)
-    idx = order.index()
-
-    index = _LeadIndex(anchored)
-    partners = _PartnerIndex(anchored)
+    order = default_order(rank)
+    code = WordCode(order.precedence, rank, reach)
+    ascending = code.ascending
+    index = _LeadIndex(code, anchored)
+    partners = _PartnerIndex(code if anchored else None)
     basis = index.elems
 
     def add_elem(terms, source):
-        e = _Elem(terms, source, idx)
+        e = _Elem(terms, source)
         index.add(e)
         return e
 
     # seed with fully reduced input relations (iterate to inter-reduce)
-    pending = [(dict(p.terms), p.source) for p in relations if p.terms]
-    pending.sort(key=lambda t: _word_key(_lead(t[0], idx), idx))
+    pending = [
+        (
+            {code.encode(w): v for w, v in p.terms},
+            code.vertex(p.source) if anchored else None,
+        )
+        for p in relations
+        if p.terms
+    ]
+    pending.sort(key=lambda t: ascending(_lead(t[0])))
     for terms, source in pending:
-        red = _reduce_full(terms, source, index, idx)
+        red = _reduce_full(terms, source, index)
         if red:
             add_elem(red, source)
 
@@ -509,7 +607,7 @@ def groebner(pres, cap, order=None):
                 continue
             counter += 1
             heapq.heappush(
-                heap, (_word_key(word, idx), counter, word, source, a, b, p1, p2)
+                heap, (ascending(word), counter, word, source, a, b, p1, p2)
             )
 
     for e in basis:
@@ -527,7 +625,7 @@ def groebner(pres, cap, order=None):
             nw = left2 + uw + right2
             terms[nw] = terms.get(nw, QScalar.zero()) - uc
         terms = {w: v for w, v in terms.items() if v}
-        red = _reduce_full(terms, source, index, idx)
+        red = _reduce_full(terms, source, index)
         if red:
             e = add_elem(red, source)
             if len(e.lead) > cap:
@@ -535,9 +633,14 @@ def groebner(pres, cap, order=None):
                 raise GBError("reduction produced an over-cap leading word")
             push_pairs(e)
 
+    def source_of(e):
+        return code.point(e.source) if anchored else None
+
     polys = tuple(
-        NCPoly.make(e.terms, e.source, rank)
-        for e in sorted(basis, key=lambda e: (_word_key(e.lead, idx), e.source or ()))
+        NCPoly.make(
+            {code.decode(w): v for w, v in e.terms.items()}, source_of(e), rank
+        )
+        for e in sorted(basis, key=lambda e: (ascending(e.lead), source_of(e) or ()))
     )
     return GBResult(
         rank=rank,
@@ -558,12 +661,24 @@ def groebner(pres, cap, order=None):
 # ---------------------------------------------------------------------------
 
 
-def _basis_index(g):
-    """The lead index of a completed basis, built once per basis."""
-    idx = g.order.index()
-    index = _LeadIndex(g.anchored)
+def _basis_index(g, box_radius=None):
+    """The lead index of a completed basis, built once per basis.
+
+    Its ``WordCode`` reaches every path of length up to ``certified_len``
+    from the element sources and from the box of ``box_radius``; for a free
+    presentation, every multidegree of such a length.
+    """
+    radius = max(
+        (abs(x) for p in g.elements if p.source is not None for x in p.source),
+        default=0,
+    )
+    if box_radius is not None:
+        radius = max(radius, box_radius)
+    code = WordCode(g.order.precedence, g.rank, radius + g.certified_len)
+    index = _LeadIndex(code, g.anchored)
     for p in g.elements:
-        index.add(_Elem(dict(p.terms), p.source, idx))
+        terms = {code.encode(w): v for w, v in p.terms}
+        index.add(_Elem(terms, code.vertex(p.source) if g.anchored else None))
     return index
 
 
@@ -579,21 +694,26 @@ def normal_form(x, g, _index_cache=None):
             "word length %d beyond certified %d" % (maxlen, g.certified_len)
         )
     index = _index_cache if _index_cache is not None else _basis_index(g)
-    red = _reduce_full(dict(x.terms), x.source, index, g.order.index())
-    return NCPoly.make(red, x.source, g.rank)
+    code = index.code
+    source = code.vertex(x.source) if index.anchored else None
+    red = _reduce_full({code.encode(w): v for w, v in x.terms}, source, index)
+    return NCPoly.make({code.decode(w): v for w, v in red.items()}, x.source, g.rank)
 
 
 class NormalWords:
     """Enumerator of normal words, optionally anchored and kept in a box.
 
-    ``index`` is the lead index of the basis; ``normal_form`` and
-    ``WindowedAlgebra.nf`` reduce against the same one.
+    ``index`` is the lead index of the basis and ``code`` its ``WordCode``;
+    ``normal_form`` and ``WindowedAlgebra.nf`` reduce against the same
+    index.  ``levels`` works on codes, ``by_length`` on tuples.
     """
 
     def __init__(self, g, box_radius=None):
         self.g = g
-        self.index = _basis_index(g)
+        self.index = _basis_index(g, box_radius)
+        self.code = self.index.code
         self.box_radius = box_radius
+        self._letters = tuple(self.code.encode((letter,)) for letter in g.letters)
         self._steps = {}  # vertex -> ((letter, target in the box), ...)
 
     def _is_normal_prefix(self, word, anchors):
@@ -616,10 +736,11 @@ class NormalWords:
         steps = self._steps.get(v)
         if steps is None:
             r = self.box_radius
+            step = self.code.step
             steps = []
-            for letter in self.g.letters:
-                t = word_target((letter,), v)
-                if r is None or all(-r <= x <= r for x in t):
+            for letter in self._letters:
+                t = v + step[letter]
+                if r is None or all(-r <= x <= r for x in self.code.point(t)):
                     steps.append((letter, t))
             steps = self._steps[v] = tuple(steps)
         return steps
@@ -629,30 +750,41 @@ class NormalWords:
 
         Each level lists the one-letter left extensions of the previous level's
         words, in that order and then in alphabet order.  With ``targets``
-        (anchored only) each entry is ``(word, target vertex)``.
+        (anchored only) each entry is ``(word, target vertex)``.  Words are
+        tuples of letters and vertices tuples of ints.
         """
-        return list(self.levels(source, maxlen, targets))
+        code = self.code
+        start = code.vertex(source) if source is not None else None
+        out = []
+        for level in self.levels(start, maxlen, targets):
+            if targets:
+                out.append([(code.decode(w), code.point(t)) for w, t in level])
+            else:
+                out.append([code.decode(w) for w in level])
+        return out
 
     def levels(self, source, maxlen, targets=False):
-        """The levels of ``by_length``, one at a time: each level is built
-        only when it is asked for, from the last one built."""
+        """The levels of ``by_length`` on codes, one at a time: ``source`` is
+        a vertex code (or None), words are coded and targets vertex codes.
+        Each level is built only when it is asked for, from the last one
+        built."""
         if maxlen > self.g.certified_len:
             raise UncertifiedRegionError(
                 "length %d beyond certified %d" % (maxlen, self.g.certified_len)
             )
         anchored = source is not None
-        free_steps = tuple((letter, None) for letter in self.g.letters)
+        free_steps = tuple((letter, None) for letter in self._letters)
         is_normal = self._is_normal_prefix
-        # with a source, each word carries the vertices of its path (path_vertices)
-        current = [((), (tuple(source),) if anchored else None)]
-        yield [((), tuple(source))] if targets else [()]
+        # with a source, each word carries the vertices of its path (code.path)
+        current = [("", (source,) if anchored else None)]
+        yield [("", source)] if targets else [""]
         for _l in range(maxlen):
             nxt = []
             for word, verts in current:
                 steps = self._steps_from(verts[-1]) if anchored else free_steps
                 for letter, t2 in steps:
                     nverts = verts + (t2,) if anchored else None
-                    nw = (letter,) + word
+                    nw = letter + word
                     if is_normal(nw, nverts):
                         nxt.append((nw, nverts))
             current = nxt
@@ -667,6 +799,8 @@ def hilbert(g, cap):
 
     Only meaningful for free presentations on x-generators (heights = lengths);
     the cap is a total-height bound and must sit inside the certified region.
+    Coded words are counted by the code of their multidegree, the vertex
+    they reach from 0.
     """
     if g.anchored:
         raise GBError("hilbert expects a free presentation")
@@ -674,13 +808,16 @@ def hilbert(g, cap):
         raise UncertifiedRegionError(
             "cap %d beyond certified length %d" % (cap, g.certified_len)
         )
-    words = NormalWords(g).by_length(None, cap)
-    dims = {}
-    for level in words:
+    words = NormalWords(g)
+    code = words.code
+    target = code.target
+    zero = code.vertex((0,) * g.rank)
+    counts = {}
+    for level in words.levels(None, cap):
         for w in level:
-            beta = word_degree(w, g.rank)
-            dims[beta] = dims.get(beta, 0) + 1
-    return dims
+            beta = target(w, zero)
+            counts[beta] = counts.get(beta, 0) + 1
+    return {code.point(beta): n for beta, n in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +832,12 @@ def _all_words(letters, length):
     return [(l,) + w for l in letters for w in shorter]
 
 
-def dense_rank_dims(pres, beta, order=None):
+def dense_rank_dims(pres, beta):
     """Dimension of the quotient at multidegree beta by dense linear algebra.
 
     Spans all monomial shifts a*g*b of the relations inside the free component
     and rank-reduces; fully bypasses the completion engine.
     """
-    if order is None:
-        order = default_order(pres.rank)
     letters = [g for g in pres.generators]
     beta = tuple(beta)
     height = sum(abs(b) for b in beta)

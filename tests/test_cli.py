@@ -225,6 +225,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("ext", "--type", "A1", "--window", "4"),
         ("koszul-check", "--type", "A1", "--window", "3", "--homcap", "3"),
         ("schur-check", "--type", "A2", "--module", "verma:0,0:floor"),
+        ("build-module", "--type", "A1", "--module", "verma:0:-1"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -244,6 +245,7 @@ def test_config_errors_exit_two(capsys, argv):
         (("schur-check", "--type", "A1", "--window", "4", "--homcap", "4"), "window"),
         (("ext", "--type", "A1", "--window", "4"), "window"),
         (("ext", "--type", "A2", "--module", "verma:0,0:floor"), "module"),
+        (("build-module", "--type", "A1", "--module", "verma:0:-1"), "module"),
     ],
 )
 def test_config_error_names_field(capsys, argv, field):
@@ -307,3 +309,26 @@ def test_results_digest_pinned(capsys, name):
     results = json.loads(out)["results"]
     text = json.dumps(results, sort_keys=True, indent=2, default=str)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the results payload of ``hilbert --type T --cap N``, run cold
+# into an empty --cache, recorded in BENCH_14.json as hilbert-*
+_HILBERT_DIGESTS = {
+    ("A2", 5): "fac6ccf0fd4117a228173eef3d0c3377494f6b595699458ddef2d2d78565f473",
+    ("A4", 10): "3fedbc73daafe3cb06b6edbd44490f885e377e7971cdc0f99c85d38adf7bbc26",
+    ("B3", 10): "f36577138f2c8a4103896bfe7bedd6b57f6196d59d9d13b5ed7af4c73ef2eac7",
+    ("C3", 8): "635cbfb9142e2d5d13f9e68e44b94c645c26d6d50ebe7ee0df568ae62d2638c2",
+    ("G2", 14): "0541bd65dac2645fdd38038e2b8541ee05a73315c5c9f254a95b3d8017540c5e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_HILBERT_DIGESTS), ids=lambda key: "%s-%d" % key)
+def test_hilbert_digest_pinned(capsys, tmp_path, key):
+    cartan, cap = key
+    code, out = run_cli(
+        capsys, "hilbert", "--type", cartan, "--cap", str(cap), "--cache", str(tmp_path)
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    text = json.dumps(results, sort_keys=True, indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == _HILBERT_DIGESTS[key]

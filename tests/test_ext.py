@@ -170,20 +170,23 @@ def test_nf_mod_is_the_image_of_nf(series, rank, family, radius, margin):
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
     algebra = build_algebra(c, f, radius, margin=margin)
+    decode = algebra.decode
     box = set(algebra.quiver.vertices)
     count = 0
     for v in algebra.quiver.vertices:
+        source = algebra.code.vertex(v)
         for level in algebra.levels_from(v)[:-1]:
             for w in level:
-                end = word_target(w, v)
+                end = word_target(decode(w), v)
                 for letter in algebra.letters():
                     if word_target((letter,), end) not in box:
                         continue
-                    word = (letter,) + w
-                    exact = {u: x.modp() for u, x in algebra.nf(word, v).items()}
-                    assert algebra.nf_mod(word, v) == {
-                        u: x for u, x in exact.items() if x
+                    word = algebra.encode((letter,)) + w
+                    exact = {
+                        decode(u): x.modp() for u, x in algebra.nf(word, source).items()
                     }
+                    got = {decode(u): x for u, x in algebra.nf_mod(word, source).items()}
+                    assert got == {u: x for u, x in exact.items() if x}
                     count += 1
     assert count > 1000
 
@@ -192,18 +195,21 @@ def _certified_len_words(algebra, every=7):
     """Words a + b of length certified_len: b a normal path of length k
     from an anchor, a one of the first three normal paths from its end.
     Every seventh pair per anchor and k is kept, to keep the exact side
-    small."""
+    small.  Each is (coded word, anchor's vertex code)."""
     top = algebra.gb.certified_len
     out = []
     for v in algebra.quiver.vertices:
         levels = algebra.levels_from(v)
+        source = algebra.code.vertex(v)
         for k in range(1, top):
             pairs = [
                 (a, b)
                 for b in levels[k]
-                for a in algebra.levels_from(word_target(b, v))[top - k][:3]
+                for a in algebra.levels_from(word_target(algebra.decode(b), v))[
+                    top - k
+                ][:3]
             ]
-            out.extend((a + b, v) for a, b in pairs[::every])
+            out.extend((a + b, source) for a, b in pairs[::every])
     return out
 
 
@@ -228,7 +234,9 @@ def test_nf_mod_on_differential_words_without_the_heap(
         for m in algebra.quiver.vertices:
             for g, word in ext_module._pbasis(algebra, stage, m):
                 for (gp, u), _c in stage.diff[g]:
-                    queries.add((word + u, prev.gens[gp]))
+                    queries.add(
+                        (word + algebra.encode(u), algebra.code.vertex(prev.gens[gp]))
+                    )
     longest = _certified_len_words(algebra)
     assert {len(w) for w, _v in longest} == {algebra.gb.certified_len}
     queries.update(longest)
@@ -242,9 +250,12 @@ def test_nf_mod_on_differential_words_without_the_heap(
     with pytest.raises(ExtError, match="beyond certified"):
         fresh.nf_mod(longest[0][0] + longest[0][0][:1], longest[0][1])
     monkeypatch.undo()
+    decode = algebra.decode
     for (word, v), value in got.items():
-        exact = {u: x.modp() for u, x in algebra.nf(word, v).items()}
-        assert value == {u: x for u, x in exact.items() if x}
+        exact = {decode(u): x.modp() for u, x in algebra.nf(word, v).items()}
+        assert {decode(u): x for u, x in value.items()} == {
+            u: x for u, x in exact.items() if x
+        }
     assert len(got) > 500
 
 

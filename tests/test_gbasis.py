@@ -17,18 +17,28 @@ from schurq import (
 )
 from schurq.gbasis import (
     UncertifiedRegionError,
+    VertexRangeError,
     _ambiguities,
     _basis_index,
+    _descending,
     _Elem,
     _find_divisor,
+    _lead,
     _LeadIndex,
     _PartnerIndex,
+    WordCode,
     default_order,
     dense_rank_dims,
 )
 from schurq.ext import WindowedAlgebra, minimal_resolution
 from schurq.modules import trivial_module, yn_presentation
-from schurq.presentation import NCPoly, instantiate_window, un_presentation, word_target
+from schurq.presentation import (
+    NCPoly,
+    instantiate_window,
+    path_vertices,
+    un_presentation,
+    word_target,
+)
 from schurq.qfield import QScalar
 
 
@@ -174,22 +184,137 @@ def test_interreduced_leads(a2, b2):
                     )
 
 
+# -- the word code -----------------------------------------------------------
+
+
+def _codes(rank):
+    order = default_order(rank)
+    return WordCode(order.precedence, rank, 4), order.precedence
+
+
+def _tuple_key(word, idx):
+    """The tuple-word order the code replaces: length, then the letters'
+    negated precedence ranks."""
+    return (len(word), tuple(-idx[l] for l in word))
+
+
+@st.composite
+def _word_pairs(draw):
+    rank = draw(st.integers(1, 4))
+    code, letters = _codes(rank)
+    words = st.lists(st.sampled_from(letters), max_size=8).map(tuple)
+    return code, letters, draw(words), draw(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_word_pairs())
+def test_word_code_round_trips_and_keeps_the_order(case):
+    """Decoding gives the word back; the reduction heap's key and the
+    lead reverse the tuple order, the ambiguity queue's key follows it."""
+    code, letters, a, b = case
+    idx = {letter: k for k, letter in enumerate(letters)}
+    ca, cb = code.encode(a), code.encode(b)
+    assert code.decode(ca) == a and isinstance(ca, str) and len(ca) == len(a)
+    assert (ca == cb) == (a == b)
+    before = _tuple_key(a, idx) < _tuple_key(b, idx)
+    assert (code.ascending(ca) < code.ascending(cb)) == before
+    assert (_descending(ca) > _descending(cb)) == before
+    want = max((a, b), key=lambda w: _tuple_key(w, idx))
+    assert code.decode(_lead([ca, cb])) == want
+
+
+@pytest.fixture(scope="module")
+def code_windows(a1, f_classical, a2_window_r3):
+    """The windows whose vertex codes are checked, by radius and cap."""
+    return {
+        "A1 r8 cap 20": build_algebra(a1, f_classical, 8, margin=2),
+        "A2 r3 cap 10": a2_window_r3,
+    }
+
+
+@pytest.mark.parametrize("window", ["A1 r8 cap 20", "A2 r3 cap 10"])
+def test_vertex_code_is_injective_within_reach(code_windows, window):
+    """Every vertex within reach has its own code, decoded back by point,
+    and a letter step adds the letter's step wherever both ends are within
+    reach: so the running sums along any path that stays within reach are
+    the codes of its vertices."""
+    algebra = code_windows[window]
+    code = algebra.code
+    assert code.reach >= algebra.quiver.radius + algebra.lencap
+    span = range(-code.reach, code.reach + 1)
+    codes = {}
+    for v in product(span, repeat=algebra.rank):
+        c = code.vertex(v)
+        assert code.point(c) == v and c not in codes
+        codes[c] = v
+    for v in product(span, repeat=algebra.rank):
+        for letter in algebra.letters():
+            t = word_target((letter,), v)
+            if all(abs(x) <= code.reach for x in t):
+                step = code.step[code.encode((letter,))]
+                assert code.vertex(v) + step == code.vertex(t)
+
+
+@pytest.mark.parametrize("window", ["A1 r8 cap 20", "A2 r3 cap 10"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vertex_code_follows_paths_from_the_box(code_windows, window, data):
+    """A path of length up to the cap from a box vertex: the coded path
+    decodes to the vertices it visits."""
+    algebra = code_windows[window]
+    code = algebra.code
+    source = data.draw(st.sampled_from(algebra.quiver.vertices))
+    word = tuple(
+        data.draw(st.lists(st.sampled_from(algebra.letters()), max_size=algebra.lencap))
+    )
+    path = code.path(code.encode(word), code.vertex(source))
+    assert [code.point(c) for c in path] == path_vertices(word, source)
+    assert path == [code.vertex(v) for v in path_vertices(word, source)]
+    assert code.target(code.encode(word), code.vertex(source)) == path[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rank=st.integers(1, 3),
+    reach=st.integers(0, 12),
+    data=st.data(),
+)
+def test_vertex_outside_the_code_range_is_refused(rank, reach, data):
+    code = WordCode(default_order(rank).precedence, rank, reach)
+    inside = st.integers(-reach, reach)
+    outside = st.integers(reach + 1, 4 * reach + 8).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    )
+    v = data.draw(st.lists(inside, min_size=rank, max_size=rank))
+    v[data.draw(st.integers(0, rank - 1))] = data.draw(outside)
+    with pytest.raises(VertexRangeError, match="outside the code range"):
+        code.vertex(tuple(v))
+    with pytest.raises(VertexRangeError):
+        code.vertex((0,) * (rank + 1))
+
+
 # -- the lead index against the linear scans it replaced --------------------
 
 
-def _scan_find_divisor(word, source, by_letter, anchored, stop=None):
+def _scan_find_divisor(word, source, by_letter, code, anchored, stop=None):
     """Divisor search by scanning, per position below stop, every element
     whose lead starts with that letter, in the order the elements were
-    added."""
+    added; on tuple words, with each lead and anchor decoded."""
     for pos in range(len(word) if stop is None else min(stop, len(word))):
         for g in by_letter.get(word[pos], ()):
-            u = g.lead
+            u = code.decode(g.lead)
             end = pos + len(u)
             if end <= len(word) and word[pos:end] == u:
-                if anchored and word_target(word[end:], source) != g.source:
+                if anchored and word_target(word[end:], source) != code.point(
+                    g.source
+                ):
                     continue
                 return pos, g
     return None
+
+
+def _decoded(algebra, levels):
+    return [[algebra.decode(w) for w in level] for level in levels]
 
 
 def _scan_levels_from(algebra, source, maxlen=None):
@@ -236,17 +361,18 @@ def _overlapping_leads():
     completion: at one position leads of several lengths match and the
     earliest added must win."""
     x, y = ("x", 0), ("x", 1)
-    idx = default_order(2).index()
-    index = _LeadIndex(anchored=False)
+    code = WordCode(default_order(2).precedence, 2, 8)
+    index = _LeadIndex(code, anchored=False)
     for w in ((x, y, y), (y, x, x, y), (x,), (y, x), (x, y), (y,)):
-        index.add(_Elem({w: QScalar.one()}, None, idx))
+        index.add(_Elem({code.encode(w): QScalar.one()}, None))
     return index, (x, y)
 
 
 @pytest.fixture(scope="module")
 def lead_cases(a2_window, b2):
     """Per case: lead index, the same elements by first letter, letters,
-    lead words, anchors and the longest word to draw."""
+    lead words, anchors and the longest word to draw; letters, words and
+    anchors as tuples."""
     b2_free = groebner(un_presentation(b2), cap=8)
     overlapping, letters = _overlapping_leads()
     cases = {}
@@ -256,10 +382,11 @@ def lead_cases(a2_window, b2):
         ("B2 free", _basis_index(b2_free), b2_free.letters, (None,), 8),
         ("overlapping", overlapping, letters, (None,), 8),
     ):
+        code = index.code
         by_letter = {}
         for e in index.elems:
-            by_letter.setdefault(e.lead[0], []).append(e)
-        leads = sorted({e.lead for e in index.elems})
+            by_letter.setdefault(code.decode(e.lead)[0], []).append(e)
+        leads = sorted({code.decode(e.lead) for e in index.elems})
         cases[name] = (index, by_letter, letters, leads, anchors, cap)
     return cases
 
@@ -276,32 +403,35 @@ def test_find_divisor_matches_linear_scan(lead_cases, name, data):
     word = tuple(l for part in parts for l in part)[:cap]
     source = data.draw(st.sampled_from(anchors))
     stop = data.draw(st.sampled_from([None, 1, 2]))
-    got = _find_divisor(word, source, index, stop=stop)
-    want = _scan_find_divisor(word, source, by_letter, index.anchored, stop)
+    code = index.code
+    coded_source = code.vertex(source) if index.anchored else None
+    got = _find_divisor(code.encode(word), coded_source, index, stop=stop)
+    want = _scan_find_divisor(word, source, by_letter, code, index.anchored, stop)
     if want is None:
         assert got is None
     else:
         assert got is not None and got[0] == want[0] and got[1] is want[1]
 
 
-def _scan_ambiguities(elems, anchored):
+def _scan_ambiguities(elems, code):
     """Per element in rank order, the ambiguities of a scan over all pairs of
-    it with itself and every earlier element, in basis order."""
+    it with itself and every earlier element, in basis order; ``code`` is
+    the word code of anchored elements, None for free ones."""
     out = []
     for k, e in enumerate(elems):
         found = []
         for other in elems[: k + 1]:
             pairs = ((e, other),) if other is e else ((e, other), (other, e))
             for a, b in pairs:
-                for word, source, p1, p2 in _ambiguities(a, b, anchored):
+                for word, source, p1, p2 in _ambiguities(a, b, code):
                     found.append((word, source, a, b, p1, p2))
         out.append(found)
     return out
 
 
-def _assert_partners_match_scan(elems, anchored):
-    partners = _PartnerIndex(anchored)
-    want = _scan_ambiguities(elems, anchored)
+def _assert_partners_match_scan(elems, code):
+    partners = _PartnerIndex(code)
+    want = _scan_ambiguities(elems, code)
     for e, expected in zip(elems, want):
         partners.add(e)
         # _Elem compares by identity, so the partners must be the same objects
@@ -311,7 +441,7 @@ def _assert_partners_match_scan(elems, anchored):
 @pytest.mark.parametrize("name", ["A2 window r2", "B2 free", "overlapping"])
 def test_partner_lookup_matches_all_pairs_scan(lead_cases, name):
     index = lead_cases[name][0]
-    _assert_partners_match_scan(index.elems, index.anchored)
+    _assert_partners_match_scan(index.elems, index.code if index.anchored else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,12 +457,12 @@ def test_partner_lookup_matches_all_pairs_scan(lead_cases, name):
 )
 def test_partner_lookup_matches_scan_on_random_leads(anchored, leads):
     """Repeated leads, self-overlaps and leads that differ only by anchor."""
-    idx = default_order(1).index()
+    code = WordCode(default_order(1).precedence, 1, 2 + 6)
     elems = [
-        _Elem({tuple(w): QScalar.one()}, (v,) if anchored else None, idx)
+        _Elem({code.encode(w): QScalar.one()}, code.vertex((v,)) if anchored else None)
         for w, v in leads
     ]
-    _assert_partners_match_scan(elems, anchored)
+    _assert_partners_match_scan(elems, code if anchored else None)
 
 
 @pytest.mark.parametrize("window", ["a1_window", "a2_window"])
@@ -341,12 +471,13 @@ def test_levels_from_matches_linear_scan(request, window):
     vertices = algebra.quiver.vertices
     for v in vertices:
         want = _scan_levels_from(algebra, v)
-        assert algebra.levels_from(v) == want
+        assert _decoded(algebra, algebra.levels_from(v)) == want
         for maxlen in (0, 3, algebra.lencap):
             words = [w for level in want[: maxlen + 1] for w in level]
             for t in vertices:
                 expected = [w for w in words if word_target(w, v) == t]
-                assert algebra.component(v, t, maxlen) == expected
+                got = [algebra.decode(w) for w in algebra.component(v, t, maxlen)]
+                assert got == expected
 
 
 @pytest.fixture(scope="module")
@@ -382,12 +513,14 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
     # all but the stage-0 generator's source are read to length 1 at most
     assert reads and sum(d <= 1 for d in deepest.values()) >= 20
     for source, depth in deepest.items():
-        assert len(algebra._levels[source]) == depth + 1
-        full = fresh.levels_from(source)
+        assert len(algebra._levels[algebra.code.vertex(source)]) == depth + 1
+        full = _decoded(fresh, fresh.levels_from(source))
         assert _scan_levels_from(algebra, source, depth) == full[: depth + 1]
     for source, target, maxlen, out in reads:
-        words = [w for level in fresh.levels_from(source)[: maxlen + 1] for w in level]
-        assert out == [w for w in words if word_target(w, source) == target]
+        levels = _decoded(fresh, fresh.levels_from(source))
+        words = [w for level in levels[: maxlen + 1] for w in level]
+        got = [algebra.decode(w) for w in out]
+        assert got == [w for w in words if word_target(w, source) == target]
     for source in deepest:
         assert algebra.levels_from(source) == fresh.levels_from(source)
         for target in base.quiver.vertices:
@@ -410,14 +543,31 @@ def test_window_basis_hash_unchanged(request, window):
     assert request.getfixturevalue(window).gb.content_hash() == _WINDOW_HASHES[window]
 
 
+# sha256 of GBResult.serialize() for windows at generic q (margin 2, the
+# default lencap), recorded in BENCH_14.json as gb-A1q-r8 and gb-A2q-r2
+@pytest.mark.parametrize(
+    "rank, radius, digest",
+    [
+        (1, 8, "199d341296af3ebd2055e1954bed3c9b24c4d12c7ade81ad403c9eb478d6ca2c"),
+        (2, 2, "e1d0aabd61142ee23bd86dd2f46f1de53673e6408731c6cfd69e46a154d1a9a9"),
+    ],
+    ids=["A1q-r8", "A2q-r2"],
+)
+def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
+    algebra = build_algebra(build_cartan("A", rank), f_qinteger, radius, margin=2)
+    assert algebra.gb.content_hash() == digest
+
+
 @pytest.mark.parametrize(
     "series, rank, cap, digest",
     [
         ("A", 4, 10, "3c152b87e83bb49cd8dc348d206cf1a3202387f3845156867a57e73915cf54cc"),
+        ("B", 2, 8, "b2aee090a41e31746c96013e93560e65366149a02bcbe42937f090553a3eed38"),
         ("B", 3, 10, "0548db3f6eab6ad8fbb52a5edd9e8eed7ceeb8feafefa7a9d1aff69bcdb6edd4"),
+        ("C", 3, 8, "a574f33e4f5e80c9149d9bbb86d9c4bb1c531cd89e47994a67c4213abfd609f9"),
         ("G", 2, 14, "677bc0863f11771b9b0021586af4ceaf3de8d1a09e2a33206e3ad426b5252219"),
     ],
-    ids=["A4", "B3", "G2"],
+    ids=["A4", "B2", "B3", "C3", "G2"],
 )
 def test_free_basis_hash_unchanged(series, rank, cap, digest):
     g = groebner(un_presentation(build_cartan(series, rank)), cap=cap)
