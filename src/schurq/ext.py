@@ -16,6 +16,11 @@ certificate proves that the generators generate each kernel; a per-stage
 length budget records where the truncated computation is faithful; trust for
 verdicts additionally requires agreement across two window radii.
 
+Each window's length cap (``_window_algebra``): an explicit ``lencap`` is
+used as given; when every module is a vertex simple the cap is sized from
+the Anick chains of ``gbasis.chains``, which bound the differential entries
+stage by stage; otherwise it is ``2 * radius + 4``.
+
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
 letter action, the projective bases and the kernel vectors over them are
@@ -31,7 +36,7 @@ from functools import partial
 
 from .qfield import MOD_P, QScalar
 from .presentation import instantiate_window, word_target
-from .gbasis import NormalWords, groebner, _find_divisor, _reduce_full
+from .gbasis import NormalWords, chains, groebner, _find_divisor, _reduce_full
 from .linalg import (
     ModularSpan,
     Subspace,
@@ -57,6 +62,7 @@ __all__ = [
     "InstabilityError",
     "ExtractionError",
     "KernelLiftError",
+    "ClosureEscapeError",
     "WindowModuleError",
     "build_algebra",
     "low_degree_ext",
@@ -129,6 +135,28 @@ class KernelLiftError(ExtractionError):
             "%s: kernel vector %d mod p at weight %s is not the image of the "
             "exact one (exact kernel dimension %d)"
             % (self._where(), self.index, self.weight, self.dim)
+        )
+
+
+class ClosureEscapeError(ExtractionError):
+    """The arrow action took a kernel element at ``source`` to a word that is
+    not in the domain basis at ``weight``; ``word`` is that word.
+
+    A letter times a normal word of length below the budget reduces to
+    normal words of at most its length, so this names a fault in the letter
+    action or in the bookkeeping of the bases, never a property of the data.
+    """
+
+    def __init__(self, source, weight, word, stage=None):
+        self.source, self.weight, self.word, self.stage = source, weight, word, stage
+        self.rank = self.dim = None
+        ExtError.__init__(self, self._message())
+
+    def _message(self):
+        return (
+            "%s: the closure of a kernel element at weight %s left the domain "
+            "basis at weight %s (word %s)"
+            % (self._where(), self.source, self.weight, self.word)
         )
 
 
@@ -583,6 +611,15 @@ def _extract_stage(algebra, prev, kernels):
     come from the letter action ``algebra.letter_mod`` (the words of a
     domain basis are normal) and are accumulated in a ``ModularSpan``.
 
+    Closure by word length: the span's columns are the domain basis longest
+    word first, so each echelon row pivots on its longest word, and the
+    closure acts on the residual that ``ModularSpan.add_residual`` returns,
+    not on the raw image.  Each residual enlarged the span and its images
+    are offered in turn, so the span of the residuals is closed under every
+    arrow whose images stay within the budget; a vector counts as spanned
+    only by rows whose own images were offered.  An image with a word
+    outside the target's domain basis raises ``ClosureEscapeError``.
+
     Exact only where chosen: a candidate that becomes a generator takes
     vector k of the exact kernel at its weight (computed at most once per
     weight), where k is the candidate's position in the mod-p basis.  Its
@@ -605,10 +642,15 @@ def _extract_stage(algebra, prev, kernels):
     for every vector that would restore the rank.
     """
     spans = {}
-    tindex = {}
+    sdom = {}  # weight -> the domain basis in span column order
+    tindex = {}  # weight -> {(gen, word): span column}
+    perm = {}  # weight -> the domain index of each span column
     for m, (dom, _null, _exact) in kernels.items():
+        order = sorted(range(len(dom)), key=lambda i: -len(dom[i][1]))
         spans[m] = ModularSpan(len(dom))
-        tindex[m] = {b: i for i, b in enumerate(dom)}
+        perm[m] = order
+        sdom[m] = [dom[i] for i in order]
+        tindex[m] = {b: j for j, b in enumerate(sdom[m])}
     candidates = []
     for m in sorted(kernels):
         dom, null, _exact = kernels[m]
@@ -623,13 +665,13 @@ def _extract_stage(algebra, prev, kernels):
     sources = [code.vertex(w) for w in prev.gens]
     exact_kernels = {}
 
-    def close(m, ivec):
-        """Add the closure of ivec (already in spans[m]) under the arrows."""
-        queue = [(m, ivec)]
+    def close(m, row):
+        """Add the closure of a residual row of spans[m] under the arrows."""
+        queue = [(m, row)]
         while queue:
             mm, v = queue.pop()
-            dom = kernels[mm][0]
-            elem = [(dom[i], c) for i, c in enumerate(v) if c]
+            basis = sdom[mm]
+            elem = [(basis[j], c) for j, c in v.items()]
             if max(len(w) for (_g, w), _c in elem) + 1 > prev.budget:
                 continue
             for letter, char in letters:
@@ -643,21 +685,20 @@ def _extract_stage(algebra, prev, kernels):
                         key = (g, w2)
                         out[key] = out.get(key, 0) + c * n
                 tv = [0] * len(index)
-                live = False
                 for key, c in out.items():
                     c %= MOD_P
                     if c:
                         i = index.get(key)
-                        if i is None:  # escaped the target's kernel basis
-                            break
+                        if i is None:
+                            raise ClosureEscapeError(mm, tgt, code.decode(key[1]))
                         tv[i] = c
-                        live = True
-                else:
-                    if live and spans[tgt].add(tv):
-                        queue.append((tgt, tv))
+                residual = spans[tgt].add_residual(tv)
+                if residual is not None:
+                    queue.append((tgt, residual))
 
     for _len, m, k, vec in candidates:
-        if not spans[m].add(vec):
+        residual = spans[m].add_residual([vec[i] for i in perm[m]])
+        if residual is None:
             continue
         dom, _null, exact = kernels[m]
         if m not in exact_kernels:
@@ -669,7 +710,7 @@ def _extract_stage(algebra, prev, kernels):
         diffs.append(
             tuple(((g, code.decode(w)), c) for (g, w), c in zip(dom, basis[k]) if c)
         )
-        close(m, vec)
+        close(m, residual)
 
     for m in sorted(kernels):
         if spans[m].dim != len(kernels[m][1]):
@@ -1006,10 +1047,57 @@ def _materialize(modules, radius):
     return [m(radius) if callable(m) else m for m in modules]
 
 
+def _chain_need(gb, sources, homcap, box_radius):
+    """The word length that resolving the vertex simples at ``sources``
+    reads through stage homcap, with room for stage homcap + 1.
+
+    Each stage's budget is the previous one minus its longest differential
+    entry, and a stage-p entry is at most the longest p-chain minus the
+    shortest (p-1)-chain (``gbasis.chains``).  The sum of these bounds over
+    p = 1..homcap + 1, stopped at the first empty stage, keeps every budget
+    through stage homcap nonnegative; the largest sum over the sources is
+    returned.
+    """
+    need = 0
+    for v in sources:
+        stages = chains(gb, v, homcap + 1, box_radius)
+        total = 0
+        for p in range(1, homcap + 2):
+            if not stages[p]:
+                break
+            total += stages[p][-1][0] - stages[p - 1][0][0]
+        need = max(need, total)
+    return need
+
+
+def _window_algebra(c, f, modules, homcap, radius, lencap=None):
+    """The window algebra at ``radius`` and the modules built for it.
+
+    An explicit ``lencap`` is used as given.  Otherwise, when every module
+    is one-dimensional (a vertex simple S_v), the length cap comes from the
+    Anick chains of the S_v: complete at homcap + 2, and while the chains
+    read through stage homcap + 1 need more (``_chain_need``), complete
+    again at what they need.  The cap never exceeds ``2 * radius + 4``,
+    which is the cap of every other module list.
+    """
+    modules = _materialize(modules, radius)
+    top = 2 * radius + 4
+    if lencap is not None or any(V.total_dim() != 1 for V in modules):
+        return build_algebra(c, f, radius, margin=homcap, lencap=lencap), modules
+    sources = sorted({next(n for n, d in V.dims if d) for V in modules})
+    quiver = instantiate_window(c, f, radius, homcap)
+    cap = min(homcap + 2, top)
+    while True:
+        gb = groebner(quiver, cap=cap)
+        need = _chain_need(gb, sources, homcap, radius)
+        if need <= cap or cap == top:
+            return WindowedAlgebra(quiver, gb, cap), modules
+        cap = min(need, top)
+
+
 def _ext_matrix_once(c, f, modules, homcap, radius, lencap):
     """Ext dims of every module pair at one radius: (table, modules, resolutions)."""
-    algebra = build_algebra(c, f, radius, margin=homcap, lencap=lencap)
-    modules = _materialize(modules, radius)
+    algebra, modules = _window_algebra(c, f, modules, homcap, radius, lencap)
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
     table = [{} for _p in range(homcap + 1)]
     for i, res in enumerate(resolutions):

@@ -25,6 +25,10 @@ normal (a letter times a normal word) can only be divisible at position 0,
 so ``_find_divisor`` takes a bound on the start positions it tries; the
 letter action mod p of ``ext.WindowedAlgebra`` searches with bound 1.
 
+``chains`` reads the Anick chains of a vertex simple off the leads of an
+anchored basis: the shape of a free resolution, found with no linear
+algebra, from which the window algebra sizes its length cap.
+
 Completion pairs each new element only with the elements a partner index
 (``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
 whole leads of the basis so far, keyed by subword and the anchor at its
@@ -53,6 +57,7 @@ __all__ = [
     "default_order",
     "groebner",
     "normal_form",
+    "chains",
     "hilbert",
     "dense_rank_dims",
 ]
@@ -792,6 +797,78 @@ class NormalWords:
                 yield [(w, v[-1]) for w, v in current]
             else:
                 yield [w for w, _v in current]
+
+
+def chains(gb, source, depth, box_radius):
+    """Anick chains of the vertex simple at ``source``, stages 0..depth.
+
+    ``gb`` is an anchored basis of the window algebra whose box has radius
+    ``box_radius``.  The chains are those of Anick (1986) in the form Green,
+    Solberg and Zacharia (2001) give for path algebras, read off the leads
+    alone by Ufnarovski's graph.  Words grow to the left, since the rightmost
+    letter acts first:
+
+    - the nodes are the letters and the proper prefixes of the leads;
+    - there is an edge p <- c when the word ``p c`` holds exactly one
+      anchored lead occurrence, and it is a prefix of ``p c`` ending inside c;
+    - a stage-1 chain is a letter that leaves ``source`` inside the box, and
+      a stage-n chain is a path of n nodes from such a letter.
+
+    Anchors come from the chain's own path from ``source``.  Returns a tuple
+    indexed by stage: stage n is the sorted tuple of ``(length, endpoint)``
+    of its chains, where the length is the chain's total word length and the
+    endpoint the vertex it reaches; stage 0 is the empty chain,
+    ``((0, source),)``.  For a basis complete up to the chain lengths, stage
+    n of the chain resolution of the vertex simple has one generator per
+    chain, at its endpoint.
+    """
+    leads = gb.leads()
+    longest = max((len(u) for u, _a in leads), default=0)
+    radius = max((abs(x) for _u, a in leads for x in a), default=0)
+    code = WordCode(gb.order.precedence, gb.rank, max(radius, box_radius) + longest)
+    leadset = set()
+    tails = {}  # (proper suffix of a lead, its right-end anchor) -> [prefix before it]
+    for u, anchor in leads:
+        u, a = code.encode(u), code.vertex(anchor)
+        leadset.add((u, a))
+        for j in range(1, len(u)):
+            tails.setdefault((u[-j:], a), []).append(u[:-j])
+    lengths = sorted({len(u) for u, _a in leadset})
+
+    def one_occurrence(word, src):
+        n = len(word)
+        verts = code.path(word, src)
+        found = 0
+        for i in range(n):
+            for length in lengths:
+                if i + length > n:
+                    break
+                if (word[i:i + length], verts[n - i - length]) in leadset:
+                    found += 1
+                    if found > 1:
+                        return False
+        return found == 1
+
+    start = code.vertex(tuple(source))
+    # a chain: (last node c, vertex at c's right end, endpoint, total length)
+    current = []
+    for letter in gb.letters:
+        c = code.encode((letter,))
+        t = code.target(c, start)
+        if all(abs(x) <= box_radius for x in code.point(t)):
+            current.append((c, start, t, 1))
+    out = [((0, tuple(source)),)]
+    for _n in range(depth):
+        out.append(tuple(sorted((total, code.point(t)) for _c, _s, t, total in current)))
+        nxt = []
+        for c, src, tgt, total in current:
+            verts = code.path(c, src)
+            for j in range(1, len(c) + 1):
+                for p in tails.get((c[:j], verts[len(c) - j]), ()):
+                    if one_occurrence(p + c, src):
+                        nxt.append((p, tgt, code.target(p, tgt), total + len(p)))
+        current = nxt
+    return tuple(out)
 
 
 def hilbert(g, cap):

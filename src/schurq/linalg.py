@@ -419,6 +419,15 @@ class ModularSpan:
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
+        return self.add_residual(vec) is not None
+
+    def add_residual(self, vec):
+        """Insert a vector; returns its residual, or None if it was spanned.
+
+        The residual is the vector reduced by the rows so far, scaled so its
+        pivot entry (the lowest column left) is 1: a sparse {column: int}
+        row, a copy of the new basis row as it is inserted.
+        """
         out = {j: x % MOD_P for j, x in enumerate(vec) if x % MOD_P}
         rows = self._rows
         for p in [p for p in out if p in rows]:
@@ -430,7 +439,7 @@ class ModularSpan:
                 else:
                     del out[j]
         if not out:
-            return False
+            return None
         lead = min(out)
         inv = pow(out[lead], -1, MOD_P)
         if inv != 1:
@@ -446,7 +455,7 @@ class ModularSpan:
                         del brow[j]
         rows[lead] = out
         self.pivots.append(lead)
-        return True
+        return dict(out)
 
     def kernel(self):
         """Basis of the right kernel of the rows added so far, mod p.

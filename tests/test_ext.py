@@ -1,6 +1,7 @@
 """Windowed Ext engine: resolutions, stability, Yoneda structure, verdicts."""
 
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from schurq import (
 from schurq import ext as ext_module
 from schurq.cli import main
 from schurq.ext import (
+    ClosureEscapeError,
     ExtError,
     ExtractionError,
     ExtTable,
@@ -37,6 +39,7 @@ from schurq.ext import (
 )
 from schurq.linalg import ModularSpan, Subspace, mat_vec
 from schurq.qfield import MOD_P, QScalar
+from schurq.gbasis import chains
 from schurq.presentation import FSpec, instantiate_window, word_target
 
 
@@ -58,18 +61,20 @@ def test_resolution_dd_and_margin(a1_setup):
     assert res.margin_ok
 
 
-# sha256 of repr([(gens, diff, budget) per Stage]) for the trivial module,
-# recorded when stage extraction still kept its spans as Fraction rows
+# sha256 of repr([(gens, diff, budget) per Stage]) for the trivial module at
+# the default lencap 2 * radius + 4; the A1 entries were recorded when stage
+# extraction still kept its spans as Fraction rows, the A2 entries when the
+# closure started to queue residuals on spans pivoting on the longest word
 STAGE_SHA256 = {
     ("A", 2, "classical", 2, 2): (
-        "daae285e2d04a9d328e07580608071d6710c445d2c1b27b8dc6dc9fa510324de"
+        "0d488802649a00f68fdd87f9a7cc669b0cb6c072783ab2e0009ea2aa8ecc2341"
     ),
     ("A", 1, "qinteger", 6, 4): (
         "5cafbd97fd36d44fc660c39d19eb62eb0b1bc426841d7d2b3edc58ae38f15d8c"
     ),
     # the larger windows of the sl3_probe and quantum_sl2 benchmark workloads
     ("A", 2, "classical", 3, 2): (
-        "cf19f867c27751ab27ca3be90008f75682d91331e37df6cdeb08f25ae3991f1b"
+        "7f47b1d150a1f5a7d03bae0b1f611b272fcced0993133c71b3a9f1477c2dc710"
     ),
     ("A", 1, "qinteger", 8, 4): (
         "311c5d1cc6470a32629d7e4fc1866a5366fe458a7d571ded55e10fecf25704bb"
@@ -89,20 +94,53 @@ def test_stage_extraction_is_pinned(key):
     assert hashlib.sha256(text.encode()).hexdigest() == STAGE_SHA256[key]
 
 
+# the same digest for the trivial module on the chain-sized windows that the
+# sl3_probe and quantum_sl2 benchmark workloads resolve (both radii of each)
+CHAIN_STAGE_SHA256 = {
+    ("A", 2, "classical", 2, 2): (
+        5, "f7401a7ff0e1b21748861213064e4a81fd7eae784d35dbf23b4eac71715a8c55"
+    ),
+    ("A", 2, "classical", 3, 2): (
+        5, "f7401a7ff0e1b21748861213064e4a81fd7eae784d35dbf23b4eac71715a8c55"
+    ),
+    ("A", 1, "qinteger", 6, 4): (
+        6, "60176b61c20bfcf6b662674b8c50b66b4313d56d7883223388199f5361acaf9e"
+    ),
+    ("A", 1, "qinteger", 8, 4): (
+        6, "60176b61c20bfcf6b662674b8c50b66b4313d56d7883223388199f5361acaf9e"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_STAGE_SHA256))
+def test_chain_sized_stage_extraction_is_pinned(key):
+    series, rank, family, radius, homcap = key
+    lencap, digest = CHAIN_STAGE_SHA256[key]
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    triv = trivial_module(c, f, (0,) * rank)
+    algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
+    assert algebra.lencap == lencap
+    res = minimal_resolution(algebra, triv, homcap)
+    text = repr([(s.gens, s.diff, s.budget) for s in res.stages])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class _BlindSpan(ModularSpan):
     """A broken span: it calls every vector that touches the lead column of
     the first vector it was given already spanned.  So it drops that first
     vector, a generator, together with every vector that could restore the
-    rank, which a correct span never does; the certificate must catch it."""
+    rank, which a correct span never does; the certificate must catch it.
+    ``add`` goes through ``add_residual``, so both are broken."""
 
     blind = None
 
-    def add(self, vec):
+    def add_residual(self, vec):
         if self.blind is None:
             self.blind = next(j for j, x in enumerate(vec) if x % MOD_P)
         if vec[self.blind] % MOD_P:
-            return False
-        return super().add(vec)
+            return None
+        return super().add_residual(vec)
 
 
 def _break_stage(monkeypatch, stage):
@@ -155,6 +193,108 @@ def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, caps
     code = main(["schur-check", "--type", "A1", "--homcap", "4", "--window", "6"])
     captured = capsys.readouterr()
     assert code == 1 and "ExtractionError" in captured.err and not captured.out
+
+
+def test_closure_escape_names_stage_and_weight(a1, f_classical, monkeypatch):
+    """A letter action that returns a word outside the target's domain
+    basis stops the closure with a typed error, not a silent skip."""
+    algebra = build_algebra(a1, f_classical, 4, margin=1)
+
+    def letter_mod(letter, word, source):
+        return {letter * (algebra.lencap + 1): 1}  # longer than every budget
+
+    monkeypatch.setattr(algebra, "letter_mod", letter_mod)
+    with pytest.raises(ClosureEscapeError) as info:
+        minimal_resolution(algebra, trivial_module(a1, f_classical, (0,)), 1)
+    err = info.value
+    assert isinstance(err, ExtError) and err.stage == 1
+    assert err.source in {(1,), (-1,)} and err.weight in {(0,), (2,), (-2,)}
+    text = str(err)
+    assert "stage 1" in text and str(err.weight) in text and str(err.source) in text
+
+
+# -- item 1: a stage's span is closed by word length -----------------------
+
+
+@pytest.mark.parametrize("lencap", [4, 6, 10])
+def test_a2_window_ext_on_a_lencap_ladder(a2, f_classical, lencap):
+    """A2 radius 3: generators (1, 4, 8) and Ext (1, 0, 2) at every cap; the
+    budgets fall by the entry lengths 1 and 2."""
+    triv = trivial_module(a2, f_classical, (0, 0))
+    algebra = build_algebra(a2, f_classical, 3, margin=2, lencap=lencap)
+    res = minimal_resolution(algebra, triv, 2)
+    assert tuple(len(s.gens) for s in res.stages) == (1, 4, 8)
+    assert tuple(s.budget for s in res.stages) == (lencap, lencap - 1, lencap - 3)
+    assert ext_dims(res, triv, 2) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_stage_one_has_two_generators_per_rank(rank, f_classical):
+    c = build_cartan("A", rank)
+    algebra = build_algebra(c, f_classical, 3, margin=1)
+    res = minimal_resolution(algebra, trivial_module(c, f_classical, (0,) * rank), 1)
+    assert len(res.stages[1].gens) == 2 * rank
+
+
+# -- chain-sized length caps -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rank, family, radius, homcap, lencap",
+    [
+        (1, "classical", 6, 4, 6),
+        (1, "qinteger", 8, 4, 6),
+        (2, "classical", 2, 2, 5),
+        (2, "classical", 3, 2, 5),
+        (2, "qinteger", 3, 2, 5),
+        (2, "classical", 5, 4, 9),
+    ],
+)
+def test_generators_equal_chains(rank, family, radius, homcap, lencap):
+    """On the chain-sized window of the trivial module the cap is pinned,
+    and the resolution's generators equal the chains at every stage and
+    weight."""
+    c = build_cartan("A", rank)
+    f = getattr(FSpec, family)()
+    triv = trivial_module(c, f, (0,) * rank)
+    algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
+    assert algebra.lencap == lencap and algebra.gb.cap == lencap
+    res = minimal_resolution(algebra, triv, homcap)
+    stages = chains(algebra.gb, (0,) * rank, homcap, radius)
+    for p in range(1, homcap + 1):
+        gens = res.stages[p].gens if p < len(res.stages) else ()
+        assert Counter(gens) == Counter(e for _n, e in stages[p])
+
+
+def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
+    """A module of dimension above 1 keeps 2 * radius + 4 and an explicit
+    lencap is used as given; for A1, whose chains need 2, the first rung
+    homcap + 2 stands."""
+    triv = trivial_module(a1, f_classical, (0,))
+    simple = build_simple(a1, f_classical, (1,))
+    algebra, _ = ext_module._window_algebra(a1, f_classical, [triv, simple], 2, 4)
+    assert algebra.lencap == 12
+    algebra, _ = ext_module._window_algebra(a1, f_classical, [triv], 2, 4, lencap=9)
+    assert algebra.lencap == 9
+    algebra, _ = ext_module._window_algebra(a1, f_classical, [triv], 2, 2)
+    assert algebra.lencap == 4
+
+
+def test_a2_homcap_4_matches_the_flag_betti_numbers(a2, f_classical):
+    """Windows 4/5 used to give (1, 0, 16, 0, 0), inconclusive."""
+    triv = trivial_module(a2, f_classical, (0, 0))
+    rep = schur_check(a2, f_classical, triv, homcap=4, windows=(4, 5))
+    assert rep.verdict == "match"
+    assert rep.computed_betti == (1, 0, 2, 0, 2) and all(rep.stable)
+    assert rep.caps["lencap"] is None
+
+
+def test_a2_adjoint_simple_matches(a2, f_classical):
+    """simple:1,1 at windows 2/3 used to give (1, 6, 5), inconclusive."""
+    V = build_simple(a2, f_classical, (1, 1))
+    rep = schur_check(a2, f_classical, V, homcap=2, windows=(2, 3))
+    assert rep.verdict == "match"
+    assert rep.computed_betti == (1, 0, 2) and all(rep.stable)
 
 
 # -- kernels mod p, exact only where a generator is chosen -----------------
@@ -436,11 +576,6 @@ def test_terminated_resolution_pads_zeros(a1, f_classical):
     assert dims == (1, 0, 1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Ext of a fixed window still grows with the Groebner length cap: "
-    "A2 radius 3 gives (1, 0, 2) at lencap 10 and (1, 0, 3) at lencap 12",
-)
 def test_window_ext_independent_of_lencap(a2, f_classical):
     """Once lencap is large enough, Ext at a fixed radius must not move."""
     triv = trivial_module(a2, f_classical, (0, 0))
@@ -638,10 +773,9 @@ def _count_builds(monkeypatch):
 
 
 def _fresh_last_window(c, f, modules, homcap, windows):
-    """Last-window algebra, modules and resolutions, rebuilt from scratch."""
-    radius = windows[-1]
-    algebra = build_algebra(c, f, radius, margin=homcap)
-    modules = [m(radius) if callable(m) else m for m in modules]
+    """Last-window algebra, modules and resolutions, rebuilt from scratch
+    with the length cap the Ext table chooses for them."""
+    algebra, modules = ext_module._window_algebra(c, f, modules, homcap, windows[-1])
     return modules, [minimal_resolution(algebra, V, homcap) for V in modules]
 
 

@@ -27,12 +27,14 @@ from schurq.gbasis import (
     _LeadIndex,
     _PartnerIndex,
     WordCode,
+    chains,
     default_order,
     dense_rank_dims,
 )
 from schurq.ext import WindowedAlgebra, minimal_resolution
 from schurq.modules import trivial_module, yn_presentation
 from schurq.presentation import (
+    FSpec,
     NCPoly,
     instantiate_window,
     path_vertices,
@@ -509,9 +511,16 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
         return out
 
     algebra.levels_from, algebra.component = record_levels, record_component
-    minimal_resolution(algebra, trivial_module(a2, f_classical, (0, 0)), 2)
-    # all but the stage-0 generator's source are read to length 1 at most
-    assert reads and sum(d <= 1 for d in deepest.values()) >= 20
+    res = minimal_resolution(algebra, trivial_module(a2, f_classical, (0, 0)), 2)
+    # the projectives of every stage but the last are read, each to its
+    # stage's budget: stage 0 to lencap, the four stage-1 generators'
+    # sources only to the smaller stage-1 budget
+    budgets = {}
+    for stage in res.stages[:-1]:
+        for w in stage.gens:
+            budgets[w] = max(budgets.get(w, -1), stage.budget)
+    assert reads and deepest == budgets
+    assert sum(d < lencap for d in deepest.values()) >= 4
     for source, depth in deepest.items():
         assert len(algebra._levels[algebra.code.vertex(source)]) == depth + 1
         full = _decoded(fresh, fresh.levels_from(source))
@@ -527,6 +536,53 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
             assert algebra.component(source, target, lencap) == fresh.component(
                 source, target, lencap
             )
+
+
+# -- Anick chains ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rank, family, radius, lencap, counts, longest, at_zero",
+    [
+        (1, "classical", 6, None, (2, 1, 0), (1, 2, None), (0, 1, 0)),
+        (1, "qinteger", 8, None, (2, 1, 0), (1, 2, None), (0, 1, 0)),
+        (2, "classical", 3, 8, (4, 8), (1, 3), (0, 2)),
+        (2, "qinteger", 4, 8, (4, 8, 10, 8), (1, 3, 4, 6), (0, 2, 0, 2)),
+        (
+            2, "classical", 6, 10,
+            (4, 8, 10, 8, 4, 1, 0), (1, 3, 4, 6, 7, 8, None), (0, 2, 0, 2, 0, 1, 0),
+        ),
+    ],
+)
+def test_chains_of_the_trivial_module(
+    rank, family, radius, lencap, counts, longest, at_zero
+):
+    """Chains per stage of S_0: how many, the longest total length, and how
+    many end at weight 0 (the flag Betti numbers for A2 radius 6)."""
+    c = build_cartan("A", rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=2, lencap=lencap)
+    zero = (0,) * rank
+    stages = chains(algebra.gb, zero, len(counts), radius)
+    assert stages[0] == ((0, zero),)
+    assert tuple(len(s) for s in stages[1:]) == counts
+    assert tuple(max((n for n, _e in s), default=None) for s in stages[1:]) == longest
+    assert tuple(sum(e == zero for _n, e in s) for s in stages[1:]) == at_zero
+    for stage in stages:
+        assert list(stage) == sorted(stage)
+
+
+def test_chains_stay_in_the_box(a2, f_classical):
+    """At radius 1 the letters leave the origin inside the box, and every
+    chain endpoint lies in the box."""
+    algebra = build_algebra(a2, f_classical, 1, margin=1)
+    stages = chains(algebra.gb, (0, 0), 3, 1)
+    assert len(stages[1]) == 4
+    for stage in stages:
+        for _n, end in stage:
+            assert max(abs(x) for x in end) <= 1
+    corner = chains(algebra.gb, (1, 1), 1, 1)
+    assert sorted(e for _n, e in corner[1]) == [(0, 1), (1, 0)]
 
 
 # sha256 of GBResult.serialize(), recorded from the linear-scan engine (a1, a2)

@@ -377,6 +377,19 @@ def test_modular_span_edges():
     assert span._rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
+def test_modular_span_residual():
+    """add_residual returns the vector reduced by the rows so far with its
+    pivot scaled to 1, as a copy that later insertions leave alone."""
+    span = ModularSpan(3)
+    assert span.add_residual([0, 0, MOD_P]) is None
+    first = span.add_residual([0, 2, 4])
+    assert first == {1: 1, 2: 2}
+    second = span.add_residual([0, 3, 7])  # minus 3 times the first row
+    assert second == {2: 1}
+    assert first == {1: 1, 2: 2} and span._rows[1] == {1: 1}
+    assert span.add_residual([0, 5, 5]) is None and span.dim == 2
+
+
 # -- kernels mod p against the image of the exact kernel ----------------------
 
 integer_matrices = small_rows.map(
