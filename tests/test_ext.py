@@ -213,7 +213,7 @@ def test_closure_escape_names_stage_and_weight(a1, f_classical, monkeypatch):
     assert "stage 1" in text and str(err.weight) in text and str(err.source) in text
 
 
-# -- item 1: a stage's span is closed by word length -----------------------
+# -- a stage's span is closed by word length -------------------------------
 
 
 @pytest.mark.parametrize("lencap", [4, 6, 10])
@@ -281,7 +281,8 @@ def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
 
 
 def test_a2_homcap_4_matches_the_flag_betti_numbers(a2, f_classical):
-    """Windows 4/5 used to give (1, 0, 16, 0, 0), inconclusive."""
+    """The flag Betti numbers at homcap 4; a closure that queues raw images
+    on lowest-column pivots reads (1, 0, 16, 0, 0) here, inconclusive."""
     triv = trivial_module(a2, f_classical, (0, 0))
     rep = schur_check(a2, f_classical, triv, homcap=4, windows=(4, 5))
     assert rep.verdict == "match"
@@ -290,7 +291,8 @@ def test_a2_homcap_4_matches_the_flag_betti_numbers(a2, f_classical):
 
 
 def test_a2_adjoint_simple_matches(a2, f_classical):
-    """simple:1,1 at windows 2/3 used to give (1, 6, 5), inconclusive."""
+    """The adjoint simple of A2; a closure that queues raw images on
+    lowest-column pivots reads (1, 6, 5) here, inconclusive."""
     V = build_simple(a2, f_classical, (1, 1))
     rep = schur_check(a2, f_classical, V, homcap=2, windows=(2, 3))
     assert rep.verdict == "match"
