@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Digests of the standard output of a fixed list of CLI runs and scripts.
+
+Each CLI run goes through ``schurq.cli.main`` in process, and each script of
+``scripts/`` runs in process with its default arguments.  The output is one
+JSON object, ``{name: {argv, exit, stdout_sha256}}``.  The script imports
+``schurq`` from the ``src/`` of the checkout it sits in, so running it from
+two checkouts and comparing the outputs shows whether a change moves any
+report byte:
+
+    python3 scripts/report_digests.py > digests.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import runpy
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+# the names of the report_sha256 list of BENCH_16.json
+CLI_RUNS = {
+    "koszul-A1-w6": ["koszul-check", "--type", "A1", "--window", "6", "--homcap", "2"],
+    "ext-A1-w6-triv": ["ext", "--type", "A1", "--window", "6", "--homcap", "3"],
+    "ext-A1-w6-pair": [
+        "ext", "--type", "A1", "--window", "6", "--homcap", "3",
+        "--modules", "trivial;simple:1",
+    ],
+    "ext-A2-w3-cl": ["ext", "--type", "A2", "--window", "3", "--homcap", "2"],
+    "ext-A2-w3-q": [
+        "ext", "--type", "A2", "--f", "qinteger", "--window", "3", "--homcap", "2",
+    ],
+    "schur-A1-w8-cl": ["schur-check", "--type", "A1", "--window", "8"],
+    "schur-A1-w8-q32": [
+        "schur-check", "--type", "A1", "--f", "qinteger", "--q", "3/2", "--window", "8",
+    ],
+    "schur-A1-w8-qgen": ["schur-check", "--type", "A1", "--f", "qinteger", "--window", "8"],
+    "schur-A1-w8-s1": [
+        "schur-check", "--type", "A1", "--module", "simple:1", "--window", "8",
+    ],
+    "schur-A2-w3-q": [
+        "schur-check", "--type", "A2", "--f", "qinteger", "--homcap", "2", "--window", "3",
+    ],
+    "schur-A2-w3-cl": ["schur-check", "--type", "A2", "--homcap", "2", "--window", "3"],
+    "schur-B2-w3": ["schur-check", "--type", "B2", "--homcap", "2", "--window", "3"],
+    "schur-C2-w3": ["schur-check", "--type", "C2", "--homcap", "2", "--window", "3"],
+    "schur-G2-w3": ["schur-check", "--type", "G2", "--homcap", "2", "--window", "3"],
+}
+
+SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")
+
+
+def _run_cli(argv):
+    from schurq.cli import main
+
+    return main(list(argv))
+
+
+def _run_script(path):
+    saved = sys.argv
+    sys.argv = [path]
+    try:
+        runpy.run_path(path, run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.argv = saved
+    return 0
+
+
+def _digest(run, arg):
+    """(exit code, sha256 of standard output) of ``run(arg)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(arg)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def main():
+    runs = {}
+    for name, argv in CLI_RUNS.items():
+        code, digest = _digest(_run_cli, argv)
+        runs[name] = {"argv": ["schurq"] + argv, "exit": code, "stdout_sha256": digest}
+    for script in SCRIPTS:
+        rel = os.path.join("scripts", script + ".py")
+        code, digest = _digest(_run_script, os.path.join(ROOT, rel))
+        runs["script-" + script] = {"argv": [rel], "exit": code, "stdout_sha256": digest}
+    print(json.dumps(runs, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -36,7 +36,14 @@ from functools import partial
 
 from .qfield import MOD_P, QScalar
 from .presentation import instantiate_window, word_target
-from .gbasis import NormalWords, chains, groebner, _find_divisor, _reduce_full
+from .gbasis import (
+    Completion,
+    NormalWords,
+    chains,
+    groebner,
+    _find_divisor,
+    _reduce_full,
+)
 from .linalg import (
     ModularSpan,
     Subspace,
@@ -1070,29 +1077,41 @@ def _chain_need(gb, sources, homcap, box_radius):
     return need
 
 
+def _chain_capped_basis(quiver, sources, homcap):
+    """The basis of the window at the cap the chains of ``sources`` need.
+
+    Completes at homcap + 2 and, while the chains read through stage
+    homcap + 1 need more (``_chain_need``), continues the same completion
+    (``gbasis.Completion``) to what they need, never above the top cap
+    ``2 * radius + 4``.  The completion state lives only in this call.
+    """
+    radius = quiver.radius
+    top = 2 * radius + 4
+    cap = min(homcap + 2, top)
+    state = Completion(quiver, top)
+    while True:
+        gb = groebner(quiver, cap, state)
+        need = _chain_need(gb, sources, homcap, radius)
+        if need <= cap or cap == top:
+            return gb
+        cap = min(need, top)
+
+
 def _window_algebra(c, f, modules, homcap, radius, lencap=None):
     """The window algebra at ``radius`` and the modules built for it.
 
     An explicit ``lencap`` is used as given.  Otherwise, when every module
     is one-dimensional (a vertex simple S_v), the length cap comes from the
-    Anick chains of the S_v: complete at homcap + 2, and while the chains
-    read through stage homcap + 1 need more (``_chain_need``), complete
-    again at what they need.  The cap never exceeds ``2 * radius + 4``,
-    which is the cap of every other module list.
+    Anick chains of the S_v (``_chain_capped_basis``).  The cap never
+    exceeds ``2 * radius + 4``, which is the cap of every other module list.
     """
     modules = _materialize(modules, radius)
-    top = 2 * radius + 4
     if lencap is not None or any(V.total_dim() != 1 for V in modules):
         return build_algebra(c, f, radius, margin=homcap, lencap=lencap), modules
     sources = sorted({next(n for n, d in V.dims if d) for V in modules})
     quiver = instantiate_window(c, f, radius, homcap)
-    cap = min(homcap + 2, top)
-    while True:
-        gb = groebner(quiver, cap=cap)
-        need = _chain_need(gb, sources, homcap, radius)
-        if need <= cap or cap == top:
-            return WindowedAlgebra(quiver, gb, cap), modules
-        cap = min(need, top)
+    gb = _chain_capped_basis(quiver, sources, homcap)
+    return WindowedAlgebra(quiver, gb, gb.cap), modules
 
 
 def _ext_matrix_once(c, f, modules, homcap, radius, lencap):

@@ -34,6 +34,13 @@ Completion pairs each new element only with the elements a partner index
 whole leads of the basis so far, keyed by subword and the anchor at its
 right end.  No lookup scans the basis.  Completion adds each new element to
 both indexes as it is found.
+
+A completion can be resumed (``Completion``): its state keeps the indexes
+and the ambiguity heap, with every ambiguity up to a top cap fixed when the
+state is made, so a later ``groebner`` call at a higher cap continues the
+work of the earlier ones.  The pops, and so the basis, are those of a
+completion at the higher cap from scratch.  ``ext`` completes each window
+so, one cap rung after another.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "WordCode",
     "GBResult",
     "GBError",
+    "Completion",
     "UncertifiedRegionError",
     "VertexRangeError",
     "default_order",
@@ -553,112 +561,173 @@ def _input_hash(label, relations):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def groebner(pres, cap):
-    """Truncated completion of a Presentation or WindowedQuiver up to word length cap."""
+def _unpack(pres):
+    """(anchored, rank, relations, label, letters, radius) of a presentation:
+    ``radius`` is the box radius of a window, 0 for a free presentation."""
     if isinstance(pres, WindowedQuiver):
-        anchored = True
         rank = pres.rank
-        relations = [p for (_name, _v, p) in pres.relations]
-        label = pres.describe()
         letters = tuple(("x", i) for i in range(rank)) + tuple(
             ("y", i) for i in range(rank)
         )
-        reach = pres.radius + cap
-    elif isinstance(pres, Presentation):
-        anchored = False
-        rank = pres.rank
+        relations = [p for (_name, _v, p) in pres.relations]
+        return True, rank, relations, pres.describe(), letters, pres.radius
+    if isinstance(pres, Presentation):
         relations = list(pres.relations)
-        label = pres.label
-        letters = tuple(pres.generators)
-        reach = cap
-    else:
-        raise GBError("unsupported presentation type %r" % type(pres).__name__)
-    order = default_order(rank)
-    code = WordCode(order.precedence, rank, reach)
-    ascending = code.ascending
-    index = _LeadIndex(code, anchored)
-    partners = _PartnerIndex(code if anchored else None)
-    basis = index.elems
+        return False, pres.rank, relations, pres.label, tuple(pres.generators), 0
+    raise GBError("unsupported presentation type %r" % type(pres).__name__)
 
-    def add_elem(terms, source):
-        e = _Elem(terms, source)
-        index.add(e)
-        return e
 
-    # seed with fully reduced input relations (iterate to inter-reduce)
-    pending = [
-        (
-            {code.encode(w): v for w, v in p.terms},
-            code.vertex(p.source) if anchored else None,
-        )
-        for p in relations
-        if p.terms
-    ]
-    pending.sort(key=lambda t: ascending(_lead(t[0])))
-    for terms, source in pending:
-        red = _reduce_full(terms, source, index)
-        if red:
-            add_elem(red, source)
+class Completion:
+    """The state of a truncated completion, which ``groebner`` resumes.
 
-    # ambiguity queue ordered by the ambiguity word
-    counter = 0
-    heap = []
+    ``top`` is the largest cap the completion may reach; it is fixed when
+    the state is made.  The state holds the lead and partner indexes, the
+    ambiguity heap with the push counter, the input hash and a ``WordCode``
+    of reach ``radius + top``.  The heap keeps every ambiguity whose word
+    has length at most ``top``, so after a call at some cap it still holds
+    the ones longer than that cap, each with the counter it was pushed
+    with; ambiguities longer than ``top`` are dropped when they are pushed.
+    Ambiguities with one word pop in counter order, so a call at a higher
+    cap continues exactly as a completion at that cap from scratch would,
+    and gives the same basis.
+    """
 
-    def push_pairs(e):
-        nonlocal counter
-        partners.add(e)
-        for word, source, a, b, p1, p2 in partners.ambiguities(e):
-            if len(word) > cap:
+    def __init__(self, pres, top):
+        anchored, rank, relations, label, letters, radius = _unpack(pres)
+        self.pres = pres
+        self.top = top
+        self.cap = None  # the cap completed so far, None before the first call
+        self.anchored = anchored
+        self.rank = rank
+        self.letters = letters
+        self.label = label
+        self.input_hash = _input_hash(label, relations)
+        self.order = default_order(rank)
+        self.code = code = WordCode(self.order.precedence, rank, radius + top)
+        self.index = _LeadIndex(code, anchored)
+        self.partners = _PartnerIndex(code if anchored else None)
+        self.heap = []
+        self.counter = 0
+        self._relations = relations  # seeded by the first call, then dropped
+
+    def _push_pairs(self, e):
+        self.partners.add(e)
+        ascending = self.code.ascending
+        for word, source, a, b, p1, p2 in self.partners.ambiguities(e):
+            if len(word) > self.top:
                 continue
-            counter += 1
+            self.counter += 1
             heapq.heappush(
-                heap, (ascending(word), counter, word, source, a, b, p1, p2)
+                self.heap, (ascending(word), self.counter, word, source, a, b, p1, p2)
             )
 
-    for e in basis:
-        push_pairs(e)
+    def _seed(self):
+        """Add the fully reduced input relations (iterated to inter-reduce)
+        and push their ambiguities."""
+        code, index = self.code, self.index
+        pending = [
+            (
+                {code.encode(w): v for w, v in p.terms},
+                code.vertex(p.source) if self.anchored else None,
+            )
+            for p in self._relations
+            if p.terms
+        ]
+        self._relations = None
+        pending.sort(key=lambda t: code.ascending(_lead(t[0])))
+        for terms, source in pending:
+            red = _reduce_full(terms, source, index)
+            if red:
+                index.add(_Elem(red, source))
+        for e in index.elems:
+            self._push_pairs(e)
 
-    while heap:
-        _key, _n, word, source, g1, g2, p1, p2 = heapq.heappop(heap)
-        terms = {}
-        left1, right1 = word[:p1], word[p1 + len(g1.lead):]
-        left2, right2 = word[:p2], word[p2 + len(g2.lead):]
-        for uw, uc in g1.terms.items():
-            nw = left1 + uw + right1
-            terms[nw] = terms.get(nw, QScalar.zero()) + uc
-        for uw, uc in g2.terms.items():
-            nw = left2 + uw + right2
-            terms[nw] = terms.get(nw, QScalar.zero()) - uc
-        terms = {w: v for w, v in terms.items() if v}
-        red = _reduce_full(terms, source, index)
-        if red:
-            e = add_elem(red, source)
-            if len(e.lead) > cap:
-                # cannot happen under a length-compatible order, guard anyway
-                raise GBError("reduction produced an over-cap leading word")
-            push_pairs(e)
+    def _check(self, pres, cap):
+        if cap > self.top:
+            raise GBError(
+                "cap %d above the top cap %d of the completion state" % (cap, self.top)
+            )
+        if self.cap is not None and cap < self.cap:
+            raise GBError(
+                "cap %d below the cap %d already completed" % (cap, self.cap)
+            )
+        if pres is not self.pres:
+            _a, _r, relations, label, _l, _radius = _unpack(pres)
+            if _input_hash(label, relations) != self.input_hash:
+                raise GBError(
+                    "completion state of %s resumed with %s" % (self.label, label)
+                )
 
-    def source_of(e):
-        return code.point(e.source) if anchored else None
+    def advance(self, cap):
+        """Resolve every ambiguity whose word has length at most cap."""
+        if self.cap is None:
+            self._seed()
+        heap, index = self.heap, self.index
+        while heap and heap[0][0][0] <= cap:
+            _key, _n, word, source, g1, g2, p1, p2 = heapq.heappop(heap)
+            terms = {}
+            left1, right1 = word[:p1], word[p1 + len(g1.lead):]
+            left2, right2 = word[:p2], word[p2 + len(g2.lead):]
+            for uw, uc in g1.terms.items():
+                nw = left1 + uw + right1
+                terms[nw] = terms.get(nw, QScalar.zero()) + uc
+            for uw, uc in g2.terms.items():
+                nw = left2 + uw + right2
+                terms[nw] = terms.get(nw, QScalar.zero()) - uc
+            terms = {w: v for w, v in terms.items() if v}
+            red = _reduce_full(terms, source, index)
+            if red:
+                e = _Elem(red, source)
+                index.add(e)
+                if len(e.lead) > cap:
+                    # cannot happen under a length-compatible order, guard anyway
+                    raise GBError("reduction produced an over-cap leading word")
+                self._push_pairs(e)
+        self.cap = cap
 
-    polys = tuple(
-        NCPoly.make(
-            {code.decode(w): v for w, v in e.terms.items()}, source_of(e), rank
+    def result(self):
+        """The basis completed so far, as a ``GBResult`` at the cap reached."""
+        code, anchored, rank = self.code, self.anchored, self.rank
+
+        def source_of(e):
+            return code.point(e.source) if anchored else None
+
+        polys = tuple(
+            NCPoly.make(
+                {code.decode(w): v for w, v in e.terms.items()}, source_of(e), rank
+            )
+            for e in sorted(
+                self.index.elems,
+                key=lambda e: (code.ascending(e.lead), source_of(e) or ()),
+            )
         )
-        for e in sorted(basis, key=lambda e: (ascending(e.lead), source_of(e) or ()))
-    )
-    return GBResult(
-        rank=rank,
-        anchored=anchored,
-        order=order,
-        letters=letters,
-        elements=polys,
-        cap=cap,
-        certified_len=cap,
-        complete=True,
-        input_label=label,
-        input_hash=_input_hash(label, relations),
-    )
+        return GBResult(
+            rank=rank,
+            anchored=anchored,
+            order=self.order,
+            letters=self.letters,
+            elements=polys,
+            cap=self.cap,
+            certified_len=self.cap,
+            complete=True,
+            input_label=self.label,
+            input_hash=self.input_hash,
+        )
+
+
+def groebner(pres, cap, state=None):
+    """Truncated completion of a Presentation or WindowedQuiver up to word length cap.
+
+    ``state`` is a ``Completion`` of ``pres`` that earlier calls have taken
+    to a cap no higher than ``cap``; the call continues it, and the basis
+    equals that of a completion at ``cap`` from scratch.  Without it the
+    completion starts from an empty state whose top cap is ``cap``.
+    """
+    if state is None:
+        state = Completion(pres, cap)
+    state._check(pres, cap)
+    state.advance(cap)
+    return state.result()
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def build_simple(c, f, n0, depth_cap=20):
     n0 = _check_weight(c, n0)
     if f.kind in ("classical", "qinteger"):
         for j in range(c.rank):
-            val = sum(c.a[i][j] * n0[i] for i in range(c.rank))
+            val = sum(c.a[j][i] * n0[i] for i in range(c.rank))
             if val < 0:
                 raise ModuleError(
                     "weight %s not dominant: pairing %d with root %d negative"

@@ -166,8 +166,8 @@ class NCPoly:
 class FSpec:
     """Parameter family for the commutator scalars f_j(n).
 
-    kind "classical": f_j(n) = sum_i a_ij n_i (exact rationals).
-    kind "qinteger":  f_j(n) = [sum_i a_ij n_i] at base q^(d_j).
+    kind "classical": f_j(n) = sum_i a_ji n_i (exact rationals).
+    kind "qinteger":  f_j(n) = [sum_i a_ji n_i] at base q^(d_j).
     kind "affine":    f_j(n) = sum_i m[i][j] n_i + c_j.
     kind "table":     finite map weight -> vector of scalars.
     """
@@ -235,13 +235,23 @@ class FSpec:
 
 
 def eval_f(f, c, j, n):
-    """The scalar f_j(n) of the commutator relation [x_i, y_j] = delta_ij f_j(n)."""
+    """The scalar f_j(n) of the commutator relation [x_i, y_j] = delta_ij f_j(n).
+
+    The built-in families pair n with the coroot of node j,
+    ``sum_i a_ji n_i``: the weight n = sum_i n_i alpha_i pairs with
+    alpha_j^vee through row j of the Cartan matrix, in the convention of
+    ``rootdata`` and of the Serre exponents ``1 - a_ij``.  This departs from
+    the literal ``sum_i a_ij n_i`` of the model description, which agrees
+    with it only for a symmetric matrix (types A, D, E); for B2, C2 and G2
+    the literal pairing gives an inconsistent algebra (a constant in the
+    ideal) and non-dominant highest weights.
+    """
     n = tuple(int(x) for x in n)
     if f.kind == "classical":
-        val = sum(c.a[i][j] * n[i] for i in range(c.rank))
+        val = sum(c.a[j][i] * n[i] for i in range(c.rank))
         return QScalar.from_rational(val)
     if f.kind == "qinteger":
-        val = qint(sum(c.a[i][j] * n[i] for i in range(c.rank)), c.d[j])
+        val = qint(sum(c.a[j][i] * n[i] for i in range(c.rank)), c.d[j])
         if f.at is not None:
             return QScalar.from_rational(val.specialize(f.at))
         return val
@@ -353,6 +363,31 @@ def instantiate_window(c, f, radius, margin=0):
                     arrows.append(((kind, i), v, t))
     arrows.sort()
 
+    # each Serre relation and its specialization is built once, anchored at
+    # the origin; it lies in the box at v when the box of its path offsets,
+    # shifted by v, does
+    at = f.spec_point()
+    origin = (0,) * r
+    serre = []
+    for chirality in ("x", "y"):
+        for i in range(r):
+            for j in range(r):
+                if i == j:
+                    continue
+                rel = serre_relation(c, i, j, chirality)
+                if at is not None:
+                    # scalar-valued f families live at a fixed value of q
+                    # (q = 1 for the classical ones), where the Serre
+                    # coefficients are ordinary numbers
+                    rel = rel.map_coeff(
+                        lambda s: QScalar.from_rational(s.specialize(at))
+                    )
+                offsets = [o for w, _coeff in rel.terms for o in path_vertices(w, origin)]
+                lo = tuple(min(o[k] for o in offsets) for k in range(r))
+                hi = tuple(max(o[k] for o in offsets) for k in range(r))
+                name = "serre_%s[%d,%d]" % (chirality, i + 1, j + 1)
+                serre.append((name, rel.terms, lo, hi))
+
     relations = []
     for v in box:
         for i in range(r):
@@ -370,27 +405,11 @@ def instantiate_window(c, f, radius, margin=0):
                         if val:
                             terms[()] = -val
                     relations.append(("comm[%d,%d]" % (i + 1, j + 1), v, NCPoly.make(terms, v, r)))
-        for chirality in ("x", "y"):
-            for i in range(r):
-                for j in range(r):
-                    if i == j:
-                        continue
-                    rel = serre_relation(c, i, j, chirality, source=v)
-                    at = f.spec_point()
-                    if at is not None:
-                        # scalar-valued f families live at a fixed value of q
-                        # (q = 1 for the classical ones), where the Serre
-                        # coefficients are ordinary numbers
-                        rel = rel.map_coeff(
-                            lambda s: QScalar.from_rational(s.specialize(at))
-                        )
-                    visited = set()
-                    for w, _coeff in rel.terms:
-                        visited |= set(path_vertices(w, v))
-                    if visited <= boxset:
-                        relations.append(
-                            ("serre_%s[%d,%d]" % (chirality, i + 1, j + 1), v, rel)
-                        )
+        for name, terms, lo, hi in serre:
+            if all(
+                -radius <= x + a and x + b <= radius for x, a, b in zip(v, lo, hi)
+            ):
+                relations.append((name, v, NCPoly(terms, v, r)))
 
     kind_rank = {"comm": 0, "serre_x": 1, "serre_y": 2}
     relations.sort(key=lambda t: (t[1], kind_rank[t[0].split("[")[0]], t[0]))

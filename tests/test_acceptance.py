@@ -212,3 +212,17 @@ def test_criterion_8_property_suites():
 
     report(8, "property suites: q-Pascal/bar, checker, GB oracle, d o d, "
               "Schur values, deterministic reports")
+
+
+def test_criterion_9_non_simply_laced_degree_two_probe():
+    """B2, C2 and G2 classical trivial at windows 2/3: stable (1,0,2)
+    against the flag Betti numbers of each type, verdict match."""
+    f = FSpec.classical()
+    for series in ("B", "C", "G"):
+        c = build_cartan(series, 2)
+        rep = schur_check(c, f, trivial_module(c, f, (0, 0)), homcap=2,
+                          windows=(2, 3), check_ring=False)
+        assert rep.verdict == "match", (series, rep.to_dict())
+        assert rep.computed_betti == (1, 0, 2) == flag_betti(c)[:3]
+        assert all(rep.stable)
+    report(9, "B2, C2, G2 degree-2 probe (1,0,2) stable, verdict match")

@@ -752,16 +752,21 @@ def test_koszul_single_list_insufficient(a1, f_classical):
 # -- compute once: verdict checks reuse the last window of the Ext table ---
 
 
-def _count_builds(monkeypatch):
-    """Record the window radius of every groebner and minimal_resolution call."""
+def _count_builds(monkeypatch, states=None):
+    """Record the window radius of every groebner and minimal_resolution call.
+
+    With ``states``, also append to it the completion state each groebner
+    call is given and the cap that state had reached before the call."""
     calls = {"groebner": [], "minimal_resolution": []}
     resolutions = []
     real_groebner = ext_module.groebner
     real_resolution = ext_module.minimal_resolution
 
-    def groebner(quiver, cap):
+    def groebner(quiver, cap, state=None):
         calls["groebner"].append(quiver.radius)
-        return real_groebner(quiver, cap)
+        if states is not None:
+            states.append((state, state.cap if state is not None else None))
+        return real_groebner(quiver, cap, state)
 
     def minimal_resolution(algebra, V, homcap):
         calls["minimal_resolution"].append(algebra.quiver.radius)
@@ -834,6 +839,21 @@ def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
     _mods, (fresh,) = _fresh_last_window(a1, f_classical, [triv], 4, (4, 6))
     assert fresh.stages == resolutions[-1].stages
     assert rep.ring_comparison["square_zero_computed"] == yoneda_square(fresh, triv, 2)
+
+
+def test_chain_capped_windows_resume_their_completion(a2, f_classical, monkeypatch):
+    """Each A2 window is completed at homcap + 2 = 4 and continued to the
+    chain-sized cap 5 on one completion state, not restarted."""
+    triv = trivial_module(a2, f_classical, (0, 0))
+    states = []
+    calls, _resolutions = _count_builds(monkeypatch, states)
+    rep = schur_check(a2, f_classical, triv, homcap=2, windows=(2, 3))
+    assert rep.verdict == "match"
+    assert calls["groebner"] == [2, 2, 3, 3]
+    assert [cap for _state, cap in states] == [None, 4, None, 4]
+    (first, _), (second, _), (third, _), (fourth, _) = states
+    assert first is second and third is fourth and first is not third
+    assert first.top == 8 and third.top == 10
 
 
 def test_koszul_check_builds_each_window_once(a1, f_classical, monkeypatch):

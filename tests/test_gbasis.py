@@ -15,7 +15,10 @@ from schurq import (
     kostant,
     normal_form,
 )
+from schurq import gbasis
 from schurq.gbasis import (
+    Completion,
+    GBError,
     UncertifiedRegionError,
     VertexRangeError,
     _ambiguities,
@@ -536,6 +539,83 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
             assert algebra.component(source, target, lencap) == fresh.component(
                 source, target, lencap
             )
+
+
+# -- resumed completion ----------------------------------------------------
+
+
+# (series+rank, family, radius, margin, caps): margin = homcap of the runs
+# these windows serve; each cap is one rung, the top cap is 2 * radius + 4
+_RESUME_CASES = [
+    ("A1", "classical", 6, 4, (6, 8, 12, 16)),
+    ("A1", "qinteger", 8, 4, (6, 9, 14, 20)),
+    ("A2", "classical", 2, 2, (4, 5, 7, 8)),
+    ("A2", "classical", 3, 2, (4, 5, 8, 10)),
+    ("A2", "qinteger", 3, 2, (4, 5, 7)),
+    ("A2", "classical", 5, 4, (6, 9)),
+]
+
+
+def _window(kind, family, radius, margin):
+    c = build_cartan(kind[0], int(kind[1:]))
+    return instantiate_window(c, getattr(FSpec, family)(), radius, margin)
+
+
+def _counting_reduce(monkeypatch):
+    """Count the calls of gbasis._reduce_full."""
+    count = [0]
+    real = gbasis._reduce_full
+
+    def reduce_full(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gbasis, "_reduce_full", reduce_full)
+    return count
+
+
+@pytest.mark.parametrize(
+    "kind, family, radius, margin, caps",
+    _RESUME_CASES,
+    ids=["%s%s-r%d-m%d" % (k, f[0], r, m) for k, f, r, m, _c in _RESUME_CASES],
+)
+def test_resumed_completion_equals_scratch(
+    monkeypatch, kind, family, radius, margin, caps
+):
+    """Each rung of one resumed completion has the basis of a completion at
+    that cap from scratch, and the rungs together reduce exactly as many
+    polynomials as one scratch completion at the last cap: no work is
+    redone."""
+    quiver = _window(kind, family, radius, margin)
+    count = _counting_reduce(monkeypatch)
+    state = Completion(quiver, 2 * radius + 4)
+    resumed = [groebner(quiver, cap, state).content_hash() for cap in caps]
+    resumed_calls = count[0]
+    scratch = [groebner(quiver, cap).content_hash() for cap in caps[:-1]]
+    count[0] = 0
+    scratch.append(groebner(quiver, caps[-1]).content_hash())
+    assert resumed == scratch
+    assert resumed_calls == count[0]
+
+
+def test_resumed_completion_refuses_misuse(a2, f_classical):
+    """A lower cap, a cap above the top and another presentation are typed
+    errors that name both caps or both presentations."""
+    quiver = instantiate_window(a2, f_classical, 2, 2)
+    state = Completion(quiver, 8)
+    groebner(quiver, 5, state)
+    with pytest.raises(GBError, match=r"cap 4 below the cap 5"):
+        groebner(quiver, 4, state)
+    with pytest.raises(GBError, match=r"cap 9 above the top cap 8"):
+        groebner(quiver, 9, state)
+    other = instantiate_window(a2, f_classical, 2, 1)
+    with pytest.raises(GBError) as err:
+        groebner(other, 6, state)
+    assert quiver.describe() in str(err.value)
+    assert other.describe() in str(err.value)
+    # an equal presentation built again resumes; the refusals left no trace
+    again = instantiate_window(a2, f_classical, 2, 2)
+    assert groebner(again, 6, state).content_hash() == groebner(quiver, 6).content_hash()
 
 
 # -- Anick chains ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -21,6 +22,7 @@ from schurq import modules as modules_module
 from schurq.modules import DepthCapError, GradedModule, ModuleError, perturb_entry
 from schurq.presentation import FSpec
 from schurq.qfield import QScalar
+from schurq.rootdata import positive_roots
 
 
 # -- trivial modules -------------------------------------------------------
@@ -155,6 +157,48 @@ def test_depth_cap_error_at_the_last_cap(a1, f_classical, verma_depths):
 def test_non_dominant_weight_rejected(a2, f_classical):
     with pytest.raises(ModuleError):
         build_simple(a2, f_classical, (1, 0))
+
+
+def _weyl_dimension(c, n0):
+    """Weyl's dimension formula, prod over positive roots alpha of
+    (lambda + rho, alpha) / (rho, alpha), with lambda = sum_i n0_i alpha_i
+    and the invariant form (alpha_i, alpha_k) = d_i a_ik."""
+    r = c.rank
+    roots = positive_roots(c).roots
+
+    def form(u, v):
+        return sum(u[i] * v[k] * c.d[i] * c.a[i][k] for i in range(r) for k in range(r))
+
+    rho = [Fraction(sum(a[i] for a in roots), 2) for i in range(r)]
+    shifted = [x + y for x, y in zip(n0, rho)]
+    return prod(Fraction(form(shifted, a), form(rho, a)) for a in roots)
+
+
+@pytest.mark.parametrize(
+    "series, n0, dim",
+    [
+        ("B", (1, 1), 5),
+        ("C", (1, 1), 5),
+        ("G", (1, 2), 7),
+        ("B", (1, 2), 10),
+        ("C", (2, 1), 10),
+        ("A", (1, 1), 8),
+    ],
+)
+def test_rank_two_simples_have_the_weyl_dimension(f_classical, series, n0, dim):
+    """The vector representations of so5 and sp4, the 7-dimensional one of
+    G2 and the adjoints of so5, sp4 and sl3 have their Weyl dimensions."""
+    c = build_cartan(series, 2)
+    assert build_simple(c, f_classical, n0).total_dim() == dim == _weyl_dimension(c, n0)
+
+
+@pytest.mark.parametrize("series", ["B", "C", "G"])
+def test_rank_two_simple_roots_are_not_dominant(f_classical, series):
+    """Each simple root pairs negatively with the other node's coroot."""
+    c = build_cartan(series, 2)
+    for n0 in ((1, 0), (0, 1)):
+        with pytest.raises(ModuleError, match="not dominant"):
+            build_simple(c, f_classical, n0)
 
 
 # -- truncated Verma modules ----------------------------------------------

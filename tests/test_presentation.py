@@ -1,10 +1,18 @@
 """Serre relations, f-parameter families, and window instantiation."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from schurq import QScalar, eval_f, qint, serre_relation, un_presentation
+from schurq import (
+    QScalar,
+    build_cartan,
+    eval_f,
+    qint,
+    serre_relation,
+    un_presentation,
+)
 from schurq.presentation import (
     FSpec,
     NCPoly,
@@ -115,6 +123,20 @@ def test_eval_f_classical(a1, a2, f_classical):
             assert eval_f(f_classical, a2, j, neg) == -eval_f(f_classical, a2, j, n)
 
 
+@pytest.mark.parametrize("series", ["B", "C", "G"])
+def test_eval_f_pairs_with_the_coroot(series, f_classical, f_qinteger):
+    """The built-in families pair n with row j of the Cartan matrix,
+    f_j(alpha_k) = a_jk, as the Serre exponents 1 - a_ij do; the literal
+    column pairing differs from it for a non-symmetric matrix."""
+    c = build_cartan(series, 2)
+    assert c.a[0][1] != c.a[1][0]
+    for j in range(2):
+        for k in range(2):
+            alpha = tuple(int(i == k) for i in range(2))
+            assert eval_f(f_classical, c, j, alpha) == QScalar.from_rational(c.a[j][k])
+            assert eval_f(f_qinteger, c, j, alpha) == qint(c.a[j][k], c.d[j])
+
+
 def test_eval_f_qinteger(a1, f_qinteger):
     for n in range(-3, 4):
         assert eval_f(f_qinteger, a1, 0, (n,)) == qint(2 * n)
@@ -215,3 +237,57 @@ def test_window_serre_coefficients_follow_the_family(a2):
         for _w, coeff in p.terms:
             assert coeff.is_rational()
             assert coeff in (QScalar.from_rational(1), QScalar.from_rational(-2))
+
+
+def _per_vertex_window_relations(c, f, radius):
+    """The relations of a window built vertex by vertex: every commutator and
+    Serre relation anchored at each box vertex and kept when all the vertices
+    its words visit lie in the box."""
+    r = c.rank
+    box = sorted(product(range(-radius, radius + 1), repeat=r))
+    inside = set(box)
+
+    def in_box(words, v):
+        return all(set(path_vertices(w, v)) <= inside for w in words)
+
+    at = f.spec_point()
+    relations = []
+    for v in box:
+        for i in range(r):
+            for j in range(r):
+                words = [(("x", i), ("y", j)), (("y", j), ("x", i))]
+                if in_box(words, v):
+                    terms = {words[0]: QScalar.one(), words[1]: QScalar.from_rational(-1)}
+                    if i == j and eval_f(f, c, j, v):
+                        terms[()] = -eval_f(f, c, j, v)
+                    relations.append(
+                        ("comm[%d,%d]" % (i + 1, j + 1), v, NCPoly.make(terms, v, r))
+                    )
+        for chirality in ("x", "y"):
+            for i in range(r):
+                for j in range(r):
+                    if i == j:
+                        continue
+                    rel = serre_relation(c, i, j, chirality, source=v)
+                    if at is not None:
+                        rel = rel.map_coeff(
+                            lambda s: QScalar.from_rational(s.specialize(at))
+                        )
+                    if in_box([w for w, _coeff in rel.terms], v):
+                        name = "serre_%s[%d,%d]" % (chirality, i + 1, j + 1)
+                        relations.append((name, v, rel))
+    kind_rank = {"comm": 0, "serre_x": 1, "serre_y": 2}
+    relations.sort(key=lambda t: (t[1], kind_rank[t[0].split("[")[0]], t[0]))
+    return tuple(relations)
+
+
+@pytest.mark.parametrize("family", ["classical", "qinteger"])
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_window_relations_equal_a_per_vertex_build(series, rank, radius, family):
+    """Serre relations built once per window and re-anchored at each vertex
+    give the relations of a build that makes each one at its vertex."""
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    quiver = instantiate_window(c, f, radius)
+    assert quiver.relations == _per_vertex_window_relations(c, f, radius)
