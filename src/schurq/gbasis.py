@@ -642,7 +642,8 @@ class Completion:
         for e in index.elems:
             self._push_pairs(e)
 
-    def _check(self, pres, cap):
+    def advance(self, pres, cap):
+        """Resolve every ambiguity of ``pres`` whose word has length at most cap."""
         if cap > self.top:
             raise GBError(
                 "cap %d above the top cap %d of the completion state" % (cap, self.top)
@@ -657,9 +658,6 @@ class Completion:
                 raise GBError(
                     "completion state of %s resumed with %s" % (self.label, label)
                 )
-
-    def advance(self, cap):
-        """Resolve every ambiguity whose word has length at most cap."""
         if self.cap is None:
             self._seed()
         heap, index = self.heap, self.index
@@ -725,8 +723,7 @@ def groebner(pres, cap, state=None):
     """
     if state is None:
         state = Completion(pres, cap)
-    state._check(pres, cap)
-    state.advance(cap)
+    state.advance(pres, cap)
     return state.result()
 
 
