@@ -601,7 +601,7 @@ class Completion:
         self.rank = rank
         self.letters = letters
         self.label = label
-        self.input_hash = _input_hash(label, relations)
+        self.input_hash = None  # hashed by the first groebner call
         self.order = default_order(rank)
         self.code = code = WordCode(self.order.precedence, rank, radius + top)
         self.index = _LeadIndex(code, anchored)
@@ -652,6 +652,8 @@ class Completion:
             raise GBError(
                 "cap %d below the cap %d already completed" % (cap, self.cap)
             )
+        if self.input_hash is None:
+            self.input_hash = _input_hash(self.label, self._relations)
         if pres is not self.pres:
             _a, _r, relations, label, _l, _radius = _unpack(pres)
             if _input_hash(label, relations) != self.input_hash:
