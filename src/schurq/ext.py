@@ -1095,6 +1095,7 @@ def _chain_capped_basis(quiver, sources, homcap):
         if need <= cap or cap == top:
             return gb
         cap = min(need, top)
+        del gb  # the state keeps the basis; this rung's result is not read again
 
 
 def _window_algebra(c, f, modules, homcap, radius, lencap=None):

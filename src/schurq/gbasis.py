@@ -612,14 +612,14 @@ class Completion:
 
     def _push_pairs(self, e):
         self.partners.add(e)
-        ascending = self.code.ascending
+        ascending, top, heap = self.code.ascending, self.top, self.heap
+        counter = self.counter
         for word, source, a, b, p1, p2 in self.partners.ambiguities(e):
-            if len(word) > self.top:
+            if len(word) > top:
                 continue
-            self.counter += 1
-            heapq.heappush(
-                self.heap, (ascending(word), self.counter, word, source, a, b, p1, p2)
-            )
+            counter += 1
+            heapq.heappush(heap, (ascending(word), counter, word, source, a, b, p1, p2))
+        self.counter = counter
 
     def _seed(self):
         """Add the fully reduced input relations (iterated to inter-reduce)
@@ -890,14 +890,14 @@ def chains(gb, source, depth, box_radius):
     n of the chain resolution of the vertex simple has one generator per
     chain, at its endpoint.
     """
-    leads = gb.leads()
-    longest = max((len(u) for u, _a in leads), default=0)
-    radius = max((abs(x) for _u, a in leads for x in a), default=0)
+    # a lead is an element's longest word, so the longest word is the longest lead
+    longest = max((len(w) for p in gb.elements for w, _v in p.terms), default=0)
+    radius = max((abs(x) for p in gb.elements for x in p.source), default=0)
     code = WordCode(gb.order.precedence, gb.rank, max(radius, box_radius) + longest)
     leadset = set()
     tails = {}  # (proper suffix of a lead, its right-end anchor) -> [prefix before it]
-    for u, anchor in leads:
-        u, a = code.encode(u), code.vertex(anchor)
+    for p in gb.elements:
+        u, a = _lead([code.encode(w) for w, _v in p.terms]), code.vertex(p.source)
         leadset.add((u, a))
         for j in range(1, len(u)):
             tails.setdefault((u[-j:], a), []).append(u[:-j])
