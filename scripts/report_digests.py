@@ -22,7 +22,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-# the names of the report_sha256 list of BENCH_16.json
+# the names of the report_sha256 list of BENCH_16.json, then later additions
 CLI_RUNS = {
     "koszul-A1-w6": ["koszul-check", "--type", "A1", "--window", "6", "--homcap", "2"],
     "ext-A1-w6-triv": ["ext", "--type", "A1", "--window", "6", "--homcap", "3"],
@@ -49,6 +49,17 @@ CLI_RUNS = {
     "schur-B2-w3": ["schur-check", "--type", "B2", "--homcap", "2", "--window", "3"],
     "schur-C2-w3": ["schur-check", "--type", "C2", "--homcap", "2", "--window", "3"],
     "schur-G2-w3": ["schur-check", "--type", "G2", "--homcap", "2", "--window", "3"],
+    # modules closed through linalg.Subspace, and Cartan data validated by
+    # rootdata's positive-definiteness test
+    "build-A2-s11-cl": ["build-module", "--type", "A2", "--module", "simple:1,1"],
+    "build-A2-s11-q": [
+        "build-module", "--type", "A2", "--f", "qinteger", "--module", "simple:1,1",
+    ],
+    "build-B2-s11-cl": ["build-module", "--type", "B2", "--module", "simple:1,1"],
+    "build-A1-s2-q": [
+        "build-module", "--type", "A1", "--f", "qinteger", "--module", "simple:2",
+    ],
+    "root-data-G2": ["root-data", "--type", "G2"],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

@@ -16,10 +16,10 @@ certificate proves that the generators generate each kernel; a per-stage
 length budget records where the truncated computation is faithful; trust for
 verdicts additionally requires agreement across two window radii.
 
-Each window's length cap (``_window_algebra``): an explicit ``lencap`` is
-used as given; when every module is a vertex simple the cap is sized from
-the Anick chains of ``gbasis.chains``, which bound the differential entries
-stage by stage; otherwise it is ``2 * radius + 4``.
+Each window's length cap (``_window_algebra``): when every module is a
+vertex simple the cap is sized from the Anick chains of ``gbasis.chains``,
+which bound the differential entries stage by stage; otherwise it is
+``2 * radius + 4``.
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
@@ -1098,26 +1098,26 @@ def _chain_capped_basis(quiver, sources, homcap):
         del gb  # the state keeps the basis; this rung's result is not read again
 
 
-def _window_algebra(c, f, modules, homcap, radius, lencap=None):
+def _window_algebra(c, f, modules, homcap, radius):
     """The window algebra at ``radius`` and the modules built for it.
 
-    An explicit ``lencap`` is used as given.  Otherwise, when every module
-    is one-dimensional (a vertex simple S_v), the length cap comes from the
-    Anick chains of the S_v (``_chain_capped_basis``).  The cap never
-    exceeds ``2 * radius + 4``, which is the cap of every other module list.
+    When every module is one-dimensional (a vertex simple S_v), the length
+    cap comes from the Anick chains of the S_v (``_chain_capped_basis``).
+    The cap never exceeds ``2 * radius + 4``, which is the cap of every
+    other module list.
     """
     modules = _materialize(modules, radius)
-    if lencap is not None or any(V.total_dim() != 1 for V in modules):
-        return build_algebra(c, f, radius, margin=homcap, lencap=lencap), modules
+    if any(V.total_dim() != 1 for V in modules):
+        return build_algebra(c, f, radius, margin=homcap), modules
     sources = sorted({next(n for n, d in V.dims if d) for V in modules})
     quiver = instantiate_window(c, f, radius, homcap)
     gb = _chain_capped_basis(quiver, sources, homcap)
     return WindowedAlgebra(quiver, gb, gb.cap), modules
 
 
-def _ext_matrix_once(c, f, modules, homcap, radius, lencap):
+def _ext_matrix_once(c, f, modules, homcap, radius):
     """Ext dims of every module pair at one radius: (table, modules, resolutions)."""
-    algebra, modules = _window_algebra(c, f, modules, homcap, radius, lencap)
+    algebra, modules = _window_algebra(c, f, modules, homcap, radius)
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
     table = [{} for _p in range(homcap + 1)]
     for i, res in enumerate(resolutions):
@@ -1128,7 +1128,7 @@ def _ext_matrix_once(c, f, modules, homcap, radius, lencap):
     return table, modules, resolutions
 
 
-def _ext_run(c, f, modules, homcap, windows, labels, lencap):
+def _ext_run(c, f, modules, homcap, windows, labels):
     """Two-window Ext table plus the last window's modules and resolutions.
 
     Each smaller window keeps only its dims: its algebra and resolutions are
@@ -1145,12 +1145,9 @@ def _ext_run(c, f, modules, homcap, windows, labels, lencap):
             raise ExtError("labels are required for radius-dependent modules")
         labels = tuple(V.provenance + str(k) for k, V in enumerate(modules))
     smaller = [
-        _ext_matrix_once(c, f, modules, homcap, radius, lencap)[0]
-        for radius in windows[:-1]
+        _ext_matrix_once(c, f, modules, homcap, radius)[0] for radius in windows[:-1]
     ]
-    last, modules, resolutions = _ext_matrix_once(
-        c, f, modules, homcap, windows[-1], lencap
-    )
+    last, modules, resolutions = _ext_matrix_once(c, f, modules, homcap, windows[-1])
     prev = smaller[-1]
     dims = []
     stable = []
@@ -1170,9 +1167,9 @@ def _ext_run(c, f, modules, homcap, windows, labels, lencap):
     return table, modules, resolutions
 
 
-def ext_table(c, f, modules, homcap, windows, labels=None, lencap=None):
+def ext_table(c, f, modules, homcap, windows, labels=None):
     """Ext^p(V_i, V_j) over at least two window radii with stability flags."""
-    return _ext_run(c, f, modules, homcap, windows, labels, lencap)[0]
+    return _ext_run(c, f, modules, homcap, windows, labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1354,7 +1351,7 @@ class SchurReport:
         }
 
 
-def schur_check(c, f, V, homcap=4, windows=(6, 8), lencap=None, check_ring=True):
+def schur_check(c, f, V, homcap=4, windows=(6, 8), check_ring=True):
     """Compare Ext^*(V, V) with the flag variety cohomology target.
 
     V may be a module or a radius-dependent factory (built per window).  The
@@ -1365,7 +1362,7 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8), lencap=None, check_ring=True)
     """
     table_w = weyl_table(c)
     target = flag_betti(c, table_w)
-    tab, (V,), (res,) = _ext_run(c, f, [V], homcap, windows, ("V",), lencap)
+    tab, (V,), (res,) = _ext_run(c, f, [V], homcap, windows, ("V",))
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     padded_target = tuple(
@@ -1409,7 +1406,9 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8), lencap=None, check_ring=True)
         stable=stable,
         verdict=verdict,
         ring_comparison=ring_cmp,
-        caps={"homcap": homcap, "windows": list(windows), "lencap": lencap},
+        # the v1 schema keeps lencap as null until schema v2 reports the
+        # cap used per window, so report bytes do not change
+        caps={"homcap": homcap, "windows": list(windows), "lencap": None},
         assumptions=(
             "scalars extended from Q to the rational function field Q(q); "
             "'generic q' means the parameter is transcendental over Q",
@@ -1429,14 +1428,14 @@ def euler_check(table, i=0):
     return sum((-1) ** p * d for p, d in enumerate(dims))
 
 
-def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8), lencap=None):
+def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
     """Degree-1 generation probe: do Ext^2 classes factor through Ext^1 products?
 
     Cocycles and Yoneda products are taken on the modules and resolutions that
     the two-window Ext table built at the last window; each degree-1 cocycle
     basis Ext^1(X_a, X_b) is computed once per (a, b).
     """
-    tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels, lencap)
+    tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels)
     cocycles = {}
 
     def ext1_reps(a, b):

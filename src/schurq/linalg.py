@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the QScalar field, and row spans over Q.
+"""Dense exact linear algebra over the QScalar field, and incremental row spans.
 
 Matrices are tuples of row tuples; vectors are tuples.  ``nullspace``,
 ``mat_rank`` and ``solve`` share one eliminator that never does arithmetic
@@ -12,14 +12,15 @@ canonical form once per output entry instead of once per operation.  The
 reduced row echelon form of a row space is unique, so the results equal
 those of Gauss-Jordan elimination over the field.
 
-Three incremental spans keep a row space with membership tests.
-``Subspace`` runs Gauss-Jordan over QScalar rows.  ``RationalSpan`` is its
-fraction-free counterpart over Q: it takes int or Fraction rows and keeps
-each reduced row echelon row as a sparse primitive integer row, so a
-membership test is one integer combination and ``reduce`` divides once per
-entry.  ``ModularSpan`` keeps rows over Z/p (p = ``qfield.MOD_P``) as sparse
-reduced row echelon rows with pivot 1; its rank never exceeds the rank over
-Q(q) of rows that reduce to its inputs.  ``nullspace_mod`` reads a kernel
+Two incremental spans keep a row space with membership tests.
+``Subspace`` runs Gauss-Jordan over QScalar rows; rows over Q go in through
+``QScalar.from_rational`` and come back exactly through ``specialize("one")``.
+An incremental Bareiss span over Z[q] was measured several times slower on
+generic-q modules: its minors grow without the gcd canonicalization of
+QScalar, so Bareiss stays with batch work and ``Subspace`` with spans.
+``ModularSpan`` keeps rows over Z/p (p = ``qfield.MOD_P``) as sparse reduced
+row echelon rows with pivot 1; its rank never exceeds the rank over Q(q) of
+rows that reduce to its inputs.  ``nullspace_mod`` reads a kernel
 basis off those rows in ``nullspace``'s normal form, so where the echelon
 pivots mod p are those over Q(q) it is the image mod p of ``nullspace``'s
 basis, and otherwise it has more vectors.
@@ -34,7 +35,6 @@ finite-type test in ``rootdata``, the dense-rank oracle
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .qfield import (
@@ -58,7 +58,6 @@ __all__ = [
     "nullspace",
     "solve",
     "Subspace",
-    "RationalSpan",
     "ModularSpan",
     "nullspace_mod",
 ]
@@ -312,92 +311,6 @@ class Subspace:
     def basis(self):
         order = sorted(range(len(self.pivots)), key=lambda t: self.pivots[t])
         return [tuple(self.rows[t]) for t in order]
-
-
-_F0 = Fraction(0)
-
-
-def _sub_scaled(out, c, row):
-    """out -= c * row in place, on sparse {column: int} rows."""
-    for j, y in row.items():
-        t = out.get(j, 0) - c * y
-        if t:
-            out[j] = t
-        else:
-            del out[j]
-
-
-class RationalSpan:
-    """Incrementally built row space over Q, kept fraction-free.
-
-    Rows may hold ints or Fractions.  Each basis row is stored as a sparse
-    {column: int} row that is primitive (content 1) with a positive pivot;
-    divided by its pivot it is a row of the reduced row echelon form, so it
-    is zero at every other pivot column.  Scaling a vector changes neither
-    its membership nor whether ``add`` grows the span.
-    """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.pivots = []  # pivot columns in insertion order
-        self._rows = {}  # pivot column -> primitive row
-
-    @staticmethod
-    def _integral(vec):
-        """(m, row): row is m * vec as a sparse integer row, m > 0."""
-        live = {j: x for j, x in enumerate(vec) if x}
-        m = lcm(*(x.denominator for x in live.values()))
-        return m, {j: x.numerator * (m // x.denominator) for j, x in live.items()}
-
-    def _reduce(self, row):
-        """(s, out): out is s times the reduction of row modulo the span.
-
-        Every basis row is zero at the other pivots, so the reduction is the
-        single combination s * row - sum of row[p] * (s / d_p) * basis row p
-        over the pivots p that row touches, with s the lcm of their d_p.
-        """
-        rows = self._rows
-        hits = [(p, f) for p, f in row.items() if p in rows]
-        if not hits:
-            return 1, row
-        s = lcm(*(rows[p][p] for p, _f in hits))
-        out = {j: s * x for j, x in row.items()} if s != 1 else dict(row)
-        for p, f in hits:
-            _sub_scaled(out, f * (s // rows[p][p]), rows[p])
-        return s, out
-
-    def reduce(self, vec):
-        """The reduction of vec modulo the span, as a list of Fractions."""
-        m, row = self._integral(vec)
-        s, out = self._reduce(row)
-        den = s * m
-        return [Fraction(out[j], den) if j in out else _F0 for j in range(self.ncols)]
-
-    def contains(self, vec):
-        return not self._reduce(self._integral(vec)[1])[1]
-
-    def add(self, vec):
-        """Insert a vector; returns True if it enlarged the span."""
-        out = self._reduce(self._integral(vec)[1])[1]
-        if not out:
-            return False
-        lead = min(out)
-        g = gcd(*out.values())
-        if out[lead] < 0:
-            g = -g
-        new = {j: x // g for j, x in out.items()}
-        d = new[lead]
-        for p, brow in list(self._rows.items()):
-            f = brow.get(lead)
-            if not f:
-                continue
-            upd = {j: d * y for j, y in brow.items()}
-            _sub_scaled(upd, f, new)
-            g = gcd(*upd.values())
-            self._rows[p] = {j: x // g for j, x in upd.items()} if g != 1 else upd
-        self._rows[lead] = new
-        self.pivots.append(lead)
-        return True
 
 
 class ModularSpan:

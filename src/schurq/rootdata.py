@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RationalSpan
+from .linalg import Subspace
+from .qfield import QScalar
 
 __all__ = [
     "CartanDatum",
@@ -90,10 +91,10 @@ def _positive_definite(sym):
     pivot (the ratio of consecutive leading principal minors) at column k;
     the matrix is positive definite iff every such pivot is positive.
     """
-    space = RationalSpan(len(sym))
+    space = Subspace(len(sym))
     for k, row in enumerate(sym):
-        row = [Fraction(x) for x in row]
-        if space.reduce(row)[k] <= 0:
+        row = [QScalar.from_rational(x) for x in row]
+        if space.reduce(row)[k].specialize("one") <= 0:
             return False
         space.add(row)
     return True
@@ -431,12 +432,12 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
         invariants[deg] = invs
 
     basis = []
-    ideal_spaces = []  # per degree: (RationalSpan of the ideal, monomial index)
+    ideal_spaces = []  # per degree: (Subspace of the ideal, monomial index)
     dims = []
     for deg in range(0, top + 1):
         monos = _monomials(r, deg)
         index = {m: i for i, m in enumerate(monos)}
-        space = RationalSpan(len(monos))
+        space = Subspace(len(monos))
         for d1 in range(1, deg + 1):
             lows = _monomials(r, deg - d1)
             for inv in invariants[d1]:
@@ -445,7 +446,7 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
                     for e, v in inv.items():
                         prod = tuple(a + b for a, b in zip(e, low))
                         vec[index[prod]] += v
-                    space.add(vec)
+                    space.add([QScalar.from_rational(x) for x in vec])
         pivots = set(space.pivots)
         free = tuple(m for i, m in enumerate(monos) if i not in pivots)
         basis.append(free)
@@ -468,8 +469,8 @@ def flag_ring(c, table=None, rank_cap=DEFAULT_RING_RANK_CAP):
         vec = [Fraction(0)] * len(index)
         for e, v in poly.items():
             vec[index[e]] += v
-        vec = space.reduce(vec)
-        return {m: vec[index[m]] for m in basis[deg] if vec[index[m]] != 0}
+        vec = space.reduce([QScalar.from_rational(x) for x in vec])
+        return {m: vec[index[m]].specialize("one") for m in basis[deg] if vec[index[m]]}
 
     structure = []
     for d1 in range(0, top + 1):

@@ -267,15 +267,12 @@ def test_generators_equal_chains(rank, family, radius, homcap, lencap):
 
 
 def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
-    """A module of dimension above 1 keeps 2 * radius + 4 and an explicit
-    lencap is used as given; for A1, whose chains need 2, the first rung
-    homcap + 2 stands."""
+    """A module of dimension above 1 keeps 2 * radius + 4; for A1, whose
+    chains need 2, the first rung homcap + 2 stands."""
     triv = trivial_module(a1, f_classical, (0,))
     simple = build_simple(a1, f_classical, (1,))
     algebra, _ = ext_module._window_algebra(a1, f_classical, [triv, simple], 2, 4)
     assert algebra.lencap == 12
-    algebra, _ = ext_module._window_algebra(a1, f_classical, [triv], 2, 4, lencap=9)
-    assert algebra.lencap == 9
     algebra, _ = ext_module._window_algebra(a1, f_classical, [triv], 2, 2)
     assert algebra.lencap == 4
 

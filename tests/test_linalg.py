@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from schurq.linalg import (
     ModularSpan,
-    RationalSpan,
+    Subspace,
     mat_rank,
     mat_vec,
     nullspace,
@@ -225,7 +225,18 @@ def test_bit_ceiling_applies_to_elimination():
         assert nullspace(a) == oracle_nullspace(a, len(a[0]))
 
 
-# -- RationalSpan against incremental Gauss-Jordan over Fraction --------------
+# -- Subspace against incremental Gauss-Jordan over Fraction ------------------
+
+
+def _q(vec):
+    """A row over Q as QScalar entries, as ``rootdata`` feeds ``Subspace``."""
+    return [QScalar.from_rational(x) for x in vec]
+
+
+def _f(vec):
+    """QScalar entries read back as Fractions, as ``rootdata`` reads them."""
+    return [x.specialize("one") for x in vec]
+
 
 
 class FractionSpan:
@@ -300,37 +311,50 @@ def span_vectors(draw, max_cols=6, max_vecs=9):
 
 @settings(max_examples=150, deadline=None)
 @given(span_vectors(), st.data())
-def test_rational_span_matches_fraction_oracle(case, data):
+def test_subspace_matches_fraction_oracle(case, data):
     n, vecs = case
-    span, oracle = RationalSpan(n), FractionSpan(n)
+    span, oracle = Subspace(n), FractionSpan(n)
     for vec in vecs:
         probe = data.draw(st.sampled_from(vecs))
-        assert span.contains(probe) == oracle.contains(probe)
-        reduced = span.reduce(probe)
-        assert reduced == oracle.reduce(probe)
-        assert all(type(x) is Fraction for x in reduced)
-        assert span.add(vec) == oracle.add(vec)
+        assert span.contains(_q(probe)) == oracle.contains(probe)
+        reduced = span.reduce(_q(probe))
+        assert all(x.is_rational() for x in reduced)
+        assert _f(reduced) == oracle.reduce(probe)
+        assert span.add(_q(vec)) == oracle.add(vec)
         assert span.pivots == oracle.pivots
-        assert span.reduce(vec) == [0] * n
+        assert not any(span.reduce(_q(vec)))
     for vec in vecs:
-        assert span.contains(vec)
+        assert span.contains(_q(vec))
 
 
-def test_rational_span_edges():
-    span = RationalSpan(3)
-    assert not span.add([0, 0, 0])
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_subspace_dim_is_bareiss_rank(a):
+    """Rows of Laurent polynomials and quotients in q: after each row the
+    span's dimension is the Bareiss rank of the rows added so far."""
+    span = Subspace(len(a[0]))
+    for k, row in enumerate(a):
+        grew = span.add(row)
+        assert span.dim == mat_rank(a[: k + 1])
+        assert grew == (span.dim == mat_rank(a[:k]) + 1)
+        assert span.contains(row)
+
+
+def test_subspace_edges():
+    span = Subspace(3)
+    assert not span.add(_q([0, 0, 0]))
     assert span.pivots == []
-    assert span.reduce([Fraction(1, 3), 0, -2]) == [Fraction(1, 3), 0, -2]
-    assert span.add([0, Fraction(-2, 3), 4])
-    assert not span.add([0, 10**50, -6 * 10**50])  # a scaled copy
-    assert span.contains([0, 1, -6]) and not span.contains([1, 1, -6])
-    assert span.add([5, 1, 0])
+    assert _f(span.reduce(_q([Fraction(1, 3), 0, -2]))) == [Fraction(1, 3), 0, -2]
+    assert span.add(_q([0, Fraction(-2, 3), 4]))
+    assert not span.add(_q([0, 10**50, -6 * 10**50]))  # a scaled copy
+    assert span.contains(_q([0, 1, -6])) and not span.contains(_q([1, 1, -6]))
+    assert span.add(_q([5, 1, 0]))
     assert span.pivots == [1, 0]
-    assert span.reduce([0, 0, 1]) == [0, 0, 1]
-    assert span.reduce([1, 0, 0]) == [0, 0, Fraction(-6, 5)]
+    assert _f(span.reduce(_q([0, 0, 1]))) == [0, 0, 1]
+    assert _f(span.reduce(_q([1, 0, 0]))) == [0, 0, Fraction(-6, 5)]
 
 
-# -- ModularSpan against RationalSpan on small integer matrices ---------------
+# -- ModularSpan against Subspace on small integer matrices -------------------
 
 small_rows = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
@@ -346,19 +370,19 @@ small_rows = st.integers(min_value=1, max_value=6).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(small_rows, st.data())
-def test_modular_span_matches_rational_span(rows, data):
+def test_modular_span_matches_subspace(rows, data):
     """Entries |x| <= 9 in at most 6 x 6 keep every minor below p in absolute
     value (Hadamard), so the rank mod p of every prefix is the rank over Q."""
     n = len(rows[0])
-    mod, rat = ModularSpan(n), RationalSpan(n)
+    mod, exact = ModularSpan(n), Subspace(n)
     seen = []
     for row in rows:
         if seen and data.draw(st.booleans()):
             row = [-x for x in data.draw(st.sampled_from(seen))]  # a repeat
         seen.append(row)
-        assert mod.add(row) == rat.add(row)
-        assert mod.dim == len(rat.pivots)
-        assert mod.pivots == rat.pivots
+        assert mod.add(row) == exact.add(_q(row))
+        assert mod.dim == exact.dim
+        assert mod.pivots == exact.pivots
 
 
 def test_modular_span_edges():

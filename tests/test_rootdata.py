@@ -180,8 +180,9 @@ def test_kostant_table_matches_brute_force(series, rank, cap):
 # -- coinvariant ring model ------------------------------------------------
 
 
-# sha256 of repr(ring.structure), recorded before the coinvariant ideal was
-# reduced through linalg.Subspace (it was a private row reduction then)
+# sha256 of repr(ring.structure), recorded when the coinvariant ideal was a
+# private row reduction; it has been reduced through linalg since, and is a
+# linalg.Subspace now
 RING_STRUCTURE_SHA256 = {
     ("A", 1): "87b0f1a0f74e591a06a0dc741f790f8b40354c35d414dc376591c6fa4a757c53",
     ("A", 2): "aeac351d99c9e322ce30f739f2b4550817d6f0d6f6822c0ffa7957b1c83b3960",
