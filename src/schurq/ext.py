@@ -23,9 +23,10 @@ which bound the differential entries stage by stage; otherwise it is
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
-letter action, the projective bases and the kernel vectors over them are
-on codes; words are decoded where they leave: into ``Stage.diff``, module
-matrices (``word_matrix``, ``_act_mod``) and the Yoneda lifts.
+letter action, the projective bases, the kernel vectors over them, the
+differential entries of ``Stage.diff`` and the Yoneda lifts are on codes.
+A word is decoded only where a module matrix acts on it (``word_matrix``,
+``_act_mod``) and in error messages.
 """
 
 from __future__ import annotations
@@ -193,13 +194,15 @@ class WindowModuleError(ExtError):
 
 
 class WindowedAlgebra:
-    def __init__(self, quiver, gb, lencap):
+    def __init__(self, quiver, gb):
         self.quiver = quiver
         self.gb = gb
-        self.lencap = lencap
+        self.lencap = gb.cap
         self._words = NormalWords(gb, box_radius=quiver.radius)
         self._index = self._words.index
         self.code = self._words.code
+        # (letter, code) for each letter of ``letters``, in that order
+        self.coded_letters = [(a, self.code.encode((a,))) for a in self.letters()]
         # source code -> levels 0..depth, where depth is the deepest length
         # asked of it so far; deeper requests continue from _pending
         self._levels = {}
@@ -365,8 +368,7 @@ def build_algebra(c, f, radius, margin, lencap=None):
     if lencap is None:
         lencap = 2 * radius + 4
     quiver = instantiate_window(c, f, radius, margin)
-    gb = groebner(quiver, cap=lencap)
-    return WindowedAlgebra(quiver, gb, lencap)
+    return WindowedAlgebra(quiver, groebner(quiver, cap=lencap))
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +379,9 @@ def build_algebra(c, f, radius, margin, lencap=None):
 @dataclass(frozen=True)
 class Stage:
     gens: tuple  # generator weights
-    diff: tuple  # per gen: ((prev_gen_idx, word), QScalar) pairs; stage 0: ()
+    diff: tuple  # per gen: ((prev_gen_idx, coded word), QScalar) pairs; stage 0: ()
     aug: tuple  # stage 0 only: per gen a coordinate vector in V(w)
     budget: int  # path lengths for which this stage's components are faithful
-    entry_len: int  # max word length among diff entries
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,6 @@ class Resolution:
     module: object
     stages: tuple
     dd_verified: bool
-    margin_consumed: int
     margin_ok: bool
 
 
@@ -420,10 +420,32 @@ def _pbasis(algebra, stage, m):
     return out
 
 
+def _compose(elem, images, sources, nf):
+    """An element times the images of its generators, in normal form.
+
+    ``elem`` is a combination ``((g, word), c)`` of coded words on
+    generators, ``images[g]`` the image of generator g as pairs
+    ``((gp, u), c2)``, and ``sources[gp]`` the vertex code of generator gp.
+    Returns ``sum c * c2 * nf(word + u, sources[gp])`` as {(gp, word): coeff}
+    with zero coefficients dropped.  With ``nf = algebra.nf`` the
+    coefficients are ``QScalar``; with ``algebra.nf_mod`` and int
+    coefficients they are ints, read mod p.
+    """
+    out = {}
+    for (g, word), c in elem:
+        for (gp, u), c2 in images[g]:
+            cc = c * c2
+            for w2, c3 in nf(word + u, sources[gp]).items():
+                key = (gp, w2)
+                out[key] = out[key] + cc * c3 if key in out else cc * c3
+    return {key: c for key, c in out.items() if c}
+
+
 def _diff_matrix(algebra, stages, p, m, diff_mod=None):
     """Matrix of d_p at weight m: P_p(m) -> P_{p-1}(m) in the ordered bases.
 
-    With ``diff_mod`` (stage p's coded differential entries mod p,
+    Column b is ``_compose`` of the basis element b with stage p's
+    differential entries.  With ``diff_mod`` (those entries mod p,
     ``_mod_data``) the matrix is over Z/p: its entries are ints, read mod p,
     built from ``nf_mod``.
     """
@@ -433,21 +455,20 @@ def _diff_matrix(algebra, stages, p, m, diff_mod=None):
     cod = _pbasis(algebra, prev, m)
     cindex = {b: i for i, b in enumerate(cod)}
     if diff_mod is None:
-        diff, nf, zero = _coded_diff(stage, algebra.code), algebra.nf, _Z
+        diff, nf, zero, one = stage.diff, algebra.nf, _Z, _O
     else:
-        diff, nf, zero = diff_mod, algebra.nf_mod, 0
+        diff, nf, zero, one = diff_mod, algebra.nf_mod, 0, 1
     sources = [algebra.code.vertex(w) for w in prev.gens]
     cols = []
-    for (g, word) in dom:
+    for b in dom:
         vec = [zero] * len(cod)
-        for (gp, u), c2 in diff[g]:
-            for w2, c3 in nf(word + u, sources[gp]).items():
-                i = cindex.get((gp, w2))
-                if i is None:
-                    raise ExtError(
-                        "differential image escaped the budgeted basis at %s" % (m,)
-                    )
-                vec[i] = vec[i] + c2 * c3
+        for key, c in _compose(((b, one),), diff, sources, nf).items():
+            i = cindex.get(key)
+            if i is None:
+                raise ExtError(
+                    "differential image escaped the budgeted basis at %s" % (m,)
+                )
+            vec[i] = c
         cols.append(vec)
     rows = tuple(tuple(col[i] for col in cols) for i in range(len(cod)))
     return dom, cod, rows
@@ -512,21 +533,12 @@ def _exact_kernel(algebra, stages, V, k, m):
     return nullspace(rows, len(dom))
 
 
-def _coded_diff(stage, code, mod=False):
-    """A stage's differential entries with coded words; with ``mod`` their
-    coefficients mod p."""
-    return tuple(
-        tuple(((g, code.encode(u)), c.modp() if mod else c) for (g, u), c in entry)
-        for entry in stage.diff
-    )
-
-
-def _mod_data(stage, code):
-    """A stage's augmentation vectors (stage 0) or coded differential
-    entries, mod p."""
+def _mod_data(stage):
+    """A stage's augmentation vectors (stage 0) or differential entries,
+    mod p."""
     if stage.aug:
         return tuple(tuple(x.modp() for x in v) for v in stage.aug)
-    return _coded_diff(stage, code, mod=True)
+    return tuple(tuple((b, c.modp()) for b, c in entry) for entry in stage.diff)
 
 
 def _check_window_module(quiver, V):
@@ -571,14 +583,13 @@ def minimal_resolution(algebra, V, homcap):
         diff=tuple(() for _ in gens0),
         aug=tuple(v for _g, v in gens0),
         budget=algebra.lencap,
-        entry_len=0,
     )
     stages = [stage0]
 
     box = list(algebra.quiver.vertices)
     for p in range(1, homcap + 1):
         prev = stages[-1]
-        mod = _mod_data(prev, algebra.code)
+        mod = _mod_data(prev)
         kernels = {}
         for m in box:
             dom, rows = _map_matrix(algebra, stages, V, p - 1, m, mod)
@@ -598,7 +609,7 @@ def minimal_resolution(algebra, V, homcap):
             break
 
     dd_ok = _check_dd(algebra, stages, V)
-    return Resolution(algebra, V, tuple(stages), dd_ok, homcap, margin_ok)
+    return Resolution(algebra, V, tuple(stages), dd_ok, margin_ok)
 
 
 def _vec_maxlen(dom, vec):
@@ -668,7 +679,6 @@ def _extract_stage(algebra, prev, kernels):
     gens = []
     diffs = []
     code = algebra.code
-    letters = [(letter, code.encode((letter,))) for letter in algebra.letters()]
     sources = [code.vertex(w) for w in prev.gens]
     exact_kernels = {}
 
@@ -681,7 +691,7 @@ def _extract_stage(algebra, prev, kernels):
             elem = [(basis[j], c) for j, c in v.items()]
             if max(len(w) for (_g, w), _c in elem) + 1 > prev.budget:
                 continue
-            for letter, char in letters:
+            for letter, char in algebra.coded_letters:
                 tgt = word_target((letter,), mm)
                 index = tindex.get(tgt)
                 if index is None:
@@ -714,9 +724,7 @@ def _extract_stage(algebra, prev, kernels):
         if k >= len(basis) or [c.modp() for c in basis[k]] != vec:
             raise KernelLiftError(m, k, len(basis))
         gens.append(m)
-        diffs.append(
-            tuple(((g, code.decode(w)), c) for (g, w), c in zip(dom, basis[k]) if c)
-        )
+        diffs.append(tuple((b, c) for b, c in zip(dom, basis[k]) if c))
         close(m, residual)
 
     for m in sorted(kernels):
@@ -727,11 +735,7 @@ def _extract_stage(algebra, prev, kernels):
         (len(w) for entry in diffs for (_g, w), _c in entry), default=0
     )
     return Stage(
-        gens=tuple(gens),
-        diff=tuple(diffs),
-        aug=(),
-        budget=prev.budget - entry_len,
-        entry_len=entry_len,
+        gens=tuple(gens), diff=tuple(diffs), aug=(), budget=prev.budget - entry_len
     )
 
 
@@ -740,30 +744,20 @@ def _check_dd(algebra, stages, V):
     for p in range(1, len(stages)):
         stage = stages[p]
         prev = stages[p - 1]
-        for g, entry in enumerate(stage.diff):
+        if p >= 2:
+            sources = [algebra.code.vertex(w) for w in stages[p - 2].gens]
+        for entry in stage.diff:
             if p == 1:
                 acc = None
                 for (gp, u), c in entry:
                     w = prev.gens[gp]
-                    vec = mat_vec(V.word_matrix(u, w), prev.aug[gp])
+                    vec = mat_vec(V.word_matrix(algebra.decode(u), w), prev.aug[gp])
                     vec = tuple(x * c for x in vec)
                     acc = vec if acc is None else tuple(a + b for a, b in zip(acc, vec))
                 if acc is not None and any(acc):
                     return False
-            else:
-                out = {}
-                for (gp, u), c in entry:
-                    for (gpp, u2), c2 in prev.diff[gp]:
-                        src2 = algebra.code.vertex(stages[p - 2].gens[gpp])
-                        for w2, c3 in algebra.nf(algebra.encode(u + u2), src2).items():
-                            key = (gpp, w2)
-                            val = out.get(key, _Z) + c * c2 * c3
-                            if val:
-                                out[key] = val
-                            elif key in out:
-                                del out[key]
-                if out:
-                    return False
+            elif _compose(entry, prev.diff, sources, algebra.nf):
+                return False
     return True
 
 
@@ -781,7 +775,7 @@ def _stage_at(res, p):
         raise ExtError(
             "resolution has %d stages, requested stage %d" % (len(res.stages) - 1, p)
         )
-    return Stage(gens=(), diff=(), aug=(), budget=last.budget, entry_len=0)
+    return Stage(gens=(), diff=(), aug=(), budget=last.budget)
 
 
 def _hom_layout(res, p, W):
@@ -794,72 +788,56 @@ def _hom_layout(res, p, W):
     return offsets, total
 
 
-def _delta_matrix(res, p, W, wordmat_cache):
-    """Matrix of Hom(P_p, W) -> Hom(P_{p+1}, W) composing with d_{p+1}."""
-    stage = res.stages[p + 1]
-    prev = res.stages[p]
-    dom_off, dom_dim = _hom_layout(res, p, W)
-    cod_off, cod_dim = _hom_layout(res, p + 1, W)
-    rows = [[_Z] * dom_dim for _ in range(cod_dim)]
-    for g2, entry in enumerate(stage.diff):
-        m2 = stage.gens[g2]
-        dW2 = W.dim(m2)
-        if dW2 == 0:
-            continue
-        for (gp, u), c in entry:
-            wsrc = prev.gens[gp]
-            dW1 = W.dim(wsrc)
-            if dW1 == 0:
-                continue
-            key = (u, wsrc)
-            mat = wordmat_cache.get(key)
-            if mat is None:
-                mat = W.word_matrix(u, wsrc)
-                wordmat_cache[key] = mat
-            for r in range(dW2):
-                for col in range(dW1):
-                    v = mat[r][col]
-                    if v:
-                        rows[cod_off[g2] + r][dom_off[gp] + col] = (
-                            rows[cod_off[g2] + r][dom_off[gp] + col] + c * v
-                        )
-    return tuple(tuple(r) for r in rows)
+def _pullback(res, p, W, elems, cache):
+    """Rows on Hom(P_p, W) that evaluate homomorphisms at elements of P_p.
 
-
-def _top_constraints(res, W, wordmat_cache):
-    """Constraint rows on Hom(P_top, W) from ker(d_top) at supp(W) weights."""
-    p = len(res.stages) - 1
-    algebra = res.algebra
-    stages = res.stages
-    dom_off, dom_dim = _hom_layout(res, p, W)
+    ``elems`` holds pairs ``(m, elem)``: an element of P_p(m) as a
+    combination ``((g, word), c)`` of coded words on the generators.  Each
+    gives one block of W(m) rows, in order, whose product with phi is
+    ``sum c * W(word) phi_g``.  ``cache`` keeps W's word matrices by coded
+    word and source weight.
+    """
+    gens = _stage_at(res, p).gens
+    off, dim = _hom_layout(res, p, W)
     rows = []
-    for m, dimW in W.dims:
-        dom, mrows = _map_matrix(algebra, stages, res.module, p, m)
-        if not dom:
+    for m, elem in elems:
+        block = [[_Z] * dim for _ in range(W.dim(m))]
+        if not block:
             continue
-        null = nullspace(mrows, len(dom))
-        for vec in null:
-            cons = [[_Z] * dom_dim for _ in range(dimW)]
-            for (g, word), c in zip(dom, vec):
-                if not c:
-                    continue
-                wsrc = stages[p].gens[g]
-                dW = W.dim(wsrc)
-                if dW == 0:
-                    continue
-                word = algebra.decode(word)
-                key = (word, wsrc)
-                mat = wordmat_cache.get(key)
-                if mat is None:
-                    mat = W.word_matrix(word, wsrc)
-                    wordmat_cache[key] = mat
-                for r in range(dimW):
-                    for col in range(dW):
-                        v = mat[r][col]
-                        if v:
-                            cons[r][dom_off[g] + col] = cons[r][dom_off[g] + col] + c * v
-            rows.extend(tuple(r) for r in cons)
-    return rows
+        for (g, word), c in elem:
+            w = gens[g]
+            if not W.dim(w):
+                continue
+            key = (word, w)
+            mat = cache.get(key)
+            if mat is None:
+                mat = cache[key] = W.word_matrix(res.algebra.decode(word), w)
+            for row, mrow in zip(block, mat):
+                for col, v in enumerate(mrow, off[g]):
+                    if v:
+                        row[col] = row[col] + c * v
+        rows.extend(tuple(r) for r in block)
+    return tuple(rows)
+
+
+def _delta_matrix(res, p, W, cache):
+    """Matrix of Hom(P_p, W) -> Hom(P_{p+1}, W) composing with d_{p+1}: the
+    pullback on the next stage's differentials."""
+    stage = res.stages[p + 1]
+    return _pullback(res, p, W, zip(stage.gens, stage.diff), cache)
+
+
+def _top_constraints(res, W, cache):
+    """Constraint rows on Hom(P_top, W): the pullback on the exact kernel
+    vectors of d_top at the weights of supp(W)."""
+    p = len(res.stages) - 1
+    elems = []
+    for m, _d in W.dims:
+        dom, rows = _map_matrix(res.algebra, res.stages, res.module, p, m)
+        if dom:
+            for vec in nullspace(rows, len(dom)):
+                elems.append((m, [(b, c) for b, c in zip(dom, vec) if c]))
+    return _pullback(res, p, W, elems, cache)
 
 
 def ext_dims(res, W, upto=None):
@@ -888,7 +866,7 @@ def ext_dims(res, W, upto=None):
             kdim = dim_p - ranks.get(p, 0)
         else:
             cons = _top_constraints(res, W, wordmat_cache)
-            kdim = dim_p - (mat_rank(tuple(cons)) if cons else 0)
+            kdim = dim_p - (mat_rank(cons) if cons else 0)
         prev_rank = ranks.get(p - 1, 0) if p >= 1 else 0
         dims.append(kdim - prev_rank)
     return tuple(dims) + (0,) * pad
@@ -1112,7 +1090,7 @@ def _window_algebra(c, f, modules, homcap, radius):
     sources = sorted({next(n for n, d in V.dims if d) for V in modules})
     quiver = instantiate_window(c, f, radius, homcap)
     gb = _chain_capped_basis(quiver, sources, homcap)
-    return WindowedAlgebra(quiver, gb, gb.cap), modules
+    return WindowedAlgebra(quiver, gb), modules
 
 
 def _ext_matrix_once(c, f, modules, homcap, radius):
@@ -1191,7 +1169,7 @@ def ext_cocycle_basis(res, W, p):
         kernel = nullspace(delta, dim_p)
     else:
         cons = _top_constraints(res, W, wordmat_cache)
-        kernel = nullspace(tuple(cons), dim_p)
+        kernel = nullspace(cons, dim_p)
     image = Subspace(dim_p)
     if p >= 1 and dim_p:
         dprev = _delta_matrix(res, p - 1, W, wordmat_cache)
@@ -1220,7 +1198,11 @@ def _cocycle_components(res, p, W, vec):
 
 
 def _lift_chain_map(resV, resW, p, phi_parts, depth):
-    """Chain maps f_k: P_{p+k}(V) -> P_k(W), k = 0..depth, over the cocycle."""
+    """Chain maps f_k: P_{p+k}(V) -> P_k(W), k = 0..depth, over the cocycle.
+
+    ``f_k`` holds per generator of P_{p+k}(V) its image as pairs
+    ``((gen, coded word), coeff)``, as ``Stage.diff`` does.
+    """
     algebra = resV.algebra
     W = resW.module
     fmaps = []
@@ -1233,12 +1215,12 @@ def _lift_chain_map(resV, resW, p, phi_parts, depth):
         if not dom:
             if any(target):
                 raise ExtError("cocycle lift failed: empty projective component")
-            f0.append({})
+            f0.append(())
             continue
         sol = solve(rows, target)
         if sol is None:
             raise ExtError("cocycle lift failed at stage 0")
-        f0.append({b: c for b, c in zip(dom, sol) if c})
+        f0.append(tuple((b, c) for b, c in zip(dom, sol) if c))
     fmaps.append(f0)
     for k in range(1, depth + 1):
         fk = []
@@ -1249,21 +1231,10 @@ def _lift_chain_map(resV, resW, p, phi_parts, depth):
             continue
         if k >= len(resW.stages):
             raise ExtError("target resolution too short for the lift depth")
+        sources = [algebra.code.vertex(w) for w in resW.stages[k - 1].gens]
         for g, w in enumerate(stageV.gens):
             # rhs = f_{k-1}(d(e_g)) in P_{k-1}(W)(w)
-            rhs = {}
-            for (gp, u), c in stageV.diff[g]:
-                u = algebra.encode(u)
-                for bb, cc in prev_f[gp].items():
-                    gw, word = bb
-                    src = algebra.code.vertex(resW.stages[k - 1].gens[gw])
-                    for w2, c3 in algebra.nf(u + word, src).items():
-                        key = (gw, w2)
-                        val = rhs.get(key, _Z) + c * cc * c3
-                        if val:
-                            rhs[key] = val
-                        elif key in rhs:
-                            del rhs[key]
+            rhs = _compose(stageV.diff[g], prev_f, sources, algebra.nf)
             dom, cod, rows = _diff_matrix(algebra, resW.stages, k, w)
             codex = {b: i for i, b in enumerate(cod)}
             b = [_Z] * len(cod)
@@ -1275,12 +1246,12 @@ def _lift_chain_map(resV, resW, p, phi_parts, depth):
             if not dom:
                 if any(b):
                     raise ExtError("cocycle lift failed: no preimage basis")
-                fk.append({})
+                fk.append(())
                 continue
             sol = solve(rows, tuple(b))
             if sol is None:
                 raise ExtError("cocycle lift failed at stage %d" % k)
-            fk.append({bb: c for bb, c in zip(dom, sol) if c})
+            fk.append(tuple((bb, c) for bb, c in zip(dom, sol) if c))
         fmaps.append(fk)
     return fmaps
 
@@ -1289,26 +1260,13 @@ def yoneda_product(resV, resW, U, p, phiV_parts, r, psiW_parts):
     """Yoneda product of psi in Ext^r(W, U) with phi in Ext^p(V, W).
 
     phi is a cocycle on resV with values in W = resW.module; psi a cocycle on
-    resW with values in U.  Returns the flat product cocycle on Hom(P_{p+r}(V), U).
+    resW with values in U.  Returns the flat product cocycle on Hom(P_{p+r}(V), U):
+    psi evaluated at the images f_r of the chain map over phi (``_pullback``).
     """
-    fmaps = _lift_chain_map(resV, resW, p, phiV_parts, r)
-    fr = fmaps[r]
-    stage = _stage_at(resV, p + r)
-    off, dim = _hom_layout(resV, p + r, U)
-    out = [_Z] * dim
-    for g, w in enumerate(stage.gens):
-        acc = [_Z] * U.dim(w)
-        for (gw, word), c in fr[g].items():
-            src = resW.stages[r].gens[gw]
-            if U.dim(src) == 0:
-                continue
-            mat = U.word_matrix(resV.algebra.decode(word), src)
-            contrib = mat_vec(mat, psiW_parts[gw])
-            for t in range(len(acc)):
-                acc[t] = acc[t] + c * contrib[t]
-        for t, v in enumerate(acc):
-            out[off[g] + t] = v
-    return tuple(out)
+    fr = _lift_chain_map(resV, resW, p, phiV_parts, r)[r]
+    gens = _stage_at(resV, p + r).gens
+    rows = _pullback(resW, r, U, zip(gens, fr), {})
+    return mat_vec(rows, [x for part in psiW_parts for x in part])
 
 
 def yoneda_square(res, W, p):

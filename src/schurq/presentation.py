@@ -20,7 +20,6 @@ __all__ = [
     "WindowedQuiver",
     "PresentationError",
     "WindowError",
-    "letter_degree",
     "word_degree",
     "path_vertices",
     "word_target",
@@ -42,12 +41,6 @@ class WindowError(PresentationError):
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
-
-
-def letter_degree(letter, rank):
-    kind, i = letter
-    sign = 1 if kind == "x" else -1
-    return tuple(sign if j == i else 0 for j in range(rank))
 
 
 def word_degree(word, rank):

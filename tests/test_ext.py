@@ -61,8 +61,23 @@ def test_resolution_dd_and_margin(a1_setup):
     assert res.margin_ok
 
 
-# sha256 of repr([(gens, diff, budget) per Stage]) for the trivial module at
-# the default lencap 2 * radius + 4; the A1 entries were recorded when stage
+def _stage_digest(algebra, res):
+    """sha256 of repr([(gens, diff, budget) per Stage]), with the coded
+    words of each differential entry decoded to tuples of letters."""
+    decode = algebra.decode
+    text = repr([
+        (
+            s.gens,
+            tuple(tuple(((g, decode(u)), c) for (g, u), c in e) for e in s.diff),
+            s.budget,
+        )
+        for s in res.stages
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# _stage_digest of the trivial module's resolution at the default lencap
+# 2 * radius + 4; the A1 entries were recorded when stage
 # extraction still kept its spans as Fraction rows, the A2 entries when the
 # closure started to queue residuals on spans pivoting on the longest word
 STAGE_SHA256 = {
@@ -90,8 +105,7 @@ def test_stage_extraction_is_pinned(key):
     f = getattr(FSpec, family)()
     algebra = build_algebra(c, f, radius, margin=homcap)
     res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), homcap)
-    text = repr([(s.gens, s.diff, s.budget) for s in res.stages])
-    assert hashlib.sha256(text.encode()).hexdigest() == STAGE_SHA256[key]
+    assert _stage_digest(algebra, res) == STAGE_SHA256[key]
 
 
 # the same digest for the trivial module on the chain-sized windows that the
@@ -122,8 +136,7 @@ def test_chain_sized_stage_extraction_is_pinned(key):
     algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
     assert algebra.lencap == lencap
     res = minimal_resolution(algebra, triv, homcap)
-    text = repr([(s.gens, s.diff, s.budget) for s in res.stages])
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _stage_digest(algebra, res) == digest
 
 
 class _BlindSpan(ModularSpan):
@@ -373,9 +386,7 @@ def test_nf_mod_on_differential_words_without_the_heap(
         for m in algebra.quiver.vertices:
             for g, word in ext_module._pbasis(algebra, stage, m):
                 for (gp, u), _c in stage.diff[g]:
-                    queries.add(
-                        (word + algebra.encode(u), algebra.code.vertex(prev.gens[gp]))
-                    )
+                    queries.add((word + u, algebra.code.vertex(prev.gens[gp])))
     longest = _certified_len_words(algebra)
     assert {len(w) for w, _v in longest} == {algebra.gb.certified_len}
     queries.update(longest)
@@ -383,7 +394,7 @@ def test_nf_mod_on_differential_words_without_the_heap(
     def heap(*args):
         raise AssertionError("nf_mod called the heap reducer")
 
-    fresh = ext_module.WindowedAlgebra(algebra.quiver, algebra.gb, algebra.lencap)
+    fresh = ext_module.WindowedAlgebra(algebra.quiver, algebra.gb)
     monkeypatch.setattr(ext_module, "_reduce_full", heap)
     got = {key: fresh.nf_mod(*key) for key in sorted(queries)}
     with pytest.raises(ExtError, match="beyond certified"):
@@ -573,6 +584,38 @@ def test_terminated_resolution_pads_zeros(a1, f_classical):
     res = minimal_resolution(algebra, triv, 2)
     dims = ext_dims(res, triv, 2)
     assert dims == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "rank, family, radius, modules, homcaps",
+    [
+        (1, "classical", 6, ("trivial", "simple"), (1, 2, 3)),
+        (1, "qinteger", 6, ("trivial", "simple"), (1, 2, 3)),
+        (2, "classical", 3, ("trivial",), (1, 2)),
+        (2, "qinteger", 2, ("trivial",), (1, 2)),
+    ],
+    ids=["A1-classical", "A1-qinteger", "A2-classical", "A2-qinteger"],
+)
+def test_top_stage_ext_equals_the_longer_resolution(
+    rank, family, radius, modules, homcaps
+):
+    """Ext^h at the top stage of a resolution, pulled back from the exact
+    kernel of d_h at supp(W) (``_top_constraints``), equals Ext^h of the
+    resolution one stage longer, pulled back from the differentials of
+    stage h + 1 (``_delta_matrix``)."""
+    c = build_cartan("A", rank)
+    f = getattr(FSpec, family)()
+    algebra = build_algebra(c, f, radius, margin=2)
+    built = {
+        "trivial": lambda: trivial_module(c, f, (0,) * rank),
+        "simple": lambda: build_simple(c, f, (1,) * rank),
+    }
+    modules = [built[name]() for name in modules]
+    for V, W in product(modules, repeat=2):
+        for h in homcaps:
+            top = ext_dims(minimal_resolution(algebra, V, h), W, h)
+            longer = ext_dims(minimal_resolution(algebra, V, h + 1), W, h)
+            assert top == longer, (V.provenance, W.provenance, h)
 
 
 def test_window_ext_independent_of_lencap(a2, f_classical):

@@ -498,8 +498,8 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
     deeper request afterwards gives the full-depth levels."""
     base = a2_window_r3
     lencap = base.lencap
-    algebra = WindowedAlgebra(base.quiver, base.gb, lencap)
-    fresh = WindowedAlgebra(base.quiver, base.gb, lencap)
+    algebra = WindowedAlgebra(base.quiver, base.gb)
+    fresh = WindowedAlgebra(base.quiver, base.gb)
     deepest, reads = {}, []
     levels_from, component = algebra.levels_from, algebra.component
 
