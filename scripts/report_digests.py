@@ -60,6 +60,11 @@ CLI_RUNS = {
         "build-module", "--type", "A1", "--f", "qinteger", "--module", "simple:2",
     ],
     "root-data-G2": ["root-data", "--type", "G2"],
+    # the hilbert_sweep configs of the benchmark, without its cache, and C3
+    "hilbert-A4-c10": ["hilbert", "--type", "A4", "--cap", "10"],
+    "hilbert-B3-c10": ["hilbert", "--type", "B3", "--cap", "10"],
+    "hilbert-G2-c14": ["hilbert", "--type", "G2", "--cap", "14"],
+    "hilbert-C3-c8": ["hilbert", "--type", "C3", "--cap", "8"],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

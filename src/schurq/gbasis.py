@@ -27,7 +27,11 @@ letter action mod p of ``ext.WindowedAlgebra`` searches with bound 1.
 
 ``chains`` reads the Anick chains of a vertex simple off the leads of an
 anchored basis: the shape of a free resolution, found with no linear
-algebra, from which the window algebra sizes its length cap.
+algebra, from which the window algebra sizes its length cap.  ``hilbert``
+reads the multigraded dimensions of a free presentation off its leads too:
+it counts the words that contain no lead as paths in the automaton of the
+lead prefixes, and lists none of them.  ``NormalWords.levels`` is the one
+enumerator of normal words, for the windows and the truncated Vermas.
 
 Completion pairs each new element only with the elements a partner index
 (``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
@@ -944,8 +948,16 @@ def hilbert(g, cap):
 
     Only meaningful for free presentations on x-generators (heights = lengths);
     the cap is a total-height bound and must sit inside the certified region.
-    Coded words are counted by the code of their multidegree, the vertex
-    they reach from 0.
+
+    The normal words of a free presentation are the words that contain no
+    lead, so they are counted, not listed, as paths in the automaton of the
+    lead prefixes (Ufnarovski's graph; the automaton of Aho and Corasick).
+    A state is a proper prefix of a lead, ``""`` included: the longest
+    suffix of the word read so far that is one.  A letter extends a state
+    unless some suffix of the extension is a lead, and leads to the longest
+    suffix of the extension that is a state.  Each pass of the count takes
+    ``{state: {multidegree code: words}}`` one letter further; a
+    multidegree is coded as the vertex a word reaches from 0 (``WordCode``).
     """
     if g.anchored:
         raise GBError("hilbert expects a free presentation")
@@ -953,15 +965,37 @@ def hilbert(g, cap):
         raise UncertifiedRegionError(
             "cap %d beyond certified length %d" % (cap, g.certified_len)
         )
-    words = NormalWords(g)
-    code = words.code
-    target = code.target
+    code = WordCode(g.order.precedence, g.rank, max(cap, 0))
+    leads = {_lead([code.encode(w) for w, _v in p.terms]) for p in g.elements}
+    if "" in leads:
+        raise GBError("constant element in the ideal")
+    states = {""} | {u[:k] for u in leads for k in range(1, len(u))}
+    letters = [(c, code.step[c]) for c in (code.encode((l,)) for l in g.letters)]
+    moves = {}  # state -> [(next state, multidegree step), ...]
+    for s in states:
+        moves[s] = out = []
+        for c, step in letters:
+            suffixes = [(s + c)[i:] for i in range(len(s) + 1)]  # longest first
+            if leads.isdisjoint(suffixes):
+                out.append((next((u for u in suffixes if u in states), ""), step))
+
     zero = code.vertex((0,) * g.rank)
-    counts = {}
-    for level in words.levels(None, cap):
-        for w in level:
-            beta = target(w, zero)
-            counts[beta] = counts.get(beta, 0) + 1
+    counts = {zero: 1}
+    current = {"": {zero: 1}}
+    for _l in range(cap):
+        nxt = {}
+        for s, degrees in current.items():
+            for t, step in moves[s]:
+                bucket = nxt.get(t)
+                if bucket is None:
+                    bucket = nxt[t] = {}
+                for beta, n in degrees.items():
+                    beta += step
+                    bucket[beta] = bucket.get(beta, 0) + n
+        for degrees in nxt.values():
+            for beta, n in degrees.items():
+                counts[beta] = counts.get(beta, 0) + n
+        current = nxt
     return {code.point(beta): n for beta, n in counts.items()}
 
 

@@ -300,33 +300,58 @@ def _grid(bounds, cap):
     return sorted(vecs, key=lambda v: (sum(v), v))
 
 
+def _check_length(c, v, what):
+    if len(v) != c.rank:
+        raise RootDataError(
+            "%s has %d coordinates, the Cartan datum has rank %d" % (what, len(v), c.rank)
+        )
+
+
 def kostant_table(c, cap, roots=None, box=None):
     """Kostant partition function on every beta >= 0 of height <= cap.
 
     One dynamic program over the downward-closed set of such beta (bounded
     coordinatewise by box, if given), adding one positive root at a time.
     Returns {beta: count} with the nonzero counts.
+
+    The program runs on integer codes: coordinate i plus m, with m the
+    largest coefficient of a positive root, is digit i in a base above every
+    bound plus m.  So ``v - root`` is one subtraction, and when it has a
+    negative coordinate it lands on a code of no grid vector, whose count is
+    0.  Each root's pass walks the grid in ``_grid``'s order and updates in
+    place, so ``v - root`` already counts the partitions that use the root.
     """
     if roots is None:
         roots = positive_roots(c)
-    grid = _grid(box if box is not None else (cap,) * c.rank, cap)
-    counts = {tuple([0] * c.rank): 1}
+    if box is not None:
+        _check_length(c, box, "box")
+    bounds = box if box is not None else (cap,) * c.rank
+    grid = _grid(bounds, cap)
+    m = max(max(root) for root in roots.roots)
+    base = max(bounds, default=0) + m + 1
+
+    def encode(v):
+        code = 0
+        for x in reversed(v):
+            code = code * base + x + m
+        return code
+
+    zero = encode((0,) * c.rank)
+    codes = [encode(v) for v in grid]
+    counts = dict.fromkeys(codes, 0)
+    counts[zero] = 1
+    get = counts.get
     for root in roots.roots:
-        new = {}
-        for v in grid:
-            total = counts.get(v, 0)
-            w = tuple(x - y for x, y in zip(v, root))
-            if all(x >= 0 for x in w):
-                total += new.get(w, 0)
-            if total:
-                new[v] = total
-        counts = new
-    return counts
+        shift = encode(root) - zero
+        for code in codes:
+            counts[code] += get(code - shift, 0)
+    return {v: n for v, code in zip(grid, codes) if (n := counts[code])}
 
 
 def kostant(c, beta, roots=None):
     """Number of multisets of positive roots summing to beta."""
     beta = tuple(int(x) for x in beta)
+    _check_length(c, beta, "kostant argument")
     if any(x < 0 for x in beta):
         raise RootDataError("kostant argument must have nonnegative coordinates")
     return kostant_table(c, sum(beta), roots, box=beta).get(beta, 0)

@@ -31,6 +31,7 @@ from schurq.gbasis import (
     _PartnerIndex,
     WordCode,
     chains,
+    NormalWords,
     default_order,
     dense_rank_dims,
 )
@@ -39,12 +40,14 @@ from schurq.modules import trivial_module, yn_presentation
 from schurq.presentation import (
     FSpec,
     NCPoly,
+    Presentation,
     instantiate_window,
     path_vertices,
     un_presentation,
     word_target,
 )
 from schurq.qfield import QScalar
+from schurq.rootdata import kostant_table
 
 
 # -- free Serre algebras ---------------------------------------------------
@@ -97,7 +100,6 @@ def test_y_side_matches_x_side(a2):
     dx = hilbert(gx, 5)
     assert len(gx.elements) == len(gy.elements)
     # same multigraded dims after flipping chirality
-    from schurq.gbasis import NormalWords
     from schurq.presentation import word_degree
 
     words = NormalWords(gy).by_length(None, 5)
@@ -107,6 +109,63 @@ def test_y_side_matches_x_side(a2):
             beta = tuple(-x for x in word_degree(w, 2))
             dy[beta] = dy.get(beta, 0) + 1
     assert dx == dy
+
+
+def _tally_normal_words(g, cap):
+    """The enumerate-and-tally count that ``hilbert`` used before it counted
+    paths in the lead automaton: list every normal word, then tally."""
+    words = NormalWords(g)
+    code = words.code
+    zero = code.vertex((0,) * g.rank)
+    counts = {}
+    for level in words.levels(None, cap):
+        for w in level:
+            beta = code.point(code.target(w, zero))
+            counts[beta] = counts.get(beta, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "series,rank,cap",
+    [
+        ("A", 1, 8), ("A", 2, 8), ("A", 3, 7), ("A", 4, 6), ("B", 2, 8), ("B", 3, 7),
+        ("C", 2, 8), ("C", 3, 7), ("D", 4, 6), ("E", 6, 5), ("F", 4, 6), ("G", 2, 10),
+    ],
+)
+def test_hilbert_equals_normal_word_tally(series, rank, cap):
+    g = groebner(un_presentation(build_cartan(series, rank)), cap=cap)
+    for k in (0, cap // 2, cap):
+        assert hilbert(g, k) == _tally_normal_words(g, k)
+
+
+_MONOMIAL_LETTERS = (("x", 0), ("x", 1), ("y", 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    words=st.lists(
+        st.lists(st.sampled_from(_MONOMIAL_LETTERS), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_hilbert_equals_tally_on_monomial_relations(words):
+    """Arbitrary monomial relations: leads that overlap, nest and repeat."""
+    rels = tuple(NCPoly.make({tuple(w): QScalar.one()}, rank=2) for w in words)
+    g = groebner(Presentation(2, _MONOMIAL_LETTERS, rels, "monomials"), cap=6)
+    assert hilbert(g, 6) == _tally_normal_words(g, 6)
+
+
+def test_c2_is_b2_with_nodes_swapped(b2):
+    c2 = build_cartan("C", 2)
+
+    def swapped(table):
+        return {(b, a): n for (a, b), n in table.items()}
+
+    dims_b = hilbert(groebner(un_presentation(b2), cap=8), 8)
+    dims_c = hilbert(groebner(un_presentation(c2), cap=8), 8)
+    assert dims_c == swapped(dims_b) != dims_b
+    assert kostant_table(c2, 8) == swapped(kostant_table(b2, 8)) != kostant_table(b2, 8)
 
 
 # -- normal forms ----------------------------------------------------------

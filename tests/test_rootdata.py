@@ -143,6 +143,11 @@ def test_kostant_examples():
     assert kostant(a2, (0, 0)) == 1
     with pytest.raises(RootDataError):
         kostant(a2, (-1, 0))
+    for beta in ((1,), (2,), (1, 1, 1)):
+        with pytest.raises(RootDataError, match="has %d coordinates.*rank 2" % len(beta)):
+            kostant(a2, beta)
+        with pytest.raises(RootDataError, match="has %d coordinates.*rank 2" % len(beta)):
+            kostant_table(a2, 3, box=beta)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2)])
@@ -165,14 +170,24 @@ def brute_kostant_table(c, cap):
     return table
 
 
+# B3 and C3 have root coefficient 2 and G2 has 3; the G2 box (2, 3) is its
+# highest root, so the codes of v - root reach digit 0
 @pytest.mark.parametrize(
-    "series,rank,cap", [("A", 2, 7), ("B", 2, 6), ("G", 2, 6), ("A", 3, 5)]
+    "series,rank,cap,box",
+    [
+        ("A", 2, 7, (2, 1)),
+        ("B", 2, 6, (2, 1)),
+        ("G", 2, 6, (2, 1)),
+        ("G", 2, 6, (2, 3)),
+        ("A", 3, 5, (2, 1, 1)),
+        ("B", 3, 6, (1, 2, 2)),
+        ("C", 3, 6, (2, 2, 1)),
+    ],
 )
-def test_kostant_table_matches_brute_force(series, rank, cap):
+def test_kostant_table_matches_brute_force(series, rank, cap, box):
     c = build_cartan(series, rank)
     brute = brute_kostant_table(c, cap)
     assert kostant_table(c, cap) == brute
-    box = (2,) + (1,) * (rank - 1)
     boxed = {b: n for b, n in brute.items() if all(x <= y for x, y in zip(b, box))}
     assert kostant_table(c, cap, box=box) == boxed
 
