@@ -328,7 +328,7 @@ def kostant_table(c, cap, roots=None, box=None):
     bounds = box if box is not None else (cap,) * c.rank
     grid = _grid(bounds, cap)
     m = max(max(root) for root in roots.roots)
-    base = max(bounds, default=0) + m + 1
+    base = max(bounds) + m + 1
 
     def encode(v):
         code = 0
