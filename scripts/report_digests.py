@@ -59,6 +59,10 @@ CLI_RUNS = {
     "build-A1-s2-q": [
         "build-module", "--type", "A1", "--f", "qinteger", "--module", "simple:2",
     ],
+    "build-G2-s23-cl": ["build-module", "--type", "G2", "--module", "simple:2,3"],
+    "build-B2-s11-q": [
+        "build-module", "--type", "B2", "--f", "qinteger", "--module", "simple:1,1",
+    ],
     "root-data-G2": ["root-data", "--type", "G2"],
     # the hilbert_sweep configs of the benchmark, without its cache, and C3
     "hilbert-A4-c10": ["hilbert", "--type", "A4", "--cap", "10"],

@@ -288,14 +288,15 @@ def cmd_hilbert(cfg, cache):
     counts = kostant_table(c, cfg.cap)
     rows = []
     confirmed = True
-    for beta in sorted(dims):
+    for beta in sorted(set(dims) | set(counts)):
+        dim = dims.get(beta, 0)
         expected = counts.get(beta, 0)
-        ok = dims[beta] == expected
+        ok = dim == expected
         confirmed = confirmed and ok
         rows.append(
             {
                 "beta": list(beta),
-                "dim": dims[beta],
+                "dim": dim,
                 "kostant": expected,
                 "equal": ok,
             }

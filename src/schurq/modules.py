@@ -2,7 +2,10 @@
 
 A GradedModule stores finite-support weight spaces with exact operator
 matrices.  Constructors fix the basis inside each weight space by the
-normal-form order of y-monomials, so every matrix is reproducible.
+normal-form order of y-monomials, so every matrix is reproducible.  A
+truncated Verma has every normal y-word as a basis vector.  The simple is
+built one y-level at a time from the x-images of its normal words, which
+fix a vector below the top weight; the first empty level ends it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .linalg import (
     mat_scale,
     mat_vec,
     nullspace,
+    solve,
     zeros,
 )
 from . import presentation as _pres
@@ -341,14 +345,21 @@ def truncated_verma(c, f, n0, depth):
 
 
 def build_simple(c, f, n0, depth_cap=20):
-    """Finite-dimensional simple with highest weight n0, by quotienting a
-    truncated Verma by iterated singular-vector submodules.
+    """Finite-dimensional simple L(n0), built one y-level at a time.
 
-    The Verma is truncated at depths 2, 4, 8, 16 and then ``depth_cap``;
-    the first quotient that closes below its truncation depth is the simple
-    (every singular vector down to that depth is one of the full Verma, so
-    a deeper truncation gives the same module), and ``DepthCapError`` is
-    raised when the quotient at ``depth_cap`` does not close.
+    Below the top weight a vector of L(n0) is determined by its x-images
+    (a vector every x_j kills would generate a proper submodule), so
+    ``L_mu`` is the span of the images in ``(+)_j L_{mu+e_j}`` of the normal
+    y-words of weight mu.  A word ``y_i w`` has the image
+    ``x_j y_i w = y_i x_j w + delta_ij f_i(mu+e_i) w``, read off the levels
+    built before.  At each weight the words are taken from the last one in
+    ``truncated_verma``'s order back to the first, and a word joins the basis
+    when its image is independent of those kept: these are the columns that
+    the quotient of the Verma by its radical keeps.  The x matrices are the
+    kept images and the y matrices solve the images of ``y_i`` in them.  The
+    first empty level ends the module, since every deeper vector is a y
+    applied to it; ``DepthCapError`` is raised when level ``depth_cap`` is
+    not empty.
     """
     n0 = _check_weight(c, n0)
     if f.kind in ("classical", "qinteger"):
@@ -359,27 +370,23 @@ def build_simple(c, f, n0, depth_cap=20):
                     "weight %s not dominant: pairing %d with root %d negative"
                     % (n0, val, j + 1)
                 )
-    for cap in [d for d in (2, 4, 8, 16) if d < depth_cap] + [depth_cap]:
-        M = _highest_weight_quotient(c, f, n0, cap)
-        maxdepth = max(
-            (sum(a - b for a, b in zip(n0, n)) for n in M.support()), default=0
-        )
-        if maxdepth < cap:
-            break
-    else:
-        raise DepthCapError(
-            "highest-weight module at %s did not close below depth %d"
-            % (n0, depth_cap)
-        )
+    words = NormalWords(groebner(_pres_at(yn_presentation(c), f), cap=depth_cap))
+    letter_of = {words.code.encode((("y", i),)): i for i in range(c.rank)}
+    dims = {n0: 1}
+    xmat, ymat = {}, {}
+    last = {"": (n0, (_O,))}
+    for depth, level in enumerate(words.levels(None, depth_cap)):
+        if depth:
+            last = _add_level(c, f, level, last, letter_of, dims, xmat, ymat)
+            if not last:
+                break
+        if depth == depth_cap:
+            raise DepthCapError(
+                "highest-weight module at %s did not close below depth %d"
+                % (n0, depth_cap)
+            )
     M = GradedModule.make(
-        c.rank,
-        dict(M.dims),
-        dict(M.xmat),
-        dict(M.ymat),
-        "simple",
-        truncated=False,
-        trunc_top=n0,
-        trunc_depth=None,
+        c.rank, dims, xmat, ymat, "simple", truncated=False, trunc_top=n0,
     )
     report = check_relations(c, f, M)
     if not report.passed:
@@ -389,15 +396,65 @@ def build_simple(c, f, n0, depth_cap=20):
     return M
 
 
-def _highest_weight_quotient(c, f, n0, depth):
-    """The Verma at n0 truncated at depth, quotiented by singular-vector
-    submodules until none is left."""
-    M = truncated_verma(c, f, n0, depth)
-    while True:
-        sing = _singular_vectors(c, M)
-        if not sing:
-            return M
-        M = _quotient(c, M, _generated_submodule(M, sing), provenance="simple")
+def _add_level(c, f, level, last, letter_of, dims, xmat, ymat):
+    """Add the weights of one level of the simple to dims, xmat and ymat.
+
+    ``level`` holds the coded normal words of the level and ``last`` maps
+    each word of the level above whose weight was built to its weight and
+    the coordinates of its class; the same map for this level is returned.
+    """
+    at = {}
+    for w in level:
+        if w[1:] in last:
+            n = _shift(last[w[1:]][0], ("y", letter_of[w[0]]))
+            at.setdefault(n, []).append(w)
+    out = {}
+    for n, cands in sorted(at.items()):
+        ups = [j for j in range(c.rank) if _shift(n, ("x", j)) in dims]
+        ys = {i: _y_images(c, f, dims, xmat, ymat, n, i, ups) for i in ups}
+        images = {w: mat_vec(ys[letter_of[w[0]]], last[w[1:]][1]) for w in cands}
+        span = Subspace(len(ys[ups[0]]))
+        kept = [w for w in sorted(cands, reverse=True) if span.add(images[w])]
+        if not kept:
+            continue
+        basis = tuple(zip(*(images[w] for w in reversed(kept))))
+        dims[n] = len(kept)
+        row = 0
+        for j in ups:
+            d = dims[_shift(n, ("x", j))]
+            xmat[(j, n)] = basis[row:row + d]
+            row += d
+        for i in ups:
+            cols = []
+            for col in zip(*ys[i]):
+                sol = solve(basis, col)
+                if sol is None:
+                    raise SingularParameterError(
+                        "y_%d on weight %s leaves the span of the normal words at %s"
+                        % (i + 1, _shift(n, ("x", i)), n)
+                    )
+                cols.append(sol)
+            ymat[(i, _shift(n, ("x", i)))] = tuple(zip(*cols))
+        for w in cands:
+            src, vec = last[w[1:]]
+            out[w] = (n, mat_vec(ymat[(letter_of[w[0]], src)], vec))
+    return out
+
+
+def _y_images(c, f, dims, xmat, ymat, n, i, ups):
+    """Matrix of ``v -> (x_j y_i v)_{j in ups}`` on the built weight n + e_i,
+    through ``x_j y_i = y_i x_j + delta_ij f_i`` and the levels above n."""
+    src = _shift(n, ("x", i))
+    rows = []
+    for j in ups:
+        up = _shift(src, ("x", j))
+        block = zeros(dims[_shift(n, ("x", j))], dims[src])
+        if up in dims:
+            block = mat_mul(ymat[(i, up)], xmat[(j, src)])
+        if i == j:
+            block = mat_add(block, mat_scale(identity(dims[src]), eval_f(f, c, i, src)))
+        rows.extend(block)
+    return tuple(rows)
 
 
 def _killed_by_x(c, M, n, d):
@@ -406,19 +463,6 @@ def _killed_by_x(c, M, n, d):
     for i in range(c.rank):
         rows.extend(M.matrix(("x", i), n))
     return nullspace(rows, d)
-
-
-def _singular_vectors(c, M):
-    """Nonzero vectors at depth > 0 killed by every x_i, per weight."""
-    top = M.trunc_top
-    out = {}
-    for n, d in M.dims:
-        if top is not None and n == top:
-            continue
-        basis = _killed_by_x(c, M, n, d)
-        if basis:
-            out[n] = basis
-    return out
 
 
 def _generated_submodule(M, seeds):
@@ -440,57 +484,6 @@ def _generated_submodule(M, seeds):
             if any(w) and spaces[tgt].add(w):
                 queue.append((tgt, w))
     return {n: sp for n, sp in spaces.items() if sp.dim}
-
-
-def _quotient(c, M, sub, provenance):
-    """Quotient by a graded submodule given as Subspace per weight."""
-    inj = {}
-    proj = {}
-    newdims = {}
-    for n, d in M.dims:
-        sp = sub.get(n)
-        if sp is None:
-            newdims[n] = d
-            inj[n] = identity(d)
-            proj[n] = identity(d)
-            continue
-        pivot_set = set(sp.pivots)
-        free = [j for j in range(d) if j not in pivot_set]
-        if not free:
-            continue
-        newdims[n] = len(free)
-        inj[n] = tuple(
-            tuple(_O if j == fj else _Z for fj in free) for j in range(d)
-        )
-        # projection: reduce each unit vector modulo the subspace (the result
-        # is supported on free coordinates), then read those off
-        red_units = []
-        for j in range(d):
-            unit = [_Z] * d
-            unit[j] = _O
-            red_units.append(sp.reduce(unit))
-        proj[n] = tuple(tuple(red_units[j][fj] for j in range(d)) for fj in free)
-
-    def induced(table, kind):
-        out = {}
-        for (i, n), mat in table:
-            tgt = _shift(n, (kind, i))
-            if n not in newdims or tgt not in newdims:
-                continue
-            m = mat_mul(proj[tgt], mat_mul(mat, inj[n]))
-            out[(i, n)] = m
-        return out
-
-    return GradedModule.make(
-        c.rank,
-        newdims,
-        induced(M.xmat, "x"),
-        induced(M.ymat, "y"),
-        provenance,
-        truncated=M.truncated,
-        trunc_top=M.trunc_top,
-        trunc_depth=M.trunc_depth,
-    )
 
 
 # ---------------------------------------------------------------------------

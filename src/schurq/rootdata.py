@@ -293,11 +293,20 @@ def flag_betti(c, table=None):
 
 
 def _grid(bounds, cap):
-    """Vectors 0 <= v <= bounds (coordinatewise) with sum(v) <= cap, by (height, v)."""
-    vecs = [()]
-    for b in bounds:
-        vecs = [v + (k,) for v in vecs for k in range(min(b, cap - sum(v)) + 1)]
-    return sorted(vecs, key=lambda v: (sum(v), v))
+    """Vectors 0 <= v <= bounds (coordinatewise) with sum(v) <= cap, by (height, v).
+
+    Built from the last coordinate to the first: ``tails[h]`` lists the
+    vectors over the coordinates placed so far with sum h, in increasing
+    order, and putting a coordinate k in front, k increasing, keeps it so.
+    """
+    tails = [[()]]
+    for b in reversed(bounds):
+        top = len(tails) - 1
+        tails = [
+            [(k,) + t for k in range(max(0, h - top), min(b, h) + 1) for t in tails[h - k]]
+            for h in range(min(cap, top + b) + 1)
+        ]
+    return [v for level in tails for v in level]
 
 
 def _check_length(c, v, what):

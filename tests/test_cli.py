@@ -47,6 +47,24 @@ def test_hilbert_pbw_confirmed(capsys):
     assert all(row["equal"] for row in results["table"])
 
 
+def test_hilbert_missing_multidegree_is_a_mismatch(capsys, monkeypatch):
+    """A multidegree Kostant counts but hilbert lacks still becomes a row."""
+    real = cli.hilbert
+
+    def hilbert(g, cap):
+        dims = dict(real(g, cap))
+        del dims[(1, 1)]
+        return dims
+
+    monkeypatch.setattr(cli, "hilbert", hilbert)
+    code, out = run_cli(capsys, "hilbert", "--type", "A2", "--cap", "4")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["pbw"] == "mismatch"
+    (row,) = [row for row in results["table"] if row["beta"] == [1, 1]]
+    assert row == {"beta": [1, 1], "dim": 0, "kostant": 2, "equal": False}
+
+
 def test_cache_store_then_hit(tmp_path, capsys):
     cache = tmp_path / "cache"
     code, out1 = run_cli(

@@ -3,6 +3,8 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import prod
 
 import pytest
@@ -18,11 +20,16 @@ from schurq import (
     truncated_verma,
 )
 from schurq.linalg import mat_mul, nullspace
-from schurq import modules as modules_module
-from schurq.modules import DepthCapError, GradedModule, ModuleError, perturb_entry
+from schurq.modules import (
+    DepthCapError,
+    GradedModule,
+    ModuleError,
+    SingularParameterError,
+    perturb_entry,
+)
 from schurq.presentation import FSpec
 from schurq.qfield import QScalar
-from schurq.rootdata import positive_roots
+from schurq.rootdata import kostant_table, positive_roots, weyl_table
 
 
 # -- trivial modules -------------------------------------------------------
@@ -121,37 +128,39 @@ SIMPLE_SHA256 = {
 }
 
 
-@pytest.fixture
-def verma_depths(monkeypatch):
-    """The depths build_simple truncates its Vermas at, in call order."""
-    depths = []
-    real = modules_module.truncated_verma
-
-    def truncated_verma(c, f, top, depth):
-        depths.append(depth)
-        return real(c, f, top, depth)
-
-    monkeypatch.setattr(modules_module, "truncated_verma", truncated_verma)
-    return depths
+def _deepest(M):
+    """The largest depth below the top weight of M's support."""
+    return max(M.depth_of(n) for n in M.support())
 
 
 @pytest.mark.parametrize("key", sorted(SIMPLE_SHA256))
-def test_simple_is_the_depth_20_simple(key, verma_depths):
-    """The first truncation depth the quotient closes below gives the
-    module a depth-20 truncation gives, and the adjoint of sl3 never needs
-    a Verma deeper than 8."""
+def test_simple_is_the_depth_20_simple(key):
+    """The level-by-level build gives the module a depth-20 truncation gives,
+    and the adjoint of sl3 reaches down to depth 4."""
     series, rank, family, n0 = key
     M = build_simple(build_cartan(series, rank), getattr(FSpec, family)(), n0)
     text = json.dumps(M.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SIMPLE_SHA256[key]
     if n0 == (1, 1):
-        assert max(verma_depths) <= 8
+        assert _deepest(M) == 4
 
 
-def test_depth_cap_error_at_the_last_cap(a1, f_classical, verma_depths):
+def test_depth_cap_error_at_the_last_cap(a1, f_classical):
     with pytest.raises(DepthCapError, match="below depth 5"):
         build_simple(a1, f_classical, (7,), depth_cap=5)
-    assert verma_depths == [2, 4, 5]
+    # L(7) of sl2 reaches depth 14, so its level 14 must lie below the cap
+    with pytest.raises(DepthCapError, match="below depth 14"):
+        build_simple(a1, f_classical, (7,), depth_cap=14)
+    assert _deepest(build_simple(a1, f_classical, (7,), depth_cap=15)) == 14
+
+
+def test_inconsistent_family_names_the_weight_and_letter(a2):
+    """With f_i(n) = 2 n_i + n_j + 2 the commutators break the Serre
+    relations, so y_1 on the weight (-1, -1) leaves the span of the
+    normal words below it."""
+    f = FSpec.affine([[2, 1], [1, 2]], [2, 2])
+    with pytest.raises(SingularParameterError, match=r"y_1 on weight \(-1, -1\)"):
+        build_simple(a2, f, (0, 0), depth_cap=8)
 
 
 def test_non_dominant_weight_rejected(a2, f_classical):
@@ -183,11 +192,12 @@ def _weyl_dimension(c, n0):
         ("B", (1, 2), 10),
         ("C", (2, 1), 10),
         ("A", (1, 1), 8),
+        ("G", (2, 3), 14),
     ],
 )
 def test_rank_two_simples_have_the_weyl_dimension(f_classical, series, n0, dim):
     """The vector representations of so5 and sp4, the 7-dimensional one of
-    G2 and the adjoints of so5, sp4 and sl3 have their Weyl dimensions."""
+    G2 and the adjoints of so5, sp4, sl3 and G2 have their Weyl dimensions."""
     c = build_cartan(series, 2)
     assert build_simple(c, f_classical, n0).total_dim() == dim == _weyl_dimension(c, n0)
 
@@ -199,6 +209,116 @@ def test_rank_two_simple_roots_are_not_dominant(f_classical, series):
     for n0 in ((1, 0), (0, 1)):
         with pytest.raises(ModuleError, match="not dominant"):
             build_simple(c, f_classical, n0)
+
+
+def _dominant_weights(c, bound):
+    """The dominant n0 with coordinates in 0..bound."""
+    r = c.rank
+    return [
+        n0 for n0 in product(range(bound + 1), repeat=r)
+        if all(sum(c.a[j][i] * n0[i] for i in range(r)) >= 0 for j in range(r))
+    ]
+
+
+def _dot_orbit(c, n0):
+    """(sign of w, w(lambda + rho) - rho) for each w of the Weyl group, in
+    root coordinates, with lambda = n0."""
+    r = c.rank
+    table = weyl_table(c)
+    rho = [Fraction(sum(a[i] for a in positive_roots(c).roots), 2) for i in range(r)]
+    shifted = [x + y for x, y in zip(n0, rho)]
+    out = []
+    for (_word, mat), length in zip(table.elements, table.lengths):
+        image = [sum(mat[k][j] * shifted[j] for j in range(r)) - rho[k] for k in range(r)]
+        assert all(x.denominator == 1 for x in image)
+        out.append(((-1) ** length, tuple(int(x) for x in image)))
+    return out
+
+
+def _w0_image(c, n0):
+    """w0 n0 in root coordinates, with w0 the longest element of the Weyl group."""
+    table = weyl_table(c)
+    _word, w0 = table.elements[table.lengths.index(table.longest_length)]
+    return tuple(sum(row[j] * n0[j] for j in range(c.rank)) for row in w0)
+
+
+def _w0_depth(c, n0):
+    """Height of n0 - w0 n0."""
+    return sum(n0) - sum(_w0_image(c, n0))
+
+
+def _kostant_multiplicities(c, n0):
+    """{mu: m} for the nonzero m given by Kostant's multiplicity formula
+    m(mu) = sum_w eps(w) P(w(lambda + rho) - (mu + rho)), lambda = n0."""
+    P = kostant_table(c, _w0_depth(c, n0))
+    orbit = _dot_orbit(c, n0)
+    out = {}
+    for beta in P:
+        mu = tuple(x - b for x, b in zip(n0, beta))
+        m = sum(sign * P.get(tuple(x - y for x, y in zip(w, mu)), 0) for sign, w in orbit)
+        if m:
+            out[mu] = m
+    return out
+
+
+ORACLE_TYPES = [("A", 2, 3), ("B", 2, 3), ("C", 2, 3), ("G", 2, 5), ("A", 3, 2)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_simples(series, rank, bound, family):
+    c = build_cartan(series, rank)
+    f = getattr(FSpec, family)()
+    return c, [(n0, build_simple(c, f, n0)) for n0 in _dominant_weights(c, bound)]
+
+
+@pytest.mark.parametrize("family", ["classical", "qinteger"])
+@pytest.mark.parametrize("series, rank, bound", ORACLE_TYPES)
+def test_simple_weights_follow_kostant_multiplicity_formula(series, rank, bound, family):
+    """Every dominant weight up to the bound: the weight multiplicities are
+    Kostant's and the total is Weyl's dimension."""
+    c, simples = _oracle_simples(series, rank, bound, family)
+    assert len(simples) >= 4
+    for n0, M in simples:
+        assert dict(M.dims) == _kostant_multiplicities(c, n0)
+        assert M.total_dim() == _weyl_dimension(c, n0)
+
+
+@pytest.mark.parametrize("family", ["classical", "qinteger"])
+@pytest.mark.parametrize("series, rank, bound", ORACLE_TYPES)
+def test_simple_depth_is_the_height_of_n0_minus_w0_n0(series, rank, bound, family):
+    """The lowest weight of L(n0) is w0 n0, so the build ends one level
+    below depth ht(n0 - w0 n0)."""
+    c, simples = _oracle_simples(series, rank, bound, family)
+    for n0, M in simples:
+        assert _deepest(M) == _w0_depth(c, n0)
+        assert M.dim(_w0_image(c, n0)) == 1
+    if series == "G":
+        assert _w0_depth(c, (2, 3)) == 10
+
+
+@pytest.mark.parametrize("family", ["classical", "qinteger"])
+def test_b2_simples_are_c2_simples_with_the_nodes_swapped(family):
+    """Swapping the two nodes turns the Cartan matrix of B2 into that of C2,
+    so a B2 simple read with swapped nodes is the C2 simple at the swapped
+    weight: a valid, simple C2 module with the same weight multiplicities."""
+    b2, c2 = build_cartan("B", 2), build_cartan("C", 2)
+    f = getattr(FSpec, family)()
+
+    def swap(n):
+        return tuple(reversed(n))
+
+    for n0 in _dominant_weights(b2, 3):
+        B = build_simple(b2, f, n0)
+        L = build_simple(c2, f, swap(n0))
+        swapped = GradedModule.make(
+            2,
+            {swap(n): d for n, d in B.dims},
+            {(1 - i, swap(n)): m for (i, n), m in B.xmat},
+            {(1 - i, swap(n)): m for (i, n), m in B.ymat},
+        )
+        assert dict(swapped.dims) == dict(L.dims)
+        assert check_relations(c2, f, swapped).passed
+        assert is_simple(c2, f, swapped)
 
 
 # -- truncated Verma modules ----------------------------------------------

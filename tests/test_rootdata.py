@@ -13,7 +13,7 @@ from schurq import (
     positive_roots,
     weyl_table,
 )
-from schurq.rootdata import CartanDatum, RootDataError, kostant_table
+from schurq.rootdata import CartanDatum, RootDataError, _grid, kostant_table
 
 
 ALL_SERIES = [("A", 1), ("A", 2), ("A", 3), ("B", 2)]
@@ -184,6 +184,16 @@ def test_kostant_table_matches_brute_force(series, rank, cap):
     for box in ((2,) + (1,) * (rank - 1), positive_roots(c).roots[-1]):
         boxed = {b: n for b, n in brute.items() if all(x <= y for x, y in zip(b, box))}
         assert kostant_table(c, cap, box=box) == boxed
+
+
+@pytest.mark.parametrize(
+    "bounds", [(3,), (2, 5), (0, 4), (3, 0, 2), (1, 2, 3, 4), (10, 10, 10, 10)]
+)
+@pytest.mark.parametrize("cap", [0, 1, 3, 6, 10, 40])
+def test_grid_is_the_sorted_box(bounds, cap):
+    """The grid lists the box below cap in (height, v) order."""
+    box = [v for v in product(*(range(b + 1) for b in bounds)) if sum(v) <= cap]
+    assert _grid(bounds, cap) == sorted(box, key=lambda v: (sum(v), v))
 
 
 # -- coinvariant ring model ------------------------------------------------
