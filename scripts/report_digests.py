@@ -63,6 +63,10 @@ CLI_RUNS = {
     "build-B2-s11-q": [
         "build-module", "--type", "B2", "--f", "qinteger", "--module", "simple:1,1",
     ],
+    "build-A2-v11-d3-cl": ["build-module", "--type", "A2", "--module", "verma:1,1:3"],
+    "build-B2-v11-d3-q": [
+        "build-module", "--type", "B2", "--f", "qinteger", "--module", "verma:1,1:3",
+    ],
     "root-data-G2": ["root-data", "--type", "G2"],
     # the hilbert_sweep configs of the benchmark, without its cache, and C3
     "hilbert-A4-c10": ["hilbert", "--type", "A4", "--cap", "10"],

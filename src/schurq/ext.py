@@ -14,7 +14,8 @@ the exact kernel at its weight and must reduce to its mod-p candidate, and
 ``d o d = 0``, the Ext ranks and the Yoneda lifts are exact.  A per-stage
 certificate proves that the generators generate each kernel; a per-stage
 length budget records where the truncated computation is faithful; trust for
-verdicts additionally requires agreement across two window radii.
+verdicts additionally requires agreement across two window radii, and
+``d o d = 0`` verified on the resolutions of both.
 
 Each window's length cap (``_window_algebra``): when every module is a
 vertex simple the cap is sized from the Anick chains of ``gbasis.chains``,
@@ -788,14 +789,13 @@ def _hom_layout(res, p, W):
     return offsets, total
 
 
-def _pullback(res, p, W, elems, cache):
+def _pullback(res, p, W, elems):
     """Rows on Hom(P_p, W) that evaluate homomorphisms at elements of P_p.
 
     ``elems`` holds pairs ``(m, elem)``: an element of P_p(m) as a
     combination ``((g, word), c)`` of coded words on the generators.  Each
     gives one block of W(m) rows, in order, whose product with phi is
-    ``sum c * W(word) phi_g``.  ``cache`` keeps W's word matrices by coded
-    word and source weight.
+    ``sum c * W(word) phi_g``.
     """
     gens = _stage_at(res, p).gens
     off, dim = _hom_layout(res, p, W)
@@ -808,10 +808,7 @@ def _pullback(res, p, W, elems, cache):
             w = gens[g]
             if not W.dim(w):
                 continue
-            key = (word, w)
-            mat = cache.get(key)
-            if mat is None:
-                mat = cache[key] = W.word_matrix(res.algebra.decode(word), w)
+            mat = W.word_matrix(res.algebra.decode(word), w)
             for row, mrow in zip(block, mat):
                 for col, v in enumerate(mrow, off[g]):
                     if v:
@@ -820,14 +817,14 @@ def _pullback(res, p, W, elems, cache):
     return tuple(rows)
 
 
-def _delta_matrix(res, p, W, cache):
+def _delta_matrix(res, p, W):
     """Matrix of Hom(P_p, W) -> Hom(P_{p+1}, W) composing with d_{p+1}: the
     pullback on the next stage's differentials."""
     stage = res.stages[p + 1]
-    return _pullback(res, p, W, zip(stage.gens, stage.diff), cache)
+    return _pullback(res, p, W, zip(stage.gens, stage.diff))
 
 
-def _top_constraints(res, W, cache):
+def _top_constraints(res, W):
     """Constraint rows on Hom(P_top, W): the pullback on the exact kernel
     vectors of d_top at the weights of supp(W)."""
     p = len(res.stages) - 1
@@ -837,7 +834,7 @@ def _top_constraints(res, W, cache):
         if dom:
             for vec in nullspace(rows, len(dom)):
                 elems.append((m, [(b, c) for b, c in zip(dom, vec) if c]))
-    return _pullback(res, p, W, elems, cache)
+    return _pullback(res, p, W, elems)
 
 
 def ext_dims(res, W, upto=None):
@@ -854,10 +851,9 @@ def ext_dims(res, W, upto=None):
         # resolution terminated: higher Ext groups vanish
         pad = upto - top
         upto = top
-    wordmat_cache = {}
     deltas = {}
     for p in range(0, min(upto + 1, top)):
-        deltas[p] = _delta_matrix(res, p, W, wordmat_cache)
+        deltas[p] = _delta_matrix(res, p, W)
     ranks = {p: mat_rank(d) for p, d in deltas.items()}
     dims = []
     for p in range(0, upto + 1):
@@ -865,7 +861,7 @@ def ext_dims(res, W, upto=None):
         if p < top:
             kdim = dim_p - ranks.get(p, 0)
         else:
-            cons = _top_constraints(res, W, wordmat_cache)
+            cons = _top_constraints(res, W)
             kdim = dim_p - (mat_rank(cons) if cons else 0)
         prev_rank = ranks.get(p - 1, 0) if p >= 1 else 0
         dims.append(kdim - prev_rank)
@@ -1094,7 +1090,9 @@ def _window_algebra(c, f, modules, homcap, radius):
 
 
 def _ext_matrix_once(c, f, modules, homcap, radius):
-    """Ext dims of every module pair at one radius: (table, modules, resolutions)."""
+    """Ext dims of every module pair at one radius: (table, verified, modules,
+    resolutions), where ``verified[i]`` tells whether ``d o d = 0`` holds on
+    the resolution of module i."""
     algebra, modules = _window_algebra(c, f, modules, homcap, radius)
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
     table = [{} for _p in range(homcap + 1)]
@@ -1103,16 +1101,20 @@ def _ext_matrix_once(c, f, modules, homcap, radius):
             dims = ext_dims(res, W, homcap)
             for p in range(homcap + 1):
                 table[p][(i, j)] = dims[p]
-    return table, modules, resolutions
+    verified = [res.dd_verified for res in resolutions]
+    return table, verified, modules, resolutions
 
 
 def _ext_run(c, f, modules, homcap, windows, labels):
     """Two-window Ext table plus the last window's modules and resolutions.
 
-    Each smaller window keeps only its dims: its algebra and resolutions are
+    Each smaller window keeps only its dims and which of its resolutions
+    passed the ``d o d = 0`` check: its algebra and resolutions are
     dropped before the next window is built, so at most one window's objects
     are alive at a time.  The verdict checks read their cocycles and Yoneda
     products from the returned resolutions (each carries its ``.algebra``).
+    An entry (i, j) is stable when the last two windows agree on it and
+    ``d o d = 0`` was verified on both windows' resolutions of module i.
     """
     if len(windows) < 2:
         raise ExtError("stabilization requires at least two window radii")
@@ -1123,16 +1125,19 @@ def _ext_run(c, f, modules, homcap, windows, labels):
             raise ExtError("labels are required for radius-dependent modules")
         labels = tuple(V.provenance + str(k) for k, V in enumerate(modules))
     smaller = [
-        _ext_matrix_once(c, f, modules, homcap, radius)[0] for radius in windows[:-1]
+        _ext_matrix_once(c, f, modules, homcap, radius)[:2] for radius in windows[:-1]
     ]
-    last, modules, resolutions = _ext_matrix_once(c, f, modules, homcap, windows[-1])
-    prev = smaller[-1]
+    last, verified, modules, resolutions = _ext_matrix_once(
+        c, f, modules, homcap, windows[-1]
+    )
+    prev, prev_verified = smaller[-1]
+    verified = [a and b for a, b in zip(verified, prev_verified)]
     dims = []
     stable = []
     for p in range(homcap + 1):
         dims.append(dict(last[p]))
         stable.append(
-            {k: last[p][k] == prev[p][k] for k in last[p]}
+            {k: last[p][k] == prev[p][k] and verified[k[0]] for k in last[p]}
         )
     table = ExtTable(
         labels=tuple(labels),
@@ -1146,7 +1151,9 @@ def _ext_run(c, f, modules, homcap, windows, labels):
 
 
 def ext_table(c, f, modules, homcap, windows, labels=None):
-    """Ext^p(V_i, V_j) over at least two window radii with stability flags."""
+    """Ext^p(V_i, V_j) over at least two window radii with stability flags:
+    an entry is stable when the last two windows agree on it and ``d o d =
+    0`` holds on both windows' resolutions of V_i."""
     return _ext_run(c, f, modules, homcap, windows, labels)[0]
 
 
@@ -1162,17 +1169,16 @@ def ext_cocycle_basis(res, W, p):
     if p > top:
         _stage_at(res, p)  # validates termination
         return [], Subspace(0)
-    wordmat_cache = {}
     _off, dim_p = _hom_layout(res, p, W)
     if p < top:
-        delta = _delta_matrix(res, p, W, wordmat_cache)
+        delta = _delta_matrix(res, p, W)
         kernel = nullspace(delta, dim_p)
     else:
-        cons = _top_constraints(res, W, wordmat_cache)
+        cons = _top_constraints(res, W)
         kernel = nullspace(cons, dim_p)
     image = Subspace(dim_p)
     if p >= 1 and dim_p:
-        dprev = _delta_matrix(res, p - 1, W, wordmat_cache)
+        dprev = _delta_matrix(res, p - 1, W)
         _offp, dim_prev = _hom_layout(res, p - 1, W)
         for k in range(dim_prev):
             image.add(tuple(row[k] for row in dprev))
@@ -1265,7 +1271,7 @@ def yoneda_product(resV, resW, U, p, phiV_parts, r, psiW_parts):
     """
     fr = _lift_chain_map(resV, resW, p, phiV_parts, r)[r]
     gens = _stage_at(resV, p + r).gens
-    rows = _pullback(resW, r, U, zip(gens, fr), {})
+    rows = _pullback(resW, r, U, zip(gens, fr))
     return mat_vec(rows, [x for part in psiW_parts for x in part])
 
 

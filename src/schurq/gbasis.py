@@ -12,7 +12,7 @@ vertex is one ``int`` (``WordCode``): letter k of the precedence is
 order, and a letter step is one int addition.  Tuples of letters and of
 coordinates appear only where words enter or leave the engine: the
 relations going into ``groebner``, ``GBResult.elements`` and ``leads``,
-``normal_form`` and ``NormalWords.by_length``.
+and ``normal_form``.
 
 Leading words are kept in one trie per basis (``_LeadIndex``).  Each node
 where a lead ends maps the lead's anchor, the vertex at its right end inside
@@ -31,7 +31,8 @@ algebra, from which the window algebra sizes its length cap.  ``hilbert``
 reads the multigraded dimensions of a free presentation off its leads too:
 it counts the words that contain no lead as paths in the automaton of the
 lead prefixes, and lists none of them.  ``NormalWords.levels`` is the one
-enumerator of normal words, for the windows and the truncated Vermas.
+enumerator of normal words, for the windows, the simples and the truncated
+Vermas.
 
 Completion pairs each new element only with the elements a partner index
 (``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
@@ -782,7 +783,7 @@ class NormalWords:
 
     ``index`` is the lead index of the basis and ``code`` its ``WordCode``;
     ``normal_form`` and ``WindowedAlgebra.nf`` reduce against the same
-    index.  ``levels`` works on codes, ``by_length`` on tuples.
+    index.  ``levels`` works on codes.
     """
 
     def __init__(self, g, box_radius=None):
@@ -822,29 +823,15 @@ class NormalWords:
             steps = self._steps[v] = tuple(steps)
         return steps
 
-    def by_length(self, source, maxlen, targets=False):
-        """Lists of normal words from a given anchor (or None), per length 0..maxlen.
-
-        Each level lists the one-letter left extensions of the previous level's
-        words, in that order and then in alphabet order.  With ``targets``
-        (anchored only) each entry is ``(word, target vertex)``.  Words are
-        tuples of letters and vertices tuples of ints.
-        """
-        code = self.code
-        start = code.vertex(source) if source is not None else None
-        out = []
-        for level in self.levels(start, maxlen, targets):
-            if targets:
-                out.append([(code.decode(w), code.point(t)) for w, t in level])
-            else:
-                out.append([code.decode(w) for w in level])
-        return out
-
     def levels(self, source, maxlen, targets=False):
-        """The levels of ``by_length`` on codes, one at a time: ``source`` is
-        a vertex code (or None), words are coded and targets vertex codes.
-        Each level is built only when it is asked for, from the last one
-        built."""
+        """Lists of normal words from a vertex code ``source`` (or None), per
+        length 0..maxlen, one level at a time.
+
+        Each level lists the one-letter left extensions of the previous
+        level's words, in that order and then in alphabet order, and is built
+        only when it is asked for.  Words are coded.  With ``targets``
+        (anchored only) each entry is ``(word, target vertex code)``.
+        """
         if maxlen > self.g.certified_len:
             raise UncertifiedRegionError(
                 "length %d beyond certified %d" % (maxlen, self.g.certified_len)

@@ -2,10 +2,13 @@
 
 A GradedModule stores finite-support weight spaces with exact operator
 matrices.  Constructors fix the basis inside each weight space by the
-normal-form order of y-monomials, so every matrix is reproducible.  A
-truncated Verma has every normal y-word as a basis vector.  The simple is
-built one y-level at a time from the x-images of its normal words, which
-fix a vector below the top weight; the first empty level ends it.
+normal-form order of y-monomials, so every matrix is reproducible.  Both
+highest-weight constructors walk the coded levels of ``NormalWords.levels``
+and read the x-images of each level's words off the levels above
+(``_walk``).  A truncated Verma keeps every normal y-word, and its y
+matrices are normal forms.  The simple keeps the words whose x-images are
+independent, since these fix a vector below the top weight, and solves for
+its y matrices; the first empty level ends it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from .presentation import (
     Presentation,
     eval_f,
     serre_relation,
-    word_degree,
 )
-from .gbasis import groebner, normal_form, NormalWords
+from .gbasis import groebner, NormalWords, _reduce_full
 from .linalg import (
     Subspace,
     identity,
@@ -31,7 +33,6 @@ from .linalg import (
     solve,
     zeros,
 )
-from . import presentation as _pres
 
 __all__ = [
     "GradedModule",
@@ -74,9 +75,11 @@ class GradedModule:
     truncated: bool = False
     trunc_top: tuple = None
     trunc_depth: int = None
-    # lookups derived from dims/xmat/ymat; no part of equality or serialization
+    # lookups derived from dims/xmat/ymat and the word products kept by
+    # word_matrix; no part of equality or serialization
     _dim_of: dict = field(init=False, repr=False, compare=False, hash=False)
     _mat_of: dict = field(init=False, repr=False, compare=False, hash=False)
+    _word_mats: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         mats = {}
@@ -85,6 +88,7 @@ class GradedModule:
                 mats[((kind, i), n)] = m
         object.__setattr__(self, "_dim_of", dict(self.dims))
         object.__setattr__(self, "_mat_of", mats)
+        object.__setattr__(self, "_word_mats", {})  # (word, n) -> word_matrix
 
     @staticmethod
     def make(rank, dims, xmat, ymat, provenance="custom", truncated=False,
@@ -121,19 +125,42 @@ class GradedModule:
         return m
 
     def word_matrix(self, word, n):
-        """Composite matrix of an operator word acting on V(n) (rightmost first)."""
+        """Composite matrix of an operator word (a tuple of letters) acting
+        on V(n), rightmost letter first.
+
+        Products are kept on the module by word and source weight.  A new
+        word starts from the product of its longest kept proper suffix, and
+        the products of its longer suffixes are kept too, so the words that
+        share a suffix share its product.  A word whose path meets a zero
+        weight space gives the zero matrix of its shape.
+        """
         n = tuple(n)
+        mats = self._word_mats
+        mat = mats.get((word, n))
+        if mat is not None:
+            return mat
         src_dim = self.dim(n)
-        mat = identity(src_dim)
-        v = n
+        path = [n]
         for letter in reversed(word):
-            step = self.matrix(letter, v)
-            mat = mat_mul(step, mat)
-            v = _shift(v, letter)
-        tgt_dim = self.dim(v)
-        # mat_mul drops shape through zero-dimensional layers; restore it
-        if len(mat) != tgt_dim or (tgt_dim and len(mat[0]) != src_dim):
-            return zeros(tgt_dim, src_dim)
+            path.append(_shift(path[-1], letter))
+        if not all(map(self.dim, path)):
+            mat = mats[(word, n)] = zeros(self.dim(path[-1]), src_dim)
+            return mat
+        k, mat = len(word), identity(src_dim)
+        for start in range(1, len(word)):
+            hit = mats.get((word[start:], n))
+            if hit is not None:
+                k, mat = start, hit
+                break
+        for j in reversed(range(k)):
+            v = path[len(word) - 1 - j]
+            mat = mat_mul(self.matrix(word[j], v), mat)
+            tgt_dim = self.dim(_shift(v, word[j]))
+            # a stored matrix of the wrong shape; check_relations names it
+            if len(mat) != tgt_dim or len(mat[0]) != src_dim:
+                mat = zeros(tgt_dim, src_dim)
+            mats[(word[j:], n)] = mat
+        mats[(word, n)] = mat
         return mat
 
     def depth_of(self, n):
@@ -245,99 +272,35 @@ def _pres_at(pres, f):
 def truncated_verma(c, f, n0, depth):
     """Verma-type module truncated at the given y-depth.
 
-    Basis: normal-form y-monomials applied to the highest vector; x-action
-    computed by pushing generators through the commutator relation.
+    Basis: the normal y-words of length at most ``depth`` applied to the
+    highest vector, at each weight in code order.  The module is built on
+    the level walk of ``build_simple`` (``_walk``), keeping every word: the
+    x matrices are the x-images the walk reads off the levels above, and the
+    y matrices are the normal forms of ``y_i u``, read as coordinates.
     """
     n0 = _check_weight(c, n0)
     depth = int(depth)
     if depth < 0:
         raise ModuleError("depth must be nonnegative")
-    pres = _pres_at(yn_presentation(c), f)
-    gb = groebner(pres, cap=depth + 1)
-    normal_words = NormalWords(gb)
-    levels = normal_words.by_length(None, depth)
-    gb_index = normal_words.index
-    order = gb.order.index()
+    words = NormalWords(groebner(_pres_at(yn_presentation(c), f), cap=depth))
+    basis_at = {n0: [""]}  # weight -> its words in code order
 
-    def wkey(w):
-        return (len(w), tuple(order[l] for l in w))
+    def keep(n, cands, _images):
+        basis_at[n] = sorted(cands)
+        return basis_at[n]
 
-    words = sorted((w for level in levels for w in level), key=wkey)
-    basis_at = {}
-    for w in words:
-        n = tuple(a + b for a, b in zip(n0, word_degree(w, c.rank)))
-        basis_at.setdefault(n, []).append(w)
-    index = {}
-    for n, ws in basis_at.items():
-        for k, w in enumerate(ws):
-            index[w] = (n, k)
+    def y_matrix(n, i, _ys, _basis):
+        pos = {w: k for k, w in enumerate(basis_at[n])}
+        y = words.code.encode((("y", i),))
+        cols = []
+        for u in basis_at[_shift(n, ("x", i))]:
+            col = [_Z] * len(pos)
+            for w, v in _reduce_full({y + u: _O}, None, words.index).items():
+                col[pos[w]] = v
+            cols.append(col)
+        return tuple(zip(*cols))
 
-    def as_vector(combo, n):
-        vec = [_Z] * len(basis_at[n])
-        for w, coeff in combo.items():
-            wn, k = index[w]
-            assert wn == n
-            vec[k] = vec[k] + coeff
-        return vec
-
-    # y-action on basis words, as normal-form combinations
-    ymat = {}
-    for n, ws in basis_at.items():
-        for i in range(c.rank):
-            tgt = _shift(n, ("y", i))
-            if tgt not in basis_at:
-                continue
-            cols = []
-            for w in ws:
-                nf = normal_form(
-                    _pres.NCPoly.make({(("y", i),) + w: _O}, None, c.rank),
-                    gb,
-                    _index_cache=gb_index,
-                )
-                cols.append(as_vector(dict(nf.terms), tgt))
-            ymat[(i, n)] = tuple(zip(*[tuple(col) for col in cols]))
-
-    # x-action recursively: x_i (y_j u) = y_j (x_i u) + delta_ij f_i(wt(u)) u
-    xcache = {}  # (i, word) -> combo dict on basis words
-
-    def x_on_word(i, w):
-        key = (i, w)
-        if key in xcache:
-            return xcache[key]
-        if not w:
-            xcache[key] = {}
-            return {}
-        (kind, j) = w[0]
-        rest = w[1:]
-        out = {}
-        sub = x_on_word(i, rest)
-        for u, coeff in sub.items():
-            nf = normal_form(
-                _pres.NCPoly.make({(("y", j),) + u: coeff}, None, c.rank),
-                gb,
-                _index_cache=gb_index,
-            )
-            for uu, cc in nf.terms:
-                out[uu] = out.get(uu, _Z) + cc
-        if i == j:
-            wt = tuple(a + b for a, b in zip(n0, word_degree(rest, c.rank)))
-            val = eval_f(f, c, i, wt)
-            if val:
-                out[rest] = out.get(rest, _Z) + val
-        out = {u: v for u, v in out.items() if v}
-        xcache[key] = out
-        return out
-
-    xmat = {}
-    for n, ws in basis_at.items():
-        for i in range(c.rank):
-            tgt = _shift(n, ("x", i))
-            if tgt not in basis_at:
-                continue
-            cols = [as_vector(x_on_word(i, w), tgt) for w in ws]
-            xmat[(i, n)] = tuple(zip(*[tuple(col) for col in cols]))
-
-    dims = {n: len(ws) for n, ws in basis_at.items()}
+    dims, xmat, ymat = _walk(c, f, n0, words, depth, keep, y_matrix)
     return GradedModule.make(
         c.rank, dims, xmat, ymat, "verma-truncated",
         truncated=True, trunc_top=n0, trunc_depth=depth,
@@ -349,17 +312,14 @@ def build_simple(c, f, n0, depth_cap=20):
 
     Below the top weight a vector of L(n0) is determined by its x-images
     (a vector every x_j kills would generate a proper submodule), so
-    ``L_mu`` is the span of the images in ``(+)_j L_{mu+e_j}`` of the normal
-    y-words of weight mu.  A word ``y_i w`` has the image
-    ``x_j y_i w = y_i x_j w + delta_ij f_i(mu+e_i) w``, read off the levels
-    built before.  At each weight the words are taken from the last one in
-    ``truncated_verma``'s order back to the first, and a word joins the basis
-    when its image is independent of those kept: these are the columns that
-    the quotient of the Verma by its radical keeps.  The x matrices are the
-    kept images and the y matrices solve the images of ``y_i`` in them.  The
-    first empty level ends the module, since every deeper vector is a y
-    applied to it; ``DepthCapError`` is raised when level ``depth_cap`` is
-    not empty.
+    ``L_mu`` is the span of the x-images of the normal y-words of weight mu
+    (``_walk``).  At each weight the words are taken from the last one in
+    code order back to the first, and a word joins the basis when its image
+    is independent of those kept: these are the columns that the quotient
+    of the Verma by its radical keeps.  The y matrices solve the images of
+    ``y_i`` in the kept ones.  The first empty level ends the module, since
+    every deeper vector is a y applied to it; ``DepthCapError`` is raised
+    when level ``depth_cap`` is not empty.
     """
     n0 = _check_weight(c, n0)
     if f.kind in ("classical", "qinteger"):
@@ -371,20 +331,30 @@ def build_simple(c, f, n0, depth_cap=20):
                     % (n0, val, j + 1)
                 )
     words = NormalWords(groebner(_pres_at(yn_presentation(c), f), cap=depth_cap))
-    letter_of = {words.code.encode((("y", i),)): i for i in range(c.rank)}
-    dims = {n0: 1}
-    xmat, ymat = {}, {}
-    last = {"": (n0, (_O,))}
-    for depth, level in enumerate(words.levels(None, depth_cap)):
-        if depth:
-            last = _add_level(c, f, level, last, letter_of, dims, xmat, ymat)
-            if not last:
-                break
-        if depth == depth_cap:
-            raise DepthCapError(
-                "highest-weight module at %s did not close below depth %d"
-                % (n0, depth_cap)
-            )
+
+    def keep(_n, cands, images):
+        span = Subspace(len(images[cands[0]]))
+        kept = [w for w in sorted(cands, reverse=True) if span.add(images[w])]
+        return kept[::-1]
+
+    def y_matrix(n, i, ys, basis):
+        cols = []
+        for col in zip(*ys):
+            sol = solve(basis, col)
+            if sol is None:
+                raise SingularParameterError(
+                    "y_%d on weight %s leaves the span of the normal words at %s"
+                    % (i + 1, _shift(n, ("x", i)), n)
+                )
+            cols.append(sol)
+        return tuple(zip(*cols))
+
+    dims, xmat, ymat = _walk(c, f, n0, words, depth_cap, keep, y_matrix)
+    if max(sum(n0) - sum(n) for n in dims) == depth_cap:
+        raise DepthCapError(
+            "highest-weight module at %s did not close below depth %d"
+            % (n0, depth_cap)
+        )
     M = GradedModule.make(
         c.rank, dims, xmat, ymat, "simple", truncated=False, trunc_top=n0,
     )
@@ -396,49 +366,56 @@ def build_simple(c, f, n0, depth_cap=20):
     return M
 
 
-def _add_level(c, f, level, last, letter_of, dims, xmat, ymat):
-    """Add the weights of one level of the simple to dims, xmat and ymat.
+def _walk(c, f, n0, words, maxlen, keep, y_matrix):
+    """dims, xmat and ymat of a module with top weight n0, built one level
+    of the coded normal y-words ``words`` at a time, up to level ``maxlen``
+    or the first level that adds no weight.
 
-    ``level`` holds the coded normal words of the level and ``last`` maps
-    each word of the level above whose weight was built to its weight and
-    the coordinates of its class; the same map for this level is returned.
+    The candidates at a weight n are the words ``y_i u`` of the level whose
+    tail u was built.  Their x-images ``x_j y_i u = y_i x_j u + delta_ij
+    f_i(n+e_i) u`` are read off the levels above (``_y_images``).
+    ``keep(n, cands, images)`` lists the words that form the basis at n, in
+    code order, and their images are the columns of the x matrices.
+    ``y_matrix(n, i, ys, basis)`` gives the matrix of ``y_i: V(n+e_i) ->
+    V(n)``, where ``ys`` maps V(n+e_i) to the x-images and ``basis`` holds
+    the kept images as columns.  Each word keeps the coordinates of its class.
     """
-    at = {}
-    for w in level:
-        if w[1:] in last:
-            n = _shift(last[w[1:]][0], ("y", letter_of[w[0]]))
-            at.setdefault(n, []).append(w)
-    out = {}
-    for n, cands in sorted(at.items()):
-        ups = [j for j in range(c.rank) if _shift(n, ("x", j)) in dims]
-        ys = {i: _y_images(c, f, dims, xmat, ymat, n, i, ups) for i in ups}
-        images = {w: mat_vec(ys[letter_of[w[0]]], last[w[1:]][1]) for w in cands}
-        span = Subspace(len(ys[ups[0]]))
-        kept = [w for w in sorted(cands, reverse=True) if span.add(images[w])]
-        if not kept:
-            continue
-        basis = tuple(zip(*(images[w] for w in reversed(kept))))
-        dims[n] = len(kept)
-        row = 0
-        for j in ups:
-            d = dims[_shift(n, ("x", j))]
-            xmat[(j, n)] = basis[row:row + d]
-            row += d
-        for i in ups:
-            cols = []
-            for col in zip(*ys[i]):
-                sol = solve(basis, col)
-                if sol is None:
-                    raise SingularParameterError(
-                        "y_%d on weight %s leaves the span of the normal words at %s"
-                        % (i + 1, _shift(n, ("x", i)), n)
-                    )
-                cols.append(sol)
-            ymat[(i, _shift(n, ("x", i)))] = tuple(zip(*cols))
-        for w in cands:
-            src, vec = last[w[1:]]
-            out[w] = (n, mat_vec(ymat[(letter_of[w[0]], src)], vec))
-    return out
+    letter_of = {words.code.encode((("y", i),)): i for i in range(c.rank)}
+    dims = {n0: 1}
+    xmat, ymat = {}, {}
+    last = {"": (n0, (_O,))}  # word -> (weight, coordinates of its class)
+    levels = words.levels(None, maxlen)
+    next(levels)  # level 0 is the top weight
+    for level in levels:
+        at = {}
+        for w in level:
+            if w[1:] in last:
+                n = _shift(last[w[1:]][0], ("y", letter_of[w[0]]))
+                at.setdefault(n, []).append(w)
+        out = {}
+        for n, cands in sorted(at.items()):
+            ups = [j for j in range(c.rank) if _shift(n, ("x", j)) in dims]
+            ys = {i: _y_images(c, f, dims, xmat, ymat, n, i, ups) for i in ups}
+            images = {w: mat_vec(ys[letter_of[w[0]]], last[w[1:]][1]) for w in cands}
+            kept = keep(n, cands, images)
+            if not kept:
+                continue
+            basis = tuple(zip(*(images[w] for w in kept)))
+            dims[n] = len(kept)
+            row = 0
+            for j in ups:
+                d = dims[_shift(n, ("x", j))]
+                xmat[(j, n)] = basis[row:row + d]
+                row += d
+            for i in ups:
+                ymat[(i, _shift(n, ("x", i)))] = y_matrix(n, i, ys[i], basis)
+            for w in cands:
+                src, vec = last[w[1:]]
+                out[w] = (n, mat_vec(ymat[(letter_of[w[0]], src)], vec))
+        if not out:
+            break
+        last = out
+    return dims, xmat, ymat
 
 
 def _y_images(c, f, dims, xmat, ymat, n, i, ups):
@@ -533,21 +510,22 @@ def check_relations(c, f, M):
                 if any(any(row) for row in res):
                     witnesses.append(("comm[%d,%d]" % (i + 1, j + 1), n, res))
 
+    serre = [
+        ("serre_%s[%d,%d]" % (chirality, i + 1, j + 1),
+         _rel_at(serre_relation(c, i, j, chirality), f))
+        for chirality in ("x", "y")
+        for i in range(c.rank)
+        for j in range(c.rank)
+        if i != j
+    ]
     for n in sorted(support):
-        for chirality in ("x", "y"):
-            for i in range(c.rank):
-                for j in range(c.rank):
-                    if i == j:
-                        continue
-                    rel = _rel_at(serre_relation(c, i, j, chirality), f)
-                    tgt = tuple(a + b for a, b in zip(n, rel.multidegree()))
-                    acc = zeros(M.dim(tgt), M.dim(n))
-                    for w, coeff in rel.terms:
-                        acc = mat_add(acc, mat_scale(M.word_matrix(w, n), coeff))
-                    if any(any(row) for row in acc):
-                        witnesses.append(
-                            ("serre_%s[%d,%d]" % (chirality, i + 1, j + 1), n, acc)
-                        )
+        for name, rel in serre:
+            tgt = tuple(a + b for a, b in zip(n, rel.multidegree()))
+            acc = zeros(M.dim(tgt), M.dim(n))
+            for w, coeff in rel.terms:
+                acc = mat_add(acc, mat_scale(M.word_matrix(w, n), coeff))
+            if any(any(row) for row in acc):
+                witnesses.append((name, n, acc))
 
     return CheckReport(not witnesses, tuple(witnesses))
 

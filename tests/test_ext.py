@@ -208,6 +208,16 @@ def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, caps
     assert code == 1 and "ExtractionError" in captured.err and not captured.out
 
 
+def test_failed_dd_check_is_never_stable(a1, f_classical, monkeypatch):
+    """An entry is stable only when d o d = 0 was verified on both windows'
+    resolutions of its row, so a failed check turns a match inconclusive."""
+    triv = trivial_module(a1, f_classical, (0,))
+    assert schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6)).verdict == "match"
+    monkeypatch.setattr(ext_module, "_check_dd", lambda algebra, stages, V: False)
+    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    assert rep.verdict == "inconclusive" and not any(rep.stable)
+
+
 def test_closure_escape_names_stage_and_weight(a1, f_classical, monkeypatch):
     """A letter action that returns a word outside the target's domain
     basis stops the closure with a typed error, not a silent skip."""

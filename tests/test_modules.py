@@ -351,6 +351,47 @@ def test_deep_verma_contains_invariant_tail(a1, f_classical):
     assert not is_simple(a1, f_classical, M)
 
 
+# sha256 of json.dumps(to_dict(), sort_keys=True) for truncated Vermas built
+# from tuple normal forms and a recursive x-action, before they were built on
+# the level walk of the simple
+VERMA_SHA256 = {
+    ("A", 1, "classical", (0,), 4): (
+        "a1d9411ffbb9ac5fd005eb444bac92855b157cd5b541908391f46b5943297829"
+    ),
+    ("A", 1, "qinteger", (0,), 4): (
+        "0484f08fb023a448c309e4429ec4fb1180c446e1c035796d93686265121318c8"
+    ),
+    ("A", 2, "classical", (1, 1), 3): (
+        "25f93df4b062e5b1f6df0ee8d999a561a8c25549215151c5b489e65f3ce3c8c3"
+    ),
+    ("A", 2, "qinteger", (0, 0), 3): (
+        "b65c80153ea2fac71f6e1950461c1bfd2e85e7bddb9a4a91bff83d6d5e98c39f"
+    ),
+    ("B", 2, "classical", (0, 0), 2): (
+        "3f5a078c1c484413991f43d8f6ac2143d10447a5f72ebc32627b1e1a4469e826"
+    ),
+    ("G", 2, "classical", (1, 2), 3): (
+        "6075176839eb7aded70f8460cc34c9a50d03ff32715e1866a930837504bef9e6"
+    ),
+    # the family of test_is_simple_exact_in_non_monomial_bases
+    ("A", 2, "affine", (0, 0), 3): (
+        "d45282b7ad738e4319b3719b6269426bced032d873dc9e074cf1ee9a762a24b1"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(VERMA_SHA256))
+def test_truncated_verma_is_pinned(key):
+    series, rank, family, n0, depth = key
+    c = build_cartan(series, rank)
+    if family == "affine":
+        f = FSpec.affine([list(row) for row in c.a], [Fraction(-1, 2)] * rank)
+    else:
+        f = getattr(FSpec, family)()
+    text = json.dumps(truncated_verma(c, f, n0, depth).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERMA_SHA256[key]
+
+
 def test_verma_depth_rejection(a1, f_classical):
     with pytest.raises(ModuleError):
         truncated_verma(a1, f_classical, (0,), -1)
