@@ -73,6 +73,10 @@ CLI_RUNS = {
     "hilbert-B3-c10": ["hilbert", "--type", "B3", "--cap", "10"],
     "hilbert-G2-c14": ["hilbert", "--type", "G2", "--cap", "14"],
     "hilbert-C3-c8": ["hilbert", "--type", "C3", "--cap", "8"],
+    # an Ext table read off the Anick chains, and one whose clamped cap
+    # keeps the resolutions
+    "ext-A2-w5-h4": ["ext", "--type", "A2", "--window", "5", "--homcap", "4"],
+    "ext-B2-w3-h2": ["ext", "--type", "B2", "--window", "3", "--homcap", "2"],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

@@ -20,7 +20,12 @@ verdicts additionally requires agreement across two window radii, and
 Each window's length cap (``_window_algebra``): when every module is a
 vertex simple the cap is sized from the Anick chains of ``gbasis.chains``,
 which bound the differential entries stage by stage; otherwise it is
-``2 * radius + 4``.
+``2 * radius + 4``.  Where that cap is not clamped and no two consecutive
+stages hold chains that end at the same target vertex, the Hom complex of
+the chain resolution has zero differential, so ``Ext^p(S_i, S_j)`` is the
+number of stage-p chains from s_i that end at s_j (``_chain_ext``).  Such a
+window resolves nothing, unless it is the last one and a Yoneda check
+reads its resolutions; then the two paths must agree.
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
@@ -211,6 +216,7 @@ class WindowedAlgebra:
         self._by_target = {}  # source code -> {target code: [word]} in levels order
         self._nf_cache = {}
         self._nf_mod_cache = {}
+        self._chain_ext = None  # the Ext table read off the chains (_window_algebra)
 
     @property
     def rank(self):
@@ -1030,32 +1036,37 @@ def _materialize(modules, radius):
 
 def _chain_need(gb, sources, homcap, box_radius):
     """The word length that resolving the vertex simples at ``sources``
-    reads through stage homcap, with room for stage homcap + 1.
+    reads through stage homcap, with room for stage homcap + 1, and the
+    chains of each source through stage homcap + 1: ``(need, {source:
+    stages})``.
 
     Each stage's budget is the previous one minus its longest differential
     entry, and a stage-p entry is at most the longest p-chain minus the
     shortest (p-1)-chain (``gbasis.chains``).  The sum of these bounds over
     p = 1..homcap + 1, stopped at the first empty stage, keeps every budget
     through stage homcap nonnegative; the largest sum over the sources is
-    returned.
+    the need.
     """
     need = 0
+    chains_of = {}
     for v in sources:
-        stages = chains(gb, v, homcap + 1, box_radius)
+        stages = chains_of[v] = chains(gb, v, homcap + 1, box_radius)
         total = 0
         for p in range(1, homcap + 2):
             if not stages[p]:
                 break
             total += stages[p][-1][0] - stages[p - 1][0][0]
         need = max(need, total)
-    return need
+    return need, chains_of
 
 
 def _chain_capped_basis(quiver, sources, homcap):
-    """The basis of the window at the cap the chains of ``sources`` need.
+    """The basis of the window at the cap the chains of ``sources`` need,
+    and those chains (``_chain_need``), or None for them where the cap was
+    clamped.
 
     Completes at homcap + 2 and, while the chains read through stage
-    homcap + 1 need more (``_chain_need``), continues the same completion
+    homcap + 1 need more, continues the same completion
     (``gbasis.Completion``) to what they need, never above the top cap
     ``2 * radius + 4``.  The completion state lives only in this call.
     """
@@ -1065,35 +1076,75 @@ def _chain_capped_basis(quiver, sources, homcap):
     state = Completion(quiver, top)
     while True:
         gb = groebner(quiver, cap, state)
-        need = _chain_need(gb, sources, homcap, radius)
-        if need <= cap or cap == top:
-            return gb
+        need, chains_of = _chain_need(gb, sources, homcap, radius)
+        if need <= cap:
+            return gb, chains_of
+        if cap == top:
+            return gb, None
         cap = min(need, top)
         del gb  # the state keeps the basis; this rung's result is not read again
+
+
+def _chain_ext(chains_of, vertices, homcap):
+    """Ext^p(S_i, S_j), p = 0..homcap, as counts of Anick chains, or None.
+
+    ``vertices[i]`` is the vertex of module i and ``chains_of[v]`` the
+    chains of S_v through stage homcap + 1.  Hom(F, S_t) of the chain
+    resolution F has one basis vector per chain that ends at t, and its
+    differential keeps only scalar entries between chains of consecutive
+    stages that both end at t.  So where no two consecutive stages of
+    0..homcap + 1 both hold chains from v_i that end at v_j, it is zero, and
+    Ext^p(S_i, S_j) is the number of stage-p chains from v_i that end at
+    v_j.  None when some pair fails this.
+    """
+    table = [{} for _p in range(homcap + 1)]
+    for i, s in enumerate(vertices):
+        for j, t in enumerate(vertices):
+            count = [sum(e == t for _n, e in stage) for stage in chains_of[s]]
+            if any(a and b for a, b in zip(count, count[1:])):
+                return None
+            for p in range(homcap + 1):
+                table[p][(i, j)] = count[p]
+    return table
 
 
 def _window_algebra(c, f, modules, homcap, radius):
     """The window algebra at ``radius`` and the modules built for it.
 
-    When every module is one-dimensional (a vertex simple S_v), the length
-    cap comes from the Anick chains of the S_v (``_chain_capped_basis``).
-    The cap never exceeds ``2 * radius + 4``, which is the cap of every
-    other module list.
+    When every module is one-dimensional (a vertex simple S_v), each is
+    checked to be a module of the window algebra, and the length cap comes
+    from the Anick chains of the S_v (``_chain_capped_basis``).  Where that
+    cap was not clamped and the chains give Ext, the algebra keeps their
+    table (``_chain_ext``).  The cap never exceeds ``2 * radius + 4``,
+    which is the cap of every other module list.
     """
     modules = _materialize(modules, radius)
     if any(V.total_dim() != 1 for V in modules):
         return build_algebra(c, f, radius, margin=homcap), modules
-    sources = sorted({next(n for n, d in V.dims if d) for V in modules})
     quiver = instantiate_window(c, f, radius, homcap)
-    gb = _chain_capped_basis(quiver, sources, homcap)
-    return WindowedAlgebra(quiver, gb), modules
+    for V in modules:
+        _check_window_module(quiver, V)
+    vertices = [next(n for n, d in V.dims if d) for V in modules]
+    gb, chains_of = _chain_capped_basis(quiver, sorted(set(vertices)), homcap)
+    algebra = WindowedAlgebra(quiver, gb)
+    if chains_of is not None:
+        algebra._chain_ext = _chain_ext(chains_of, vertices, homcap)
+    return algebra, modules
 
 
-def _ext_matrix_once(c, f, modules, homcap, radius):
+def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
     """Ext dims of every module pair at one radius: (table, verified, modules,
-    resolutions), where ``verified[i]`` tells whether ``d o d = 0`` holds on
-    the resolution of module i."""
+    resolutions).
+
+    Where the chains give the table (``_window_algebra``) and ``resolve``
+    is false, nothing is resolved and every row is verified.  Otherwise
+    ``verified[i]`` tells whether ``d o d = 0`` holds on the resolution of
+    module i and its Ext dims equal the chain counts, where there are any.
+    """
     algebra, modules = _window_algebra(c, f, modules, homcap, radius)
+    chain = algebra._chain_ext
+    if chain is not None and not resolve:
+        return chain, [True] * len(modules), modules, None
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
     table = [{} for _p in range(homcap + 1)]
     for i, res in enumerate(resolutions):
@@ -1102,19 +1153,27 @@ def _ext_matrix_once(c, f, modules, homcap, radius):
             for p in range(homcap + 1):
                 table[p][(i, j)] = dims[p]
     verified = [res.dd_verified for res in resolutions]
+    if chain is not None:
+        for layer, chain_layer in zip(table, chain):
+            for (i, j), d in chain_layer.items():
+                verified[i] = verified[i] and layer[(i, j)] == d
     return table, verified, modules, resolutions
 
 
-def _ext_run(c, f, modules, homcap, windows, labels):
+def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
     """Two-window Ext table plus the last window's modules and resolutions.
 
-    Each smaller window keeps only its dims and which of its resolutions
-    passed the ``d o d = 0`` check: its algebra and resolutions are
-    dropped before the next window is built, so at most one window's objects
-    are alive at a time.  The verdict checks read their cocycles and Yoneda
-    products from the returned resolutions (each carries its ``.algebra``).
-    An entry (i, j) is stable when the last two windows agree on it and
-    ``d o d = 0`` was verified on both windows' resolutions of module i.
+    Each smaller window keeps only its dims and which rows it verified
+    (``_ext_matrix_once``): its algebra and resolutions are dropped before
+    the next window is built, so at most one window's objects are alive at
+    a time.  Only the last window is resolved where the chains give Ext,
+    and only when ``resolve`` asks; else its resolutions are None.  The
+    verdict checks read their cocycles and Yoneda products from the
+    returned resolutions (each carries its ``.algebra``).  An entry (i, j)
+    is stable when the last two windows agree on it and both verified row
+    i.  A row read off the chains is verified, since its Hom differential
+    is zero; a resolved row needs ``d o d = 0`` and, where the chains give
+    Ext too, their dims.
     """
     if len(windows) < 2:
         raise ExtError("stabilization requires at least two window radii")
@@ -1128,7 +1187,7 @@ def _ext_run(c, f, modules, homcap, windows, labels):
         _ext_matrix_once(c, f, modules, homcap, radius)[:2] for radius in windows[:-1]
     ]
     last, verified, modules, resolutions = _ext_matrix_once(
-        c, f, modules, homcap, windows[-1]
+        c, f, modules, homcap, windows[-1], resolve
     )
     prev, prev_verified = smaller[-1]
     verified = [a and b for a, b in zip(verified, prev_verified)]
@@ -1152,8 +1211,11 @@ def _ext_run(c, f, modules, homcap, windows, labels):
 
 def ext_table(c, f, modules, homcap, windows, labels=None):
     """Ext^p(V_i, V_j) over at least two window radii with stability flags:
-    an entry is stable when the last two windows agree on it and ``d o d =
-    0`` holds on both windows' resolutions of V_i."""
+    an entry is stable when the last two windows agree on it and both
+    windows verified row i.  A window of vertex simples whose chains give
+    Ext reads its table off them and resolves nothing; its rows are
+    verified, since the Hom differential is zero.  Other windows need
+    ``d o d = 0`` on their resolutions of V_i (``_ext_run``)."""
     return _ext_run(c, f, modules, homcap, windows, labels)[0]
 
 
@@ -1322,11 +1384,13 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8), check_ring=True):
     Betti numbers come from the two-window Ext table; the ring check squares
     the degree-2 class on the resolution of V that the table built at the
     last window, and the description names that window's module, so no
-    window algebra, module or resolution is built twice.
+    window algebra, module or resolution is built twice.  A table read off
+    the chains builds that resolution only when the ring check can run.
     """
     table_w = weyl_table(c)
     target = flag_betti(c, table_w)
-    tab, (V,), (res,) = _ext_run(c, f, [V], homcap, windows, ("V",))
+    ring_check = check_ring and homcap >= 4 and c.rank <= 2
+    tab, (V,), resolutions = _ext_run(c, f, [V], homcap, windows, ("V",), ring_check)
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     padded_target = tuple(
@@ -1346,11 +1410,11 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8), check_ring=True):
             verdict = "inconclusive"
 
     ring_cmp = {"compared": False}
-    if check_ring and verdict == "match" and homcap >= 4 and c.rank <= 2:
+    if ring_check and verdict == "match":
         ring = flag_ring(c, table_w)
         # degree-2 generators must square per the coinvariant algebra
         if computed[2] == 1 and computed[4] == 0:
-            sq_zero = yoneda_square(res, V, 2)
+            sq_zero = yoneda_square(resolutions[0], V, 2)
             ring_sq_zero = all(v == 0 for v in ring.product(1, 0, 1, 0))
             ring_cmp = {
                 "compared": True,
@@ -1399,7 +1463,7 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
     the two-window Ext table built at the last window; each degree-1 cocycle
     basis Ext^1(X_a, X_b) is computed once per (a, b).
     """
-    tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels)
+    tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels, True)
     cocycles = {}
 
     def ext1_reps(a, b):

@@ -249,20 +249,30 @@ def nullspace(a, ncols=None):
 
 
 def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent (free variables 0)."""
+    """One solution x of a x = b, or None if inconsistent (free variables 0).
+
+    ``b`` is a vector, or a matrix whose columns are solved in one
+    elimination; then x is the matrix whose columns are their solutions,
+    and None means that some column is inconsistent.
+    """
     if not a:
         return () if not any(b) else None
     ncols = len(a[0])
-    aug = [list(r) + [bv] for r, bv in zip(a, b)]
-    mat, pivots = _echelon(aug, ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    matrix = isinstance(b[0], (tuple, list))
+    rhs = b if matrix else [(bv,) for bv in b]
+    k = len(rhs[0])
+    mat, pivots = _echelon([[*r, *bv] for r, bv in zip(a, rhs)], ncols + k)
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [_Z] * ncols
+    x = [[_Z] * k for _ in range(ncols)]
     if mat:
-        num, det = _back_substitute(mat, pivots, ncols, get_bit_ceiling())
-        for n, pcol in zip(num, pivots):
-            x[pcol] = QScalar(0, n, det) if n else _Z
-    return tuple(x)
+        ceiling = get_bit_ceiling()
+        for t in range(k):
+            num, det = _back_substitute(mat, pivots, ncols + t, ceiling)
+            for n, pcol in zip(num, pivots):
+                if n:
+                    x[pcol][t] = QScalar(0, n, det)
+    return tuple(map(tuple, x)) if matrix else tuple(row[0] for row in x)
 
 
 class Subspace:

@@ -338,16 +338,13 @@ def build_simple(c, f, n0, depth_cap=20):
         return kept[::-1]
 
     def y_matrix(n, i, ys, basis):
-        cols = []
-        for col in zip(*ys):
-            sol = solve(basis, col)
-            if sol is None:
-                raise SingularParameterError(
-                    "y_%d on weight %s leaves the span of the normal words at %s"
-                    % (i + 1, _shift(n, ("x", i)), n)
-                )
-            cols.append(sol)
-        return tuple(zip(*cols))
+        sol = solve(basis, ys)
+        if sol is None:
+            raise SingularParameterError(
+                "y_%d on weight %s leaves the span of the normal words at %s"
+                % (i + 1, _shift(n, ("x", i)), n)
+            )
+        return sol
 
     dims, xmat, ymat = _walk(c, f, n0, words, depth_cap, keep, y_matrix)
     if max(sum(n0) - sum(n) for n in dims) == depth_cap:
@@ -478,7 +475,11 @@ class CheckReport:
 
 
 def check_relations(c, f, M):
-    """Exact verification of grading shifts, commutators and both Serre families."""
+    """Exact verification of grading shifts, commutators and both Serre families.
+
+    The word products of the Serre check are kept on M (``word_matrix``)
+    only for the duration of the call; the products M held before are kept.
+    """
     witnesses = []
     support = set(M.support())
 
@@ -518,14 +519,20 @@ def check_relations(c, f, M):
         for j in range(c.rank)
         if i != j
     ]
-    for n in sorted(support):
-        for name, rel in serre:
-            tgt = tuple(a + b for a, b in zip(n, rel.multidegree()))
-            acc = zeros(M.dim(tgt), M.dim(n))
-            for w, coeff in rel.terms:
-                acc = mat_add(acc, mat_scale(M.word_matrix(w, n), coeff))
-            if any(any(row) for row in acc):
-                witnesses.append((name, n, acc))
+    products = M._word_mats
+    kept = len(products)
+    try:
+        for n in sorted(support):
+            for name, rel in serre:
+                tgt = tuple(a + b for a, b in zip(n, rel.multidegree()))
+                acc = zeros(M.dim(tgt), M.dim(n))
+                for w, coeff in rel.terms:
+                    acc = mat_add(acc, mat_scale(M.word_matrix(w, n), coeff))
+                if any(any(row) for row in acc):
+                    witnesses.append((name, n, acc))
+    finally:
+        for key in list(products)[kept:]:
+            del products[key]
 
     return CheckReport(not witnesses, tuple(witnesses))
 

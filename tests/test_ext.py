@@ -289,6 +289,90 @@ def test_generators_equal_chains(rank, family, radius, homcap, lencap):
         assert Counter(gens) == Counter(e for _n, e in stages[p])
 
 
+@pytest.mark.parametrize(
+    "rank, family, radius, homcap",
+    [
+        (1, "classical", 6, 4),
+        (1, "qinteger", 8, 4),
+        (2, "classical", 2, 2),
+        (2, "classical", 3, 2),
+        (2, "qinteger", 3, 2),
+        (2, "classical", 5, 4),
+    ],
+)
+def test_chain_table_equals_the_resolution_table(rank, family, radius, homcap):
+    """Where the window reads Ext off the chains, the resolution of the
+    trivial module gives the same dims, and the window verifies them."""
+    c = build_cartan("A", rank)
+    f = getattr(FSpec, family)()
+    triv = trivial_module(c, f, (0,) * rank)
+    algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
+    chain = algebra._chain_ext
+    assert chain is not None
+    res = minimal_resolution(algebra, triv, homcap)
+    assert tuple(layer[(0, 0)] for layer in chain) == ext_dims(res, triv, homcap)
+    table, verified, _mods, resolutions = ext_module._ext_matrix_once(
+        c, f, [triv], homcap, radius, resolve=True
+    )
+    assert table == chain and verified == [True]
+    assert resolutions[0].stages == res.stages
+
+
+def test_chain_and_resolution_disagreement_is_not_verified(a1, f_classical, monkeypatch):
+    """Where both paths run, a resolution whose Ext dims differ from the
+    chain counts leaves its row unverified, as a failed d o d = 0 does."""
+    triv = trivial_module(a1, f_classical, (0,))
+    table, verified, _mods, _res = ext_module._ext_matrix_once(
+        a1, f_classical, [triv], 4, 6, resolve=True
+    )
+    assert verified == [True] and table[2][(0, 0)] == 1
+    real = ext_module.ext_dims
+    monkeypatch.setattr(
+        ext_module, "ext_dims", lambda res, W, upto=None: real(res, W, upto)[:2] + (0, 0, 0)
+    )
+    table, verified, _mods, _res = ext_module._ext_matrix_once(
+        a1, f_classical, [triv], 4, 6, resolve=True
+    )
+    assert verified == [False] and table[2][(0, 0)] == 0
+    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    assert rep.verdict == "inconclusive" and not any(rep.stable)
+
+
+def _resolved_tables(monkeypatch, run):
+    """``run()`` with the chain path off, so that every window resolves."""
+    with monkeypatch.context() as m:
+        m.setattr(ext_module, "_chain_ext", lambda chains_of, vertices, homcap: None)
+        return run()
+
+
+def test_a2_tables_come_off_the_chains(a2, f_classical, monkeypatch):
+    """A2 at homcap 2 and 4 reads both windows off the chains, builds no
+    resolution, and gives the tables that resolving both windows gives."""
+    triv = trivial_module(a2, f_classical, (0, 0))
+    check = lambda: schur_check(a2, f_classical, triv, homcap=2, windows=(2, 3))
+    table = lambda: ext_table(a2, f_classical, [triv], 4, windows=(4, 5))
+    want_check = _resolved_tables(monkeypatch, check)
+    want_table = _resolved_tables(monkeypatch, table)
+    calls, _resolutions = _count_builds(monkeypatch)
+    rep, tab = check(), table()
+    assert calls["minimal_resolution"] == []
+    assert rep == want_check and rep.computed_betti == (1, 0, 2) and all(rep.stable)
+    assert tab == want_table and tab.diagonal(0) == (1, 0, 2, 0, 2)
+    assert tab.diagonal_stable(0)
+
+
+def test_clamped_cap_keeps_the_resolutions(monkeypatch):
+    """The chains of B2 at homcap 2 need a cap above 2 * radius + 4 at both
+    radii, so the cap is clamped and both windows are resolved."""
+    b2 = build_cartan("B", 2)
+    f = FSpec.classical()
+    triv = trivial_module(b2, f, (0, 0))
+    calls, _resolutions = _count_builds(monkeypatch)
+    tab = ext_table(b2, f, [triv], 2, windows=(2, 3))
+    assert calls["minimal_resolution"] == [2, 3]
+    assert tab.diagonal(0) == (1, 0, 2) and tab.diagonal_stable(0)
+
+
 def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
     """A module of dimension above 1 keeps 2 * radius + 4; for A1, whose
     chains need 2, the first rung homcap + 2 stands."""
@@ -883,7 +967,7 @@ def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
     calls, resolutions = _count_builds(monkeypatch)
     rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
     assert rep.ring_comparison["compared"]
-    assert calls == {"groebner": [4, 6], "minimal_resolution": [4, 6]}
+    assert calls == {"groebner": [4, 6], "minimal_resolution": [6]}
     monkeypatch.undo()
     # oracle: the Yoneda square on a last window rebuilt from scratch
     _mods, (fresh,) = _fresh_last_window(a1, f_classical, [triv], 4, (4, 6))

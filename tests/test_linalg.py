@@ -152,6 +152,24 @@ def test_solve_matches_oracle(a, data):
     assert solve(a, b) == oracle_solve(a, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(min_value=1, max_value=3), st.data())
+def test_solve_columns_together_as_one_by_one(a, k, data):
+    """A matrix right-hand side is solved column by column in one
+    elimination: the solutions are the oracle's, or None when any column is
+    inconsistent."""
+    n = len(a[0])
+    cols = []
+    for _ in range(k):
+        if data.draw(st.booleans()):
+            cols.append(mat_vec(a, [data.draw(entries) for _ in range(n)]))
+        else:
+            cols.append(tuple(data.draw(entries) for _ in a))
+    sols = [oracle_solve(a, col) for col in cols]
+    want = None if None in sols else tuple(zip(*sols))
+    assert solve(a, tuple(zip(*cols))) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_cols=4), st.integers(min_value=0, max_value=4))
 def test_ncols_override_uses_leading_columns(a, ncols):

@@ -411,6 +411,18 @@ def test_constructor_outputs_pass(a1, a2, b2, f_classical, f_qinteger):
         assert check_relations(c, f, M).passed
 
 
+def test_relation_check_keeps_no_word_products(a2, f_classical):
+    """The word products that check_relations computes do not outlive the
+    call: a built simple holds none, and a module keeps only its own."""
+    M = build_simple(a2, f_classical, (2, 1))
+    assert M._word_mats == {}
+    word = (("y", 0), ("y", 1))
+    mat = M.word_matrix(word, (2, 1))
+    before = dict(M._word_mats)
+    assert before and check_relations(a2, f_classical, M).passed
+    assert M._word_mats == before and M.word_matrix(word, (2, 1)) is mat
+
+
 def test_perturbed_module_fails_with_witness(a1, f_classical):
     M = build_simple(a1, f_classical, (1,))
     bad = perturb_entry(M, "x", 0, (0,), 0, 0, QScalar.one())  # x v0 = 3 v1
