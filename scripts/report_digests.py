@@ -77,6 +77,8 @@ CLI_RUNS = {
     # keeps the resolutions
     "ext-A2-w5-h4": ["ext", "--type", "A2", "--window", "5", "--homcap", "4"],
     "ext-B2-w3-h2": ["ext", "--type", "B2", "--window", "3", "--homcap", "2"],
+    # a rank-2 schur-check whose ring check reports degree-4 structure
+    "schur-A2-w5-h4": ["schur-check", "--type", "A2", "--homcap", "4", "--window", "5"],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

@@ -20,7 +20,7 @@ def main():
     c = build_cartan("A", 2)
     f = FSpec.classical()
     rep = schur_check(c, f, trivial_module(c, f, (0, 0)),
-                      homcap=args.homcap, windows=windows, check_ring=False)
+                      homcap=args.homcap, windows=windows)
     out = {
         "probe": rep.to_dict(),
         "full_target": list(flag_betti(c)),

@@ -339,9 +339,10 @@ def cmd_check_module(cfg):
     return out
 
 
-def _windows(cfg):
-    """The two radii compared: (max(window - 2, margin), window)."""
-    margin = cfg.effective_margin()
+def _windows(cfg, homcap):
+    """The two radii compared by a run at ``homcap``: (max(window - 2,
+    margin), window), where the margin is at least that homcap."""
+    margin = max(cfg.effective_margin(), homcap)
     if cfg.window - 1 < margin:
         raise ConfigError(
             "window: the smaller window radius %d is below margin %d; "
@@ -355,7 +356,8 @@ def cmd_ext(cfg):
     f = cfg.fspec()
     specs = cfg.modules or [cfg.module]
     mods = [parse_module_spec(s, c, f) for s in specs]
-    tab = ext_table(c, f, mods, cfg.homcap, _windows(cfg), labels=tuple(specs))
+    windows = _windows(cfg, cfg.homcap)
+    tab = ext_table(c, f, mods, cfg.homcap, windows, labels=tuple(specs))
     return {"ext_table": tab.to_dict()}
 
 
@@ -363,7 +365,7 @@ def cmd_schur_check(cfg):
     c = cfg.cartan()
     f = cfg.fspec()
     mod = parse_module_spec(cfg.module, c, f)
-    rep = schur_check(c, f, mod, homcap=cfg.homcap, windows=_windows(cfg))
+    rep = schur_check(c, f, mod, homcap=cfg.homcap, windows=_windows(cfg, cfg.homcap))
     return {"schur": rep.to_dict()}
 
 
@@ -372,8 +374,10 @@ def cmd_koszul_check(cfg):
     f = cfg.fspec()
     specs = cfg.modules or [cfg.module]
     mods = [parse_module_spec(s, c, f) for s in specs]
+    # the probe reads Ext^2, so it runs at homcap 2 at least
+    homcap = max(2, cfg.homcap)
     rep = koszul_check(
-        c, f, mods, labels=list(specs), homcap=max(2, cfg.homcap), windows=_windows(cfg)
+        c, f, mods, labels=list(specs), homcap=homcap, windows=_windows(cfg, homcap)
     )
     return {"koszul": rep}
 

@@ -24,8 +24,10 @@ which bound the differential entries stage by stage; otherwise it is
 stages hold chains that end at the same target vertex, the Hom complex of
 the chain resolution has zero differential, so ``Ext^p(S_i, S_j)`` is the
 number of stage-p chains from s_i that end at s_j (``_chain_ext``).  Such a
-window resolves nothing, unless it is the last one and a Yoneda check
-reads its resolutions; then the two paths must agree.
+window builds no ``WindowedAlgebra`` and resolves nothing, unless it is the
+last one and a Yoneda check reads its resolutions; then the two paths must
+agree.  ``schur_check`` reads them only where the flag target lets it
+square a degree-2 class (Ext^2 = 1, Ext^4 = 0).
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
@@ -216,7 +218,6 @@ class WindowedAlgebra:
         self._by_target = {}  # source code -> {target code: [word]} in levels order
         self._nf_cache = {}
         self._nf_mod_cache = {}
-        self._chain_ext = None  # the Ext table read off the chains (_window_algebra)
 
     @property
     def rank(self):
@@ -1109,27 +1110,26 @@ def _chain_ext(chains_of, vertices, homcap):
 
 
 def _window_algebra(c, f, modules, homcap, radius):
-    """The window algebra at ``radius`` and the modules built for it.
+    """The window at ``radius``: its quiver, its completed basis, the modules
+    built for it and their Ext table read off the chains, or None.
 
     When every module is one-dimensional (a vertex simple S_v), each is
     checked to be a module of the window algebra, and the length cap comes
-    from the Anick chains of the S_v (``_chain_capped_basis``).  Where that
-    cap was not clamped and the chains give Ext, the algebra keeps their
-    table (``_chain_ext``).  The cap never exceeds ``2 * radius + 4``,
-    which is the cap of every other module list.
+    from the Anick chains of the S_v (``_chain_capped_basis``); where that
+    cap was not clamped, the chains may give the table (``_chain_ext``).
+    The cap never exceeds ``2 * radius + 4``, which is the cap of every
+    other module list.
     """
     modules = _materialize(modules, radius)
-    if any(V.total_dim() != 1 for V in modules):
-        return build_algebra(c, f, radius, margin=homcap), modules
     quiver = instantiate_window(c, f, radius, homcap)
+    if any(V.total_dim() != 1 for V in modules):
+        return quiver, groebner(quiver, cap=2 * radius + 4), modules, None
     for V in modules:
         _check_window_module(quiver, V)
     vertices = [next(n for n, d in V.dims if d) for V in modules]
     gb, chains_of = _chain_capped_basis(quiver, sorted(set(vertices)), homcap)
-    algebra = WindowedAlgebra(quiver, gb)
-    if chains_of is not None:
-        algebra._chain_ext = _chain_ext(chains_of, vertices, homcap)
-    return algebra, modules
+    chain = None if chains_of is None else _chain_ext(chains_of, vertices, homcap)
+    return quiver, gb, modules, chain
 
 
 def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
@@ -1137,14 +1137,15 @@ def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
     resolutions).
 
     Where the chains give the table (``_window_algebra``) and ``resolve``
-    is false, nothing is resolved and every row is verified.  Otherwise
-    ``verified[i]`` tells whether ``d o d = 0`` holds on the resolution of
-    module i and its Ext dims equal the chain counts, where there are any.
+    is false, no ``WindowedAlgebra`` is built, nothing is resolved and
+    every row is verified.  Otherwise ``verified[i]`` tells whether
+    ``d o d = 0`` holds on the resolution of module i and its Ext dims
+    equal the chain counts, where there are any.
     """
-    algebra, modules = _window_algebra(c, f, modules, homcap, radius)
-    chain = algebra._chain_ext
+    quiver, gb, modules, chain = _window_algebra(c, f, modules, homcap, radius)
     if chain is not None and not resolve:
         return chain, [True] * len(modules), modules, None
+    algebra = WindowedAlgebra(quiver, gb)
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]
     table = [{} for _p in range(homcap + 1)]
     for i, res in enumerate(resolutions):
@@ -1161,35 +1162,35 @@ def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
 
 
 def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
-    """Two-window Ext table plus the last window's modules and resolutions.
+    """Two-window Ext table plus the larger window's modules and resolutions.
 
-    Each smaller window keeps only its dims and which rows it verified
-    (``_ext_matrix_once``): its algebra and resolutions are dropped before
-    the next window is built, so at most one window's objects are alive at
-    a time.  Only the last window is resolved where the chains give Ext,
-    and only when ``resolve`` asks; else its resolutions are None.  The
-    verdict checks read their cocycles and Yoneda products from the
-    returned resolutions (each carries its ``.algebra``).  An entry (i, j)
-    is stable when the last two windows agree on it and both verified row
-    i.  A row read off the chains is verified, since its Hom differential
-    is zero; a resolved row needs ``d o d = 0`` and, where the chains give
-    Ext too, their dims.
+    ``windows`` is one pair of radii, smaller first.  The smaller window
+    keeps only its dims and which rows it verified (``_ext_matrix_once``):
+    its algebra and resolutions are dropped before the larger window is
+    built, so at most one window's objects are alive at a time.  Where the
+    chains give Ext, the larger window is resolved only when ``resolve``
+    asks; else its resolutions are None.  The verdict checks read their
+    cocycles and Yoneda products from the returned resolutions (each
+    carries its ``.algebra``).  An entry (i, j) is stable when the two
+    windows agree on it and both verified row i.  A row read off the chains
+    is verified, since its Hom differential is zero; a resolved row needs
+    ``d o d = 0`` and, where the chains give Ext too, their dims.
     """
-    if len(windows) < 2:
-        raise ExtError("stabilization requires at least two window radii")
-    if any(a >= b for a, b in zip(windows, windows[1:])):
+    if len(windows) != 2:
+        raise ExtError(
+            "stabilization compares two window radii, got %s" % (tuple(windows),)
+        )
+    small, large = windows
+    if small >= large:
         raise ExtError("window radii must strictly increase, got %s" % (tuple(windows),))
     if labels is None:
         if any(callable(m) for m in modules):
             raise ExtError("labels are required for radius-dependent modules")
         labels = tuple(V.provenance + str(k) for k, V in enumerate(modules))
-    smaller = [
-        _ext_matrix_once(c, f, modules, homcap, radius)[:2] for radius in windows[:-1]
-    ]
+    prev, prev_verified = _ext_matrix_once(c, f, modules, homcap, small)[:2]
     last, verified, modules, resolutions = _ext_matrix_once(
-        c, f, modules, homcap, windows[-1], resolve
+        c, f, modules, homcap, large, resolve
     )
-    prev, prev_verified = smaller[-1]
     verified = [a and b for a, b in zip(verified, prev_verified)]
     dims = []
     stable = []
@@ -1210,12 +1211,12 @@ def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
 
 
 def ext_table(c, f, modules, homcap, windows, labels=None):
-    """Ext^p(V_i, V_j) over at least two window radii with stability flags:
-    an entry is stable when the last two windows agree on it and both
-    windows verified row i.  A window of vertex simples whose chains give
-    Ext reads its table off them and resolves nothing; its rows are
-    verified, since the Hom differential is zero.  Other windows need
-    ``d o d = 0`` on their resolutions of V_i (``_ext_run``)."""
+    """Ext^p(V_i, V_j) over two window radii with stability flags: an entry
+    is stable when the two windows agree on it and both verified row i.  A
+    window of vertex simples whose chains give Ext reads its table off them
+    and resolves nothing; its rows are verified, since the Hom differential
+    is zero.  Other windows need ``d o d = 0`` on their resolutions of V_i
+    (``_ext_run``)."""
     return _ext_run(c, f, modules, homcap, windows, labels)[0]
 
 
@@ -1377,25 +1378,29 @@ class SchurReport:
         }
 
 
-def schur_check(c, f, V, homcap=4, windows=(6, 8), check_ring=True):
+def schur_check(c, f, V, homcap=4, windows=(6, 8)):
     """Compare Ext^*(V, V) with the flag variety cohomology target.
 
     V may be a module or a radius-dependent factory (built per window).  The
     Betti numbers come from the two-window Ext table; the ring check squares
     the degree-2 class on the resolution of V that the table built at the
     last window, and the description names that window's module, so no
-    window algebra, module or resolution is built twice.  A table read off
-    the chains builds that resolution only when the ring check can run.
+    window algebra, module or resolution is built twice.  The square is
+    compared only on a match with Ext^2 = 1 and Ext^4 = 0; a match forces
+    the computed Betti numbers to equal the target's, so whether it can be
+    compared is known from the target before the table is built, and a
+    table read off the chains builds that resolution only then.
     """
     table_w = weyl_table(c)
     target = flag_betti(c, table_w)
-    ring_check = check_ring and homcap >= 4 and c.rank <= 2
-    tab, (V,), resolutions = _ext_run(c, f, [V], homcap, windows, ("V",), ring_check)
-    computed = tab.diagonal(0)
-    stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     padded_target = tuple(
         target[p] if p < len(target) else 0 for p in range(homcap + 1)
     )
+    ring_check = homcap >= 4 and c.rank <= 2
+    square = ring_check and padded_target[2] == 1 and padded_target[4] == 0
+    tab, (V,), resolutions = _ext_run(c, f, [V], homcap, windows, ("V",), square)
+    computed = tab.diagonal(0)
+    stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     verdict = "match"
     for p in range(homcap + 1):
         if not stable[p]:
@@ -1411,9 +1416,9 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8), check_ring=True):
 
     ring_cmp = {"compared": False}
     if ring_check and verdict == "match":
-        ring = flag_ring(c, table_w)
         # degree-2 generators must square per the coinvariant algebra
-        if computed[2] == 1 and computed[4] == 0:
+        if square:
+            ring = flag_ring(c, table_w)
             sq_zero = yoneda_square(resolutions[0], V, 2)
             ring_sq_zero = all(v == 0 for v in ring.product(1, 0, 1, 0))
             ring_cmp = {

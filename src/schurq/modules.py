@@ -20,6 +20,7 @@ from .presentation import (
     Presentation,
     eval_f,
     serre_relation,
+    _rel_at,
 )
 from .gbasis import groebner, NormalWords, _reduce_full
 from .linalg import (
@@ -185,24 +186,6 @@ class GradedModule:
             "y": [[i, list(n), mat_out(m)] for (i, n), m in self.ymat],
         }
 
-    @staticmethod
-    def from_dict(data):
-        from .qfield import parse_qscalar
-
-        def mat_in(m):
-            return tuple(tuple(parse_qscalar(x) for x in row) for row in m)
-
-        return GradedModule.make(
-            data["rank"],
-            {tuple(n): d for n, d in data["dims"]},
-            {(i, tuple(n)): mat_in(m) for i, n, m in data["x"]},
-            {(i, tuple(n)): mat_in(m) for i, n, m in data["y"]},
-            data.get("provenance", "custom"),
-            data.get("truncated", False),
-            tuple(data["trunc_top"]) if data.get("trunc_top") else None,
-            data.get("trunc_depth"),
-        )
-
 
 def _shift(n, letter):
     kind, i = letter
@@ -245,19 +228,6 @@ def yn_presentation(c):
                 rels.append(serre_relation(c, i, j, "y"))
     rels.sort(key=lambda p: p.multidegree())
     return Presentation(c.rank, gens, tuple(rels), "yserre[%s]" % (c.series or c.rank))
-
-
-def _rel_at(rel, f):
-    """Serre relation with coefficients at the f family's parameter point.
-
-    Scalar-valued families live at a fixed value of q (q = 1 for the
-    classical ones); mixing their commutators with generic-q Serre
-    coefficients would be inconsistent.
-    """
-    at = f.spec_point()
-    if at is None:
-        return rel
-    return rel.map_coeff(lambda s: QScalar.from_rational(s.specialize(at)))
 
 
 def _pres_at(pres, f):

@@ -283,6 +283,20 @@ def serre_relation(c, i, j, chirality="x", source=None):
     return NCPoly.make(terms, source, c.rank)
 
 
+def _rel_at(rel, f):
+    """Serre relation with coefficients at the f family's parameter point.
+
+    Scalar-valued families live at a fixed value of q (q = 1 for the
+    classical ones), where the Serre coefficients are ordinary numbers;
+    mixing their commutators with generic-q Serre coefficients would be
+    inconsistent.
+    """
+    at = f.spec_point()
+    if at is None:
+        return rel
+    return rel.map_coeff(lambda s: QScalar.from_rational(s.specialize(at)))
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Free or path algebra presentation: generators with multidegrees, relations."""
@@ -359,7 +373,6 @@ def instantiate_window(c, f, radius, margin=0):
     # each Serre relation and its specialization is built once, anchored at
     # the origin; it lies in the box at v when the box of its path offsets,
     # shifted by v, does
-    at = f.spec_point()
     origin = (0,) * r
     serre = []
     for chirality in ("x", "y"):
@@ -367,14 +380,7 @@ def instantiate_window(c, f, radius, margin=0):
             for j in range(r):
                 if i == j:
                     continue
-                rel = serre_relation(c, i, j, chirality)
-                if at is not None:
-                    # scalar-valued f families live at a fixed value of q
-                    # (q = 1 for the classical ones), where the Serre
-                    # coefficients are ordinary numbers
-                    rel = rel.map_coeff(
-                        lambda s: QScalar.from_rational(s.specialize(at))
-                    )
+                rel = _rel_at(serre_relation(c, i, j, chirality), f)
                 offsets = [o for w, _coeff in rel.terms for o in path_vertices(w, origin)]
                 lo = tuple(min(o[k] for o in offsets) for k in range(r))
                 hi = tuple(max(o[k] for o in offsets) for k in range(r))

@@ -104,7 +104,7 @@ def test_criterion_5_sl3_degree_two_probe():
     a2 = build_cartan("A", 2)
     f = FSpec.classical()
     rep = schur_check(a2, f, trivial_module(a2, f, (0, 0)), homcap=2,
-                      windows=(2, 3), check_ring=False)
+                      windows=(2, 3))
     assert rep.verdict == "match", rep.to_dict()
     assert rep.computed_betti == (1, 0, 2)
     assert rep.computed_betti == flag_betti(a2)[:3]
@@ -115,11 +115,10 @@ def test_criterion_5_sl3_degree_two_probe():
     a1 = build_cartan("A", 1)
     fa = FSpec.affine([[2]], [-4])  # vanishes at n = 2, off the box center
     t2 = trivial_module(a1, fa, (2,))
-    starved = schur_check(a1, fa, t2, homcap=2, windows=(2, 3),
-                          check_ring=False)
+    starved = schur_check(a1, fa, t2, homcap=2, windows=(2, 3))
     assert starved.verdict == "inconclusive"
     assert not all(starved.stable)
-    wide = schur_check(a1, fa, t2, homcap=2, windows=(4, 6), check_ring=False)
+    wide = schur_check(a1, fa, t2, homcap=2, windows=(4, 6))
     assert wide.verdict == "match" and wide.computed_betti == (1, 0, 1)
     report(5, "sl3 degree-2 probe (1,0,2) stable; starved caps -> inconclusive")
 
@@ -221,7 +220,7 @@ def test_criterion_9_non_simply_laced_degree_two_probe():
     for series in ("B", "C", "G"):
         c = build_cartan(series, 2)
         rep = schur_check(c, f, trivial_module(c, f, (0, 0)), homcap=2,
-                          windows=(2, 3), check_ring=False)
+                          windows=(2, 3))
         assert rep.verdict == "match", (series, rep.to_dict())
         assert rep.computed_betti == (1, 0, 2) == flag_betti(c)[:3]
         assert all(rep.stable)

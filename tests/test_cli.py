@@ -153,6 +153,18 @@ def test_koszul_check_command(capsys):
     assert rep["verdict"] == "generated"
 
 
+def test_koszul_check_windows_keep_the_homcap_it_runs(capsys):
+    """koszul-check reads Ext^2, so it runs at homcap 2 even when homcap 1
+    is given, and its windows keep margin 2: window 3 compares radii 2 and
+    3 (window 2 is a window error, ``test_config_error_names_field``)."""
+    code, out = run_cli(
+        capsys, "koszul-check", "--type", "A1", "--window", "3", "--homcap", "1"
+    )
+    assert code == 0
+    rep = json.loads(out)["results"]["koszul"]
+    assert rep["homcap"] == 2 and rep["windows"] == [2, 3]
+
+
 def test_verma_floor_rebuilt_per_radius(a1, f_classical, capsys):
     """A rank-1 floor Verma reaches the floor of every window it is built
     for, whatever its highest weight."""
@@ -264,6 +276,7 @@ def test_config_errors_exit_two(capsys, argv):
         (("ext", "--type", "A1", "--window", "4"), "window"),
         (("ext", "--type", "A2", "--module", "verma:0,0:floor"), "module"),
         (("build-module", "--type", "A1", "--module", "verma:0:-1"), "module"),
+        (("koszul-check", "--type", "A1", "--window", "2", "--homcap", "1"), "window"),
     ],
 )
 def test_config_error_names_field(capsys, argv, field):

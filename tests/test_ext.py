@@ -108,6 +108,15 @@ def test_stage_extraction_is_pinned(key):
     assert _stage_digest(algebra, res) == STAGE_SHA256[key]
 
 
+def _window(c, f, modules, homcap, radius):
+    """The algebra, modules and chain table (or None) of the window that the
+    Ext run builds at ``radius``, with its ``WindowedAlgebra`` built."""
+    quiver, gb, modules, chain = ext_module._window_algebra(
+        c, f, modules, homcap, radius
+    )
+    return ext_module.WindowedAlgebra(quiver, gb), modules, chain
+
+
 # the same digest for the trivial module on the chain-sized windows that the
 # sl3_probe and quantum_sl2 benchmark workloads resolve (both radii of each)
 CHAIN_STAGE_SHA256 = {
@@ -133,7 +142,7 @@ def test_chain_sized_stage_extraction_is_pinned(key):
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
     triv = trivial_module(c, f, (0,) * rank)
-    algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
+    algebra, _mods, _chain = _window(c, f, [triv], homcap, radius)
     assert algebra.lencap == lencap
     res = minimal_resolution(algebra, triv, homcap)
     assert _stage_digest(algebra, res) == digest
@@ -280,7 +289,7 @@ def test_generators_equal_chains(rank, family, radius, homcap, lencap):
     c = build_cartan("A", rank)
     f = getattr(FSpec, family)()
     triv = trivial_module(c, f, (0,) * rank)
-    algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
+    algebra, _mods, _chain = _window(c, f, [triv], homcap, radius)
     assert algebra.lencap == lencap and algebra.gb.cap == lencap
     res = minimal_resolution(algebra, triv, homcap)
     stages = chains(algebra.gb, (0,) * rank, homcap, radius)
@@ -306,8 +315,7 @@ def test_chain_table_equals_the_resolution_table(rank, family, radius, homcap):
     c = build_cartan("A", rank)
     f = getattr(FSpec, family)()
     triv = trivial_module(c, f, (0,) * rank)
-    algebra, _mods = ext_module._window_algebra(c, f, [triv], homcap, radius)
-    chain = algebra._chain_ext
+    algebra, _mods, chain = _window(c, f, [triv], homcap, radius)
     assert chain is not None
     res = minimal_resolution(algebra, triv, homcap)
     assert tuple(layer[(0, 0)] for layer in chain) == ext_dims(res, triv, homcap)
@@ -354,8 +362,9 @@ def test_a2_tables_come_off_the_chains(a2, f_classical, monkeypatch):
     want_check = _resolved_tables(monkeypatch, check)
     want_table = _resolved_tables(monkeypatch, table)
     calls, _resolutions = _count_builds(monkeypatch)
+    built = _count_algebras(monkeypatch)
     rep, tab = check(), table()
-    assert calls["minimal_resolution"] == []
+    assert calls["minimal_resolution"] == [] and built["WindowedAlgebra"] == []
     assert rep == want_check and rep.computed_betti == (1, 0, 2) and all(rep.stable)
     assert tab == want_table and tab.diagonal(0) == (1, 0, 2, 0, 2)
     assert tab.diagonal_stable(0)
@@ -378,20 +387,29 @@ def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
     chains need 2, the first rung homcap + 2 stands."""
     triv = trivial_module(a1, f_classical, (0,))
     simple = build_simple(a1, f_classical, (1,))
-    algebra, _ = ext_module._window_algebra(a1, f_classical, [triv, simple], 2, 4)
+    algebra, _mods, _chain = _window(a1, f_classical, [triv, simple], 2, 4)
     assert algebra.lencap == 12
-    algebra, _ = ext_module._window_algebra(a1, f_classical, [triv], 2, 2)
+    algebra, _mods, _chain = _window(a1, f_classical, [triv], 2, 2)
     assert algebra.lencap == 4
 
 
-def test_a2_homcap_4_matches_the_flag_betti_numbers(a2, f_classical):
+def test_a2_homcap_4_matches_the_flag_betti_numbers(a2, f_classical, monkeypatch):
     """The flag Betti numbers at homcap 4; a closure that queues raw images
-    on lowest-column pivots reads (1, 0, 16, 0, 0) here, inconclusive."""
+    on lowest-column pivots reads (1, 0, 16, 0, 0) here, inconclusive.
+    Ext^2 = 2, so no square is compared: both windows come off the chains,
+    and no algebra, resolution or flag ring is built for the ring check."""
     triv = trivial_module(a2, f_classical, (0, 0))
+    calls, _resolutions = _count_builds(monkeypatch)
+    built = _count_algebras(monkeypatch)
     rep = schur_check(a2, f_classical, triv, homcap=4, windows=(4, 5))
     assert rep.verdict == "match"
     assert rep.computed_betti == (1, 0, 2, 0, 2) and all(rep.stable)
     assert rep.caps["lencap"] is None
+    assert calls["minimal_resolution"] == []
+    assert built == {"WindowedAlgebra": [], "flag_ring": []}
+    assert rep.ring_comparison == {
+        "compared": False, "reason": "nontrivial degree-4 structure"
+    }
 
 
 def test_a2_adjoint_simple_matches(a2, f_classical):
@@ -794,8 +812,9 @@ def test_ext_table_stability(a1, f_classical):
 
 def test_ext_table_requires_two_windows(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
-    with pytest.raises(ExtError):
-        ext_table(a1, f_classical, [triv], 2, windows=(6,))
+    for windows in ((6,), (2, 4, 6)):
+        with pytest.raises(ExtError, match="two window radii"):
+            ext_table(a1, f_classical, [triv], 2, windows=windows)
     for windows in ((4, 4), (6, 4)):
         with pytest.raises(ExtError, match="strictly increase"):
             ext_table(a1, f_classical, [triv], 2, windows=windows)
@@ -852,8 +871,7 @@ def test_schur_check_classical_trivial(a1, f_classical):
 
 def test_schur_report_serializes(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
-    rep = schur_check(a1, f_classical, triv, homcap=2, windows=(4, 6),
-                      check_ring=False)
+    rep = schur_check(a1, f_classical, triv, homcap=2, windows=(4, 6))
     d = rep.to_dict()
     assert d["verdict"] in ("match", "mismatch", "inconclusive")
     assert d["computed_betti"] == list(rep.computed_betti)
@@ -913,10 +931,30 @@ def _count_builds(monkeypatch, states=None):
     return calls, resolutions
 
 
+def _count_algebras(monkeypatch):
+    """Record the window radius of every ``WindowedAlgebra`` the Ext run
+    builds and the rank of every ``flag_ring`` call."""
+    calls = {"WindowedAlgebra": [], "flag_ring": []}
+    real_algebra = ext_module.WindowedAlgebra
+    real_ring = ext_module.flag_ring
+
+    def algebra(quiver, gb):
+        calls["WindowedAlgebra"].append(quiver.radius)
+        return real_algebra(quiver, gb)
+
+    def flag_ring(c, *args):
+        calls["flag_ring"].append(c.rank)
+        return real_ring(c, *args)
+
+    monkeypatch.setattr(ext_module, "WindowedAlgebra", algebra)
+    monkeypatch.setattr(ext_module, "flag_ring", flag_ring)
+    return calls
+
+
 def _fresh_last_window(c, f, modules, homcap, windows):
     """Last-window algebra, modules and resolutions, rebuilt from scratch
     with the length cap the Ext table chooses for them."""
-    algebra, modules = ext_module._window_algebra(c, f, modules, homcap, windows[-1])
+    algebra, modules, _chain = _window(c, f, modules, homcap, windows[-1])
     return modules, [minimal_resolution(algebra, V, homcap) for V in modules]
 
 
@@ -965,9 +1003,11 @@ def _koszul_oracle(c, f, modules, labels, homcap, windows):
 def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
     triv = trivial_module(a1, f_classical, (0,))
     calls, resolutions = _count_builds(monkeypatch)
+    built = _count_algebras(monkeypatch)
     rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
     assert rep.ring_comparison["compared"]
     assert calls == {"groebner": [4, 6], "minimal_resolution": [6]}
+    assert built == {"WindowedAlgebra": [6], "flag_ring": [1]}
     monkeypatch.undo()
     # oracle: the Yoneda square on a last window rebuilt from scratch
     _mods, (fresh,) = _fresh_last_window(a1, f_classical, [triv], 4, (4, 6))
