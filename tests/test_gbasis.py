@@ -648,7 +648,10 @@ def test_resumed_completion_equals_scratch(
     quiver = _window(kind, family, radius, margin)
     count = _counting_reduce(monkeypatch)
     state = Completion(quiver, 2 * radius + 4)
-    resumed = [groebner(quiver, cap, state).content_hash() for cap in caps]
+    resumed = []
+    for cap in caps:
+        state.advance(cap)
+        resumed.append(state.result().content_hash())
     resumed_calls = count[0]
     scratch = [groebner(quiver, cap).content_hash() for cap in caps[:-1]]
     count[0] = 0
@@ -658,23 +661,39 @@ def test_resumed_completion_equals_scratch(
 
 
 def test_resumed_completion_refuses_misuse(a2, f_classical):
-    """A lower cap, a cap above the top and another presentation are typed
-    errors that name both caps or both presentations."""
+    """A lower cap and a cap above the top are typed errors that name both
+    caps."""
     quiver = instantiate_window(a2, f_classical, 2, 2)
     state = Completion(quiver, 8)
-    groebner(quiver, 5, state)
+    state.advance(5)
     with pytest.raises(GBError, match=r"cap 4 below the cap 5"):
-        groebner(quiver, 4, state)
+        state.advance(4)
     with pytest.raises(GBError, match=r"cap 9 above the top cap 8"):
-        groebner(quiver, 9, state)
-    other = instantiate_window(a2, f_classical, 2, 1)
-    with pytest.raises(GBError) as err:
-        groebner(other, 6, state)
-    assert quiver.describe() in str(err.value)
-    assert other.describe() in str(err.value)
-    # an equal presentation built again resumes; the refusals left no trace
-    again = instantiate_window(a2, f_classical, 2, 2)
-    assert groebner(again, 6, state).content_hash() == groebner(quiver, 6).content_hash()
+        state.advance(9)
+    # the refusals left no trace
+    state.advance(6)
+    assert state.result().content_hash() == groebner(quiver, 6).content_hash()
+
+
+@pytest.mark.parametrize(
+    "kind, family, radius, margin, caps",
+    _RESUME_CASES,
+    ids=["%s%s-r%d-m%d" % (k, f[0], r, m) for k, f, r, m, _c in _RESUME_CASES],
+)
+def test_chains_read_off_the_completion_index(kind, family, radius, margin, caps):
+    """At every rung, the chains of S_0 read off the completion's own lead
+    index, whose code reaches radius + top, equal those read off the lead
+    index of the decoded basis, whose code reaches radius + the cap."""
+    quiver = _window(kind, family, radius, margin)
+    zero = (0,) * quiver.rank
+    state = Completion(quiver, 2 * radius + 4)
+    for cap in caps:
+        state.advance(cap)
+        decoded = _basis_index(state.result(), radius)
+        assert decoded.code.reach < state.code.reach or cap == state.top
+        assert chains(state.index, zero, margin + 1, radius) == chains(
+            decoded, zero, margin + 1, radius
+        )
 
 
 # -- Anick chains ----------------------------------------------------------
@@ -702,7 +721,7 @@ def test_chains_of_the_trivial_module(
     f = getattr(FSpec, family)()
     algebra = build_algebra(c, f, radius, margin=2, lencap=lencap)
     zero = (0,) * rank
-    stages = chains(algebra.gb, zero, len(counts), radius)
+    stages = chains(algebra._index, zero, len(counts), radius)
     assert stages[0] == ((0, zero),)
     assert tuple(len(s) for s in stages[1:]) == counts
     assert tuple(max((n for n, _e in s), default=None) for s in stages[1:]) == longest
@@ -715,12 +734,12 @@ def test_chains_stay_in_the_box(a2, f_classical):
     """At radius 1 the letters leave the origin inside the box, and every
     chain endpoint lies in the box."""
     algebra = build_algebra(a2, f_classical, 1, margin=1)
-    stages = chains(algebra.gb, (0, 0), 3, 1)
+    stages = chains(algebra._index, (0, 0), 3, 1)
     assert len(stages[1]) == 4
     for stage in stages:
         for _n, end in stage:
             assert max(abs(x) for x in end) <= 1
-    corner = chains(algebra.gb, (1, 1), 1, 1)
+    corner = chains(algebra._index, (1, 1), 1, 1)
     assert sorted(e for _n, e in corner[1]) == [(0, 1), (1, 0)]
 
 
