@@ -88,6 +88,12 @@ CLI_RUNS = {
         "koszul-check", "--type", "A1", "--modules", "trivial;verma:-1:floor",
         "--window", "6",
     ],
+    # a rank-2 window of a module that is not a vertex simple, on the
+    # 2 * radius + 4 cap
+    "schur-A2-w3-s11": [
+        "schur-check", "--type", "A2", "--module", "simple:1,1", "--window", "3",
+        "--homcap", "2",
+    ],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

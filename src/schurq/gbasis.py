@@ -44,11 +44,11 @@ A completion advances one cap after another (``Completion``): its state
 keeps the indexes and the ambiguity heap, with every ambiguity up to a top
 cap fixed when the state is made, so ``advance`` to a higher cap continues
 the work of the earlier calls.  The pops, and so the basis, are those of a
-completion at the higher cap from scratch.  ``ext`` completes each window of
-vertex simples so, one cap rung after another, and reads the chains off the
-state's own lead index; only ``result`` decodes the basis into a
-``GBResult`` and hashes the input.  ``groebner`` is one completion from
-scratch followed by ``result``.
+completion at the higher cap from scratch.  The state's coded lead index is
+the one form of a completed basis inside the program, which ``chains`` and
+``NormalWords`` read; ``result`` decodes it into a ``GBResult`` and hashes
+the input only where a basis leaves the program.  ``groebner`` is one
+completion from scratch followed by ``result``.
 """
 
 from __future__ import annotations
@@ -649,7 +649,7 @@ class Completion:
             self._push_pairs(e)
 
     def advance(self, cap):
-        """Resolve every ambiguity whose word has length at most cap."""
+        """Resolve every ambiguity whose word has length at most cap; returns self."""
         if cap > self.top:
             raise GBError(
                 "cap %d above the top cap %d of the completion state" % (cap, self.top)
@@ -682,6 +682,7 @@ class Completion:
                     raise GBError("reduction produced an over-cap leading word")
                 self._push_pairs(e)
         self.cap = cap
+        return self
 
     def result(self):
         """The basis completed so far, as a ``GBResult`` at the cap reached."""
@@ -716,9 +717,7 @@ class Completion:
 def groebner(pres, cap):
     """Truncated completion of a Presentation or WindowedQuiver up to word
     length cap, from scratch (``Completion`` with top cap ``cap``)."""
-    state = Completion(pres, cap)
-    state.advance(cap)
-    return state.result()
+    return Completion(pres, cap).advance(cap).result()
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +726,7 @@ def groebner(pres, cap):
 
 
 def _basis_index(g, box_radius=None):
-    """The lead index of a completed basis, built once per basis.
+    """The lead index of a decoded basis (a ``GBResult``), for ``normal_form``.
 
     Its ``WordCode`` reaches every path of length up to ``certified_len``
     from the element sources and from the box of ``box_radius``; for a free
@@ -768,17 +767,18 @@ def normal_form(x, g, _index_cache=None):
 class NormalWords:
     """Enumerator of normal words, optionally anchored and kept in a box.
 
-    ``index`` is the lead index of the basis and ``code`` its ``WordCode``;
-    ``normal_form`` and ``WindowedAlgebra.nf`` reduce against the same
-    index.  ``levels`` works on codes.
+    ``basis`` is an advanced ``Completion``, whose coded lead ``index``,
+    ``code``, ``letters`` and ``cap`` are copied; the completion itself is
+    not kept, so its heap and partner index can be freed.  ``levels`` works
+    on codes.
     """
 
-    def __init__(self, g, box_radius=None):
-        self.g = g
-        self.index = _basis_index(g, box_radius)
-        self.code = self.index.code
+    def __init__(self, basis, box_radius=None):
+        self.index = basis.index
+        self.code = basis.code
+        self.cap = basis.cap
         self.box_radius = box_radius
-        self._letters = tuple(self.code.encode((letter,)) for letter in g.letters)
+        self._letters = tuple(self.code.encode((letter,)) for letter in basis.letters)
         self._steps = {}  # vertex -> ((letter, target in the box), ...)
 
     def _is_normal_prefix(self, word, anchors):
@@ -819,9 +819,9 @@ class NormalWords:
         only when it is asked for.  Words are coded.  With ``targets``
         (anchored only) each entry is ``(word, target vertex code)``.
         """
-        if maxlen > self.g.certified_len:
+        if maxlen > self.cap:
             raise UncertifiedRegionError(
-                "length %d beyond certified %d" % (maxlen, self.g.certified_len)
+                "length %d beyond certified %d" % (maxlen, self.cap)
             )
         anchored = source is not None
         free_steps = tuple((letter, None) for letter in self._letters)

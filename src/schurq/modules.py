@@ -22,7 +22,7 @@ from .presentation import (
     serre_relation,
     _rel_at,
 )
-from .gbasis import groebner, NormalWords, _reduce_full
+from .gbasis import Completion, NormalWords, _reduce_full
 from .linalg import (
     Subspace,
     identity,
@@ -252,7 +252,8 @@ def truncated_verma(c, f, n0, depth):
     depth = int(depth)
     if depth < 0:
         raise ModuleError("depth must be nonnegative")
-    words = NormalWords(groebner(_pres_at(yn_presentation(c), f), cap=depth))
+    pres = _pres_at(yn_presentation(c), f)
+    words = NormalWords(Completion(pres, depth).advance(depth))
     basis_at = {n0: [""]}  # weight -> its words in code order
 
     def keep(n, cands, _images):
@@ -300,7 +301,8 @@ def build_simple(c, f, n0, depth_cap=20):
                     "weight %s not dominant: pairing %d with root %d negative"
                     % (n0, val, j + 1)
                 )
-    words = NormalWords(groebner(_pres_at(yn_presentation(c), f), cap=depth_cap))
+    pres = _pres_at(yn_presentation(c), f)
+    words = NormalWords(Completion(pres, depth_cap).advance(depth_cap))
 
     def keep(_n, cands, images):
         span = Subspace(len(images[cands[0]]))

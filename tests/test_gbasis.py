@@ -1,6 +1,7 @@
 """Truncated noncommutative Groebner engine and its independent oracles."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from schurq.gbasis import (
     _lead,
     _LeadIndex,
     _PartnerIndex,
+    _reduce_full,
     WordCode,
     chains,
     NormalWords,
@@ -96,13 +98,14 @@ def test_dense_rank_oracle_agrees(a2, b2):
 
 def test_y_side_matches_x_side(a2):
     gx = groebner(un_presentation(a2), cap=5)
-    gy = groebner(yn_presentation(a2), cap=5)
+    state = Completion(yn_presentation(a2), 5).advance(5)
+    gy = state.result()
     dx = hilbert(gx, 5)
     assert len(gx.elements) == len(gy.elements)
     # same multigraded dims after flipping chirality
     from schurq.presentation import word_degree
 
-    words = NormalWords(gy)
+    words = NormalWords(state)
     dy = {}
     for level in words.levels(None, 5):
         for w in level:
@@ -111,12 +114,13 @@ def test_y_side_matches_x_side(a2):
     assert dx == dy
 
 
-def _tally_normal_words(g, cap):
+def _tally_normal_words(state, cap):
     """The enumerate-and-tally count that ``hilbert`` used before it counted
-    paths in the lead automaton: list every normal word, then tally."""
-    words = NormalWords(g)
+    paths in the lead automaton: list every normal word of a completion,
+    then tally."""
+    words = NormalWords(state)
     code = words.code
-    zero = code.vertex((0,) * g.rank)
+    zero = code.vertex((0,) * code.rank)
     counts = {}
     for level in words.levels(None, cap):
         for w in level:
@@ -133,9 +137,10 @@ def _tally_normal_words(g, cap):
     ],
 )
 def test_hilbert_equals_normal_word_tally(series, rank, cap):
-    g = groebner(un_presentation(build_cartan(series, rank)), cap=cap)
+    state = Completion(un_presentation(build_cartan(series, rank)), cap).advance(cap)
+    g = state.result()
     for k in (0, cap // 2, cap):
-        assert hilbert(g, k) == _tally_normal_words(g, k)
+        assert hilbert(g, k) == _tally_normal_words(state, k)
 
 
 _MONOMIAL_LETTERS = (("x", 0), ("x", 1), ("y", 1))
@@ -152,8 +157,9 @@ _MONOMIAL_LETTERS = (("x", 0), ("x", 1), ("y", 1))
 def test_hilbert_equals_tally_on_monomial_relations(words):
     """Arbitrary monomial relations: leads that overlap, nest and repeat."""
     rels = tuple(NCPoly.make({tuple(w): QScalar.one()}, rank=2) for w in words)
-    g = groebner(Presentation(2, _MONOMIAL_LETTERS, rels, "monomials"), cap=6)
-    assert hilbert(g, 6) == _tally_normal_words(g, 6)
+    state = Completion(Presentation(2, _MONOMIAL_LETTERS, rels, "monomials"), 6)
+    state.advance(6)
+    assert hilbert(state.result(), 6) == _tally_normal_words(state, 6)
 
 
 def test_c2_is_b2_with_nodes_swapped(b2):
@@ -385,7 +391,8 @@ def _scan_levels_from(algebra, source, maxlen=None):
     """Normal paths per length to maxlen (default lencap), testing each new
     prefix against every lead."""
     n = algebra.quiver.radius
-    leads = algebra.gb.leads()
+    code = algebra.code
+    leads = [(code.decode(e.lead), code.point(e.source)) for e in algebra._index.elems]
     current = [()]
     out = [[()]]
     for _l in range(algebra.lencap if maxlen is None else maxlen):
@@ -441,8 +448,8 @@ def lead_cases(a2_window, b2):
     overlapping, letters = _overlapping_leads()
     cases = {}
     for name, index, letters, anchors, cap in (
-        ("A2 window r2", a2_window._index, a2_window.gb.letters,
-         a2_window.quiver.vertices, a2_window.gb.certified_len),
+        ("A2 window r2", a2_window._index, a2_window.letters(),
+         a2_window.quiver.vertices, a2_window.lencap),
         ("B2 free", _basis_index(b2_free), b2_free.letters, (None,), 8),
         ("overlapping", overlapping, letters, (None,), 8),
     ):
@@ -557,8 +564,9 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
     deeper request afterwards gives the full-depth levels."""
     base = a2_window_r3
     lencap = base.lencap
-    algebra = WindowedAlgebra(base.quiver, base.gb)
-    fresh = WindowedAlgebra(base.quiver, base.gb)
+    state = Completion(base.quiver, lencap).advance(lencap)
+    algebra = WindowedAlgebra(base.quiver, state)
+    fresh = WindowedAlgebra(base.quiver, state)
     deepest, reads = {}, []
     levels_from, component = algebra.levels_from, algebra.component
 
@@ -696,6 +704,53 @@ def test_chains_read_off_the_completion_index(kind, family, radius, margin, caps
         )
 
 
+@pytest.mark.parametrize(
+    "kind, family, radius, margin, caps",
+    _RESUME_CASES,
+    ids=["%s%s-r%d-m%d" % (k, f[0], r, m) for k, f, r, m, _c in _RESUME_CASES],
+)
+def test_completion_index_reduces_like_the_decoded_index(
+    kind, family, radius, margin, caps
+):
+    """At the last rung, the completion's own lead index and the lead index
+    of its decoded basis give the same normal words and the same normal
+    forms.  ``_find_divisor`` prefers the lowest rank, and the two order
+    their elements differently: by discovery on the completion, by sorted
+    lead once decoded.  The words reduced are each letter times each normal
+    word shorter than the cap, and products a + b of two normal words of
+    total length the cap."""
+    quiver = _window(kind, family, radius, margin)
+    state = Completion(quiver, 2 * radius + 4)
+    for cap in caps:
+        state.advance(cap)
+    decoded = _basis_index(state.result(), radius)
+    ranked = [
+        [(e.lead, index.code.point(e.source)) for e in index.elems]
+        for index in (state.index, decoded)
+    ]
+    assert sorted(ranked[0]) == sorted(ranked[1])
+    assert (ranked[0] != ranked[1]) == (quiver.rank == 2)  # on A1 the orders agree
+    ours = NormalWords(state, radius)
+    theirs = NormalWords(
+        SimpleNamespace(index=decoded, code=decoded.code, letters=state.letters, cap=cap),
+        radius,
+    )
+    one = QScalar.one()
+    for v in ((0,) * quiver.rank, max(quiver.vertices)):
+        source = state.code.vertex(v)
+        levels = list(ours.levels(source, cap, targets=True))
+        assert [[w for w, _t in level] for level in levels] == list(
+            theirs.levels(decoded.code.vertex(v), cap)
+        )
+        words = [c + w for level in levels[:-1] for w, _t in level for c in ours._letters]
+        for k in range(1, cap):
+            for b, t in levels[k][:1] + levels[k][-1:]:
+                words.extend(a + b for a in list(ours.levels(t, cap - k))[-1][:2])
+        for w in words:
+            want = _reduce_full({w: one}, decoded.code.vertex(v), decoded)
+            assert _reduce_full({w: one}, source, state.index) == want
+
+
 # -- Anick chains ----------------------------------------------------------
 
 
@@ -754,11 +809,14 @@ _WINDOW_HASHES = {
 
 @pytest.mark.parametrize("window", sorted(_WINDOW_HASHES))
 def test_window_basis_hash_unchanged(request, window):
-    assert request.getfixturevalue(window).gb.content_hash() == _WINDOW_HASHES[window]
+    algebra = request.getfixturevalue(window)
+    digest = groebner(algebra.quiver, algebra.lencap).content_hash()
+    assert digest == _WINDOW_HASHES[window]
 
 
 # sha256 of GBResult.serialize() for windows at generic q (margin 2, the
-# default lencap), recorded in BENCH_14.json as gb-A1q-r8 and gb-A2q-r2
+# default lencap 2 * radius + 4), recorded in BENCH_14.json as gb-A1q-r8
+# and gb-A2q-r2
 @pytest.mark.parametrize(
     "rank, radius, digest",
     [
@@ -768,8 +826,8 @@ def test_window_basis_hash_unchanged(request, window):
     ids=["A1q-r8", "A2q-r2"],
 )
 def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
-    algebra = build_algebra(build_cartan("A", rank), f_qinteger, radius, margin=2)
-    assert algebra.gb.content_hash() == digest
+    quiver = instantiate_window(build_cartan("A", rank), f_qinteger, radius, 2)
+    assert groebner(quiver, 2 * radius + 4).content_hash() == digest
 
 
 @pytest.mark.parametrize(
