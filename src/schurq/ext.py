@@ -21,15 +21,17 @@ Each window is one ``gbasis.Completion`` (``_window_algebra``), and its
 coded lead index is the only form of its basis: the Anick chains
 (``gbasis.chains``) are read off it and a ``WindowedAlgebra`` is built on it.
 When every module is a vertex simple the length cap is sized from the
-chains, which bound the differential entries stage by stage; otherwise it
-is ``2 * radius + 4``.  Where that cap is not clamped and no two consecutive
-stages hold chains that end at the same target vertex, the Hom complex of
-the chain resolution has zero differential, so ``Ext^p(S_i, S_j)`` is the
-number of stage-p chains from s_i that end at s_j (``_chain_ext``).  Such a
-window builds no ``WindowedAlgebra`` and resolves nothing, unless it is the
-last one and a Yoneda check reads its resolutions; then the two paths must
-agree.  ``schur_check`` reads them only where the flag target lets it
-square a degree-2 class (Ext^2 = 1, Ext^4 = 0).
+chains; otherwise it is ``2 * radius + 4``.  Where the cap holds the
+longest chain through stage homcap + 1 and no two consecutive stages hold
+chains that end at the same target vertex, the Hom complex of the chain
+resolution has zero differential, so ``Ext^p(S_i, S_j)`` is the number of
+stage-p chains from s_i that end at s_j (``_chain_ext``).  Such a window
+stops there and resolves nothing, unless it is the last one and a Yoneda
+check reads its resolutions; then it goes on to the cap that the chains'
+bounds on the differential entries give, as every window the chains do not
+read does, and the two paths must agree.  ``schur_check`` reads them only
+where the flag target lets it square a degree-2 class (Ext^2 = 1,
+Ext^4 = 0).
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
@@ -1027,9 +1029,9 @@ def _materialize(modules, radius):
 
 def _chain_need(index, sources, homcap, box_radius):
     """The word length that resolving the vertex simples at ``sources``
-    reads through stage homcap, with room for stage homcap + 1, and the
-    chains of each source through stage homcap + 1: ``(need, {source:
-    stages})``.
+    reads through stage homcap, with room for stage homcap + 1, the longest
+    of their chains through stage homcap + 1, and those chains: ``(need,
+    longest, {source: stages})``.
 
     ``index`` is a coded lead index of the window basis.  Each stage's
     budget is the previous one minus its longest differential entry, and a
@@ -1037,9 +1039,10 @@ def _chain_need(index, sources, homcap, box_radius):
     (p-1)-chain (``gbasis.chains``).  The sum of these bounds over
     p = 1..homcap + 1, stopped at the first empty stage, keeps every budget
     through stage homcap nonnegative; the largest sum over the sources is
-    the need.
+    the need.  It is at least the longest chain, which is all that a window
+    read off the chains needs (``_chain_capped_basis``).
     """
-    need = 0
+    need = longest = 0
     chains_of = {}
     for v in sources:
         stages = chains_of[v] = chains(index, v, homcap + 1, box_radius)
@@ -1048,33 +1051,46 @@ def _chain_need(index, sources, homcap, box_radius):
             if not stages[p]:
                 break
             total += stages[p][-1][0] - stages[p - 1][0][0]
+            longest = max(longest, stages[p][-1][0])
         need = max(need, total)
-    return need, chains_of
+    return need, longest, chains_of
 
 
-def _chain_capped_basis(quiver, sources, homcap):
-    """The completion of the window at the cap the chains of ``sources``
-    need, and those chains (``_chain_need``), or None for them where the
-    cap was clamped.
+def _chain_capped_basis(quiver, vertices, homcap, resolve):
+    """The completion of the window at the cap the chains of the vertex
+    simples at ``vertices`` need, and the Ext table read off those chains
+    (``_chain_ext``) or None.
 
-    Completes at homcap + 2 and, while the chains read through stage
-    homcap + 1 need more, advances the same completion
-    (``gbasis.Completion``) to what they need, never above the top cap
-    ``2 * radius + 4``.  Each rung reads the chains off the completion's
-    own coded lead index, so no rung decodes the basis or hashes the input.
+    Completes at homcap + 2 and advances the same completion
+    (``gbasis.Completion``), never above the top cap ``2 * radius + 4``.
+    Unless ``resolve`` asks for the resolutions, it first advances until
+    the cap holds the longest chain through stage homcap + 1: a lead found
+    later cannot add or remove a chain of length at most the cap, so it
+    stops there if ``_chain_ext`` gives the table.  Otherwise it advances
+    to the summed need of the resolutions (``_chain_need``), and the table
+    is None where that cap is clamped.  Each rung reads the chains off the
+    completion's own coded lead index, so no rung decodes the basis or
+    hashes the input.
     """
     radius = quiver.radius
     top = 2 * radius + 4
+    sources = sorted(set(vertices))
     cap = min(homcap + 2, top)
     state = Completion(quiver, top)
+    read = not resolve  # still looking for the longest-chain stop
     while True:
         state.advance(cap)
-        need, chains_of = _chain_need(state.index, sources, homcap, radius)
+        need, longest, chains_of = _chain_need(state.index, sources, homcap, radius)
+        if read and longest <= cap:
+            read = False
+            table = _chain_ext(chains_of, vertices, homcap)
+            if table is not None or need <= cap:
+                return state, table
         if need <= cap:
-            return state, chains_of
+            return state, _chain_ext(chains_of, vertices, homcap)
         if cap == top:
             return state, None
-        cap = min(need, top)
+        cap = min(longest if read else need, top)
 
 
 def _chain_ext(chains_of, vertices, homcap):
@@ -1106,9 +1122,10 @@ def _window_algebra(c, f, modules, homcap, radius, resolve):
 
     When every module is one-dimensional (a vertex simple S_v), each is
     checked to be a module of the window algebra, and the length cap comes
-    from the Anick chains of the S_v (``_chain_capped_basis``); where that
-    cap was not clamped, the chains may give the table (``_chain_ext``),
-    and the algebra is built only if ``resolve`` asks for the resolutions.
+    from the Anick chains of the S_v (``_chain_capped_basis``): their
+    longest chain where they give the table (``_chain_ext``) and ``resolve``
+    is false, so that no algebra is built, and otherwise the summed need of
+    the resolutions, which are then built on the algebra.
     Every other module list is completed at ``2 * radius + 4``, which also
     bounds the chain cap.  The algebra takes over the coded lead index of
     the one ``gbasis.Completion`` of the window, which is dropped on
@@ -1122,8 +1139,7 @@ def _window_algebra(c, f, modules, homcap, radius, resolve):
     for V in modules:
         _check_window_module(quiver, V)
     vertices = [next(n for n, d in V.dims if d) for V in modules]
-    state, chains_of = _chain_capped_basis(quiver, sorted(set(vertices)), homcap)
-    chain = None if chains_of is None else _chain_ext(chains_of, vertices, homcap)
+    state, chain = _chain_capped_basis(quiver, vertices, homcap, resolve)
     algebra = WindowedAlgebra(quiver, state) if resolve or chain is None else None
     return algebra, modules, chain
 

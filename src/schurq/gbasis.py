@@ -27,8 +27,9 @@ letter action mod p of ``ext.WindowedAlgebra`` searches with bound 1.
 
 ``chains`` reads the Anick chains of a vertex simple off the coded leads
 and anchors of a ``_LeadIndex``: the shape of a free resolution, found with
-no linear algebra and no decoding, from which the window algebra sizes its
-length cap.  ``hilbert`` reads the multigraded dimensions of a free
+no linear algebra and no decoding, from which a window sizes its length
+cap: the longest chain where the window is read off its chains, the sum of
+the stage bounds of a resolution where it is resolved.  ``hilbert`` reads the multigraded dimensions of a free
 presentation off its leads too: it counts the words that contain no lead
 as paths in the automaton of the lead prefixes, and lists none of them.
 ``NormalWords.levels`` is the one enumerator of normal words, for the
@@ -746,18 +747,14 @@ def _basis_index(g, box_radius=None):
     return index
 
 
-def normal_form(x, g, _index_cache=None):
-    """Unique reduced representative of an NCPoly modulo the certified basis.
-
-    Pass ``_index_cache=_basis_index(g)`` when reducing many polynomials
-    modulo the same basis.
-    """
+def normal_form(x, g):
+    """Unique reduced representative of an NCPoly modulo the certified basis."""
     maxlen = max((len(w) for w, _v in x.terms), default=0)
     if maxlen > g.certified_len:
         raise UncertifiedRegionError(
             "word length %d beyond certified %d" % (maxlen, g.certified_len)
         )
-    index = _index_cache if _index_cache is not None else _basis_index(g)
+    index = _basis_index(g)
     code = index.code
     source = code.vertex(x.source) if index.anchored else None
     red = _reduce_full({code.encode(w): v for w, v in x.terms}, source, index)

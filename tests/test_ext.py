@@ -369,15 +369,94 @@ def test_a2_tables_come_off_the_chains(a2, f_classical, monkeypatch):
 
 
 def test_clamped_cap_keeps_the_resolutions(monkeypatch):
-    """The chains of B2 at homcap 2 need a cap above 2 * radius + 4 at both
-    radii, so the cap is clamped and both windows are resolved."""
+    """The chains of B2 at homcap 2 and radius 2 need a cap above
+    2 * radius + 4, so the cap is clamped and that window is resolved; at
+    radius 3 the longest chain settles at cap 8 and the window is read off
+    the chains."""
     b2 = build_cartan("B", 2)
     f = FSpec.classical()
     triv = trivial_module(b2, f, (0, 0))
     calls, _resolutions = _count_builds(monkeypatch)
     tab = ext_table(b2, f, [triv], 2, windows=(2, 3))
-    assert calls["minimal_resolution"] == [2, 3]
+    assert calls["minimal_resolution"] == [2]
     assert tab.diagonal(0) == (1, 0, 2) and tab.diagonal_stable(0)
+
+
+def _window_state(series, rank, radius, homcap, resolve=False):
+    """The classical window at ``radius`` and its chain-capped completion
+    and table for the trivial module (``ext._chain_capped_basis``)."""
+    quiver = instantiate_window(build_cartan(series, rank), FSpec.classical(), radius, homcap)
+    state, table = ext_module._chain_capped_basis(quiver, [(0,) * rank], homcap, resolve)
+    return quiver, state, table
+
+
+@pytest.mark.parametrize(
+    "series, rank, radius, homcap, stop",
+    [
+        ("A", 1, 6, 4, 6),
+        ("A", 1, 8, 4, 6),
+        ("A", 2, 2, 2, 4),
+        ("A", 2, 3, 2, 4),
+        ("A", 2, 4, 4, 7),
+        ("B", 2, 3, 2, 8),
+        ("C", 2, 3, 2, 8),
+    ],
+)
+def test_longest_chain_stop_loses_no_chain(series, rank, radius, homcap, stop):
+    """A window read off the chains stops once the cap holds its longest
+    chain through stage homcap + 1, and the chains of that range, as
+    (length, endpoint) multisets, are those at the top cap 2 * radius + 4.
+
+    G2 at radius 2 is left out: its longest chain is 4 at cap 4, where the
+    window stops, but new leads between cap 4 and the top cap 8 add longer
+    chains, up to stage-3 chains that end at the source, which the chain
+    read would reject.  The stop rule certifies only chains of length at
+    most the cap, as the summed-need rule before it did."""
+    _quiver, state, table = _window_state(series, rank, radius, homcap)
+    assert table is not None and state.cap == stop
+    at_stop = chains(state.index, (0,) * rank, homcap + 1, radius)
+    assert max(stage[-1][0] for stage in at_stop[1:] if stage) <= stop
+    state.advance(state.top)
+    assert chains(state.index, (0,) * rank, homcap + 1, radius) == at_stop
+
+
+def _summed_need_cap(quiver, rank, homcap):
+    """The cap of the summed-need ladder, each rung from scratch: the cap
+    a window that resolves the trivial module completes to."""
+    top = 2 * quiver.radius + 4
+    cap = min(homcap + 2, top)
+    while True:
+        state = gbasis.Completion(quiver, cap).advance(cap)
+        need = ext_module._chain_need(state.index, [(0,) * rank], homcap, quiver.radius)[0]
+        if need <= cap or cap == top:
+            return cap
+        cap = min(need, top)
+
+
+def test_resolved_windows_complete_to_the_summed_need(a1, a2, f_qinteger, monkeypatch):
+    """Every window that resolves keeps the cap of the summed-need ladder:
+    a window resolved on request (``resolve=True``), the clamped B2 window
+    whose chains give no table, and the ring-check window of A1 generic q
+    at homcap 4, radii 6 and 8."""
+    for series, rank, radius, homcap in [("A", 2, 3, 2), ("A", 2, 4, 4), ("B", 2, 2, 2)]:
+        quiver, state, _table = _window_state(series, rank, radius, homcap, resolve=True)
+        assert state.cap == _summed_need_cap(quiver, rank, homcap)
+    quiver, state, table = _window_state("B", 2, 2, 2)
+    assert table is None and state.cap == _summed_need_cap(quiver, 2, 2) == 8
+    resolved = []
+    real = ext_module.minimal_resolution
+
+    def minimal_resolution(algebra, V, homcap):
+        resolved.append((algebra.quiver, algebra.lencap))
+        return real(algebra, V, homcap)
+
+    monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
+    rep = schur_check(
+        a1, f_qinteger, trivial_module(a1, f_qinteger, (0,)), homcap=4, windows=(6, 8)
+    )
+    assert rep.ring_comparison["compared"]
+    assert [q.radius for q, _cap in resolved] == [8]
+    assert [cap for q, cap in resolved] == [_summed_need_cap(q, 1, 4) for q, _ in resolved]
 
 
 def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
@@ -1023,18 +1102,20 @@ def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
 
 
 def test_chain_capped_windows_resume_their_completion(a2, f_classical, monkeypatch):
-    """Each A2 window is completed at homcap + 2 = 4 and continued to the
-    chain-sized cap 5 on one completion state, not restarted."""
+    """Each A2 window at homcap 4 is completed at homcap + 2 = 6 and
+    continued to its longest chain, 7, on one completion state, not
+    restarted."""
     triv = trivial_module(a2, f_classical, (0, 0))
     advances = []
     calls, _resolutions = _count_builds(monkeypatch, advances)
-    rep = schur_check(a2, f_classical, triv, homcap=2, windows=(2, 3))
+    rep = schur_check(a2, f_classical, triv, homcap=4, windows=(4, 5))
     assert rep.verdict == "match"
-    assert calls["completion"] == [2, 3]
-    assert [cap for _state, cap in advances] == [None, 4, None, 4]
+    assert calls["completion"] == [4, 5]
+    assert [cap for _state, cap in advances] == [None, 6, None, 6]
     (first, _), (second, _), (third, _), (fourth, _) = advances
     assert first is second and third is fourth and first is not third
-    assert first.top == 8 and third.top == 10
+    assert first.top == 12 and third.top == 14
+    assert first.cap == third.cap == 7
 
 
 def test_no_run_decodes_a_basis(a1, a2, f_classical, f_qinteger, monkeypatch):
