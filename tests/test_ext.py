@@ -385,7 +385,8 @@ def test_clamped_cap_keeps_the_resolutions(monkeypatch):
 def _window_state(series, rank, radius, homcap, resolve=False):
     """The classical window at ``radius`` and its chain-capped completion
     and table for the trivial module (``ext._chain_capped_basis``)."""
-    quiver = instantiate_window(build_cartan(series, rank), FSpec.classical(), radius, homcap)
+    c = build_cartan(series, rank)
+    quiver = instantiate_window(c, FSpec.classical(), radius, homcap)
     state, table = ext_module._chain_capped_basis(quiver, [(0,) * rank], homcap, resolve)
     return quiver, state, table
 
@@ -433,11 +434,11 @@ def _summed_need_cap(quiver, rank, homcap):
         cap = min(need, top)
 
 
-def test_resolved_windows_complete_to_the_summed_need(a1, a2, f_qinteger, monkeypatch):
+def test_resolved_windows_complete_to_the_summed_need(a1, f_qinteger, monkeypatch):
     """Every window that resolves keeps the cap of the summed-need ladder:
     a window resolved on request (``resolve=True``), the clamped B2 window
-    whose chains give no table, and the ring-check window of A1 generic q
-    at homcap 4, radii 6 and 8."""
+    whose chains give no table, and the ring-check window (radius 8) of A1
+    generic q at homcap 4, windows (6, 8)."""
     for series, rank, radius, homcap in [("A", 2, 3, 2), ("A", 2, 4, 4), ("B", 2, 2, 2)]:
         quiver, state, _table = _window_state(series, rank, radius, homcap, resolve=True)
         assert state.cap == _summed_need_cap(quiver, rank, homcap)
@@ -456,7 +457,9 @@ def test_resolved_windows_complete_to_the_summed_need(a1, a2, f_qinteger, monkey
     )
     assert rep.ring_comparison["compared"]
     assert [q.radius for q, _cap in resolved] == [8]
-    assert [cap for q, cap in resolved] == [_summed_need_cap(q, 1, 4) for q, _ in resolved]
+    assert [cap for _q, cap in resolved] == [
+        _summed_need_cap(q, 1, 4) for q, _cap in resolved
+    ]
 
 
 def test_chain_sized_cap_only_for_vertex_simples(a1, f_classical):
