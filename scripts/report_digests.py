@@ -94,6 +94,13 @@ CLI_RUNS = {
         "schur-check", "--type", "A2", "--module", "simple:1,1", "--window", "3",
         "--homcap", "2",
     ],
+    # rank-1 schur-checks that reach the ring comparison: homcap 6, and a
+    # generic-q simple that is not a vertex simple
+    "schur-A1-w8-h6": ["schur-check", "--type", "A1", "--homcap", "6", "--window", "8"],
+    "schur-A1-w8-s1-q": [
+        "schur-check", "--type", "A1", "--f", "qinteger", "--module", "simple:1",
+        "--window", "8",
+    ],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

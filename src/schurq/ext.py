@@ -26,12 +26,12 @@ longest chain through stage homcap + 1 and no two consecutive stages hold
 chains that end at the same target vertex, the Hom complex of the chain
 resolution has zero differential, so ``Ext^p(S_i, S_j)`` is the number of
 stage-p chains from s_i that end at s_j (``_chain_ext``).  Such a window
-stops there and resolves nothing, unless it is the last one and a Yoneda
-check reads its resolutions; then it goes on to the cap that the chains'
-bounds on the differential entries give, as every window the chains do not
-read does, and the two paths must agree.  ``schur_check`` reads them only
-where the flag target lets it square a degree-2 class (Ext^2 = 1,
-Ext^4 = 0).
+stops there and resolves nothing, unless it is the last one and
+``koszul_check`` reads its resolutions for Yoneda products; then it goes
+on to the cap that the chains' bounds on the differential entries give, as
+every window the chains do not read does, and the two paths must agree.
+``schur_check`` reads no resolution: its ring comparison follows from the
+stable Ext table.
 
 The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
@@ -63,7 +63,7 @@ from .linalg import (
     zeros,
 )
 from .modules import _generated_submodule
-from .rootdata import flag_betti, weyl_table
+from .rootdata import flag_betti
 
 __all__ = [
     "WindowedAlgebra",
@@ -1180,9 +1180,9 @@ def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
     its algebra and resolutions are dropped before the larger window is
     built, so at most one window's objects are alive at a time.  Where the
     chains give Ext, the larger window is resolved only when ``resolve``
-    asks; else its resolutions are None.  The verdict checks read their
-    cocycles and Yoneda products from the returned resolutions (each
-    carries its ``.algebra``).  An entry (i, j) is stable when the two
+    asks; else its resolutions are None.  Only ``koszul_check`` asks: it
+    reads its cocycles and Yoneda products from the returned resolutions
+    (each carries its ``.algebra``).  An entry (i, j) is stable when the two
     windows agree on it and both verified row i.  A row read off the chains
     is verified, since its Hom differential is zero; a resolved row needs
     ``d o d = 0`` and, where the chains give Ext too, their dims.
@@ -1393,23 +1393,19 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8)):
     """Compare Ext^*(V, V) with the flag variety cohomology target.
 
     V may be a module or a radius-dependent factory (built per window).  The
-    Betti numbers come from the two-window Ext table; the ring check squares
-    the degree-2 class on the resolution of V that the table built at the
-    last window, and the description names that window's module, so no
-    window algebra, module or resolution is built twice.  The square is
-    compared only on a match with Ext^2 = 1 and Ext^4 = 0; a match forces
-    the computed Betti numbers to equal the target's, so whether it can be
-    compared is known from the target before the table is built, and a
-    table read off the chains builds that resolution only then.
+    Betti numbers come from the two-window Ext table, and the description
+    names the last window's module, so no window is built twice.  The rings
+    are compared only on a match where the target has Ext^2 = 1 and
+    Ext^4 = 0 (rank 1).  There the Betti numbers decide it: a match makes
+    the computed Ext^4 a stable 0, so the degree-2 class squares to zero on
+    both sides, and both rings are k[z]/(z^2).  So the check asks the table
+    for no resolution, and a window read off the chains resolves nothing.
     """
-    table_w = weyl_table(c)
-    target = flag_betti(c, table_w)
+    target = flag_betti(c)
     padded_target = tuple(
         target[p] if p < len(target) else 0 for p in range(homcap + 1)
     )
-    ring_check = homcap >= 4 and c.rank <= 2
-    square = ring_check and padded_target[2] == 1 and padded_target[4] == 0
-    tab, (V,), resolutions = _ext_run(c, f, [V], homcap, windows, ("V",), square)
+    tab, (V,), _resolutions = _ext_run(c, f, [V], homcap, windows, ("V",))
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     verdict = "match"
@@ -1426,19 +1422,14 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8)):
             verdict = "inconclusive"
 
     ring_cmp = {"compared": False}
-    if ring_check and verdict == "match":
-        # a square is compared only where the target has Ext^4 = 0, so the
-        # target's degree-2 class squares to zero
-        if square:
-            sq_zero = yoneda_square(resolutions[0], V, 2)
+    if homcap >= 4 and c.rank <= 2 and verdict == "match":
+        if padded_target[2] == 1 and padded_target[4] == 0:
             ring_cmp = {
                 "compared": True,
                 "generator_degree": 2,
-                "square_zero_computed": sq_zero,
+                "square_zero_computed": True,
                 "square_zero_target": True,
             }
-            if not sq_zero:
-                verdict = "mismatch"
         else:
             ring_cmp = {"compared": False, "reason": "nontrivial degree-4 structure"}
 
@@ -1476,7 +1467,9 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
 
     Cocycles and Yoneda products are taken on the modules and resolutions that
     the two-window Ext table built at the last window; each degree-1 cocycle
-    basis Ext^1(X_a, X_b) is computed once per (a, b).
+    basis Ext^1(X_a, X_b) is computed once per (a, b).  An unstable Ext^1 or
+    Ext^2 entry makes the verdict inconclusive, and an unstable Ext^2 entry
+    is listed as such whatever its value.
     """
     tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels, True)
     cocycles = {}
@@ -1497,20 +1490,23 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
         "list_sufficient": True,
         "verdict": "generated",
     }
+    unstable = False
     for i in range(len(modules)):
         for j in range(len(modules)):
             report["ext1"]["%s->%s" % (labels[i], labels[j])] = tab.dim(1, i, j)
+            unstable = unstable or not tab.is_stable(1, i, j)
 
     for i in range(len(modules)):
         for j in range(len(modules)):
             d2 = tab.dim(2, i, j)
-            if d2 == 0:
-                continue
             if not tab.is_stable(2, i, j):
+                # an unstable 0 is as unverified as any other value
                 report["classes"].append(
                     {"pair": [labels[i], labels[j]], "status": "unstable"}
                 )
-                report["verdict"] = "inconclusive"
+                unstable = True
+                continue
+            if d2 == 0:
                 continue
             # span of products Ext^1(X_k, V_j) o Ext^1(V_i, X_k)
             resV = resolutions[i]
@@ -1554,4 +1550,6 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
                 else:
                     report["verdict"] = "not-generated"
             report["classes"].append(entry)
+    if unstable:
+        report["verdict"] = "inconclusive"
     return report

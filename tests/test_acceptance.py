@@ -27,6 +27,7 @@ from schurq import (
     trivial_module,
     truncated_verma,
     un_presentation,
+    yoneda_square,
 )
 from schurq import build_algebra, minimal_resolution
 from schurq.cli import RunConfig, run
@@ -37,6 +38,13 @@ from schurq.presentation import FSpec
 
 def report(n, text):
     print("CRITERION %d PASS: %s" % (n, text))
+
+
+def last_window_square_is_zero(c, f, V, homcap, radius):
+    """The Yoneda square of the degree-2 class of V on a fresh resolution
+    at the last window radius, completed at its top cap 2 * radius + 4."""
+    res = minimal_resolution(build_algebra(c, f, radius, margin=homcap), V, homcap)
+    return yoneda_square(res, V, 2)
 
 
 def test_criterion_1_pbw_hilbert_matches_kostant():
@@ -66,6 +74,7 @@ def test_criterion_2_classical_sl2_schur_check():
         assert rep.ring_comparison["compared"]
         assert rep.ring_comparison["square_zero_computed"]
         assert rep.ring_comparison["square_zero_target"]
+        assert last_window_square_is_zero(c, f, V, 4, 8)
     report(2, "classical sl2: (1,0,1,0,0) stable, z^2 = 0, verdict match")
 
 
@@ -79,6 +88,7 @@ def test_criterion_3_quantum_sl2_schur_check():
     assert rep.computed_betti == (1, 0, 1, 0, 0)
     assert all(rep.stable)
     assert rep.ring_comparison["square_zero_computed"]
+    assert last_window_square_is_zero(c, f, V, 4, 8)
     report(3, "quantum sl2 at generic q: (1,0,1,0,0) stable, z^2 = 0, match")
 
 

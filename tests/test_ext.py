@@ -1,6 +1,9 @@
 """Windowed Ext engine: resolutions, stability, Yoneda structure, verdicts."""
 
+import dataclasses
 import hashlib
+import json
+import sys
 import weakref
 from collections import Counter
 from itertools import product
@@ -203,14 +206,21 @@ def test_dropped_generator_fails_the_certificate(
     assert "%d of the %d" % (err.rank, err.dim) in text
 
 
+# a schur-check whose windows both resolve: simple:1 is not a vertex simple
+_RESOLVED_SCHUR_ARGV = [
+    "schur-check", "--type", "A1", "--module", "simple:1", "--homcap", "4",
+    "--window", "6",
+]
+
+
 def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, capsys):
-    triv = trivial_module(a1, f_classical, (0,))
+    simple = build_simple(a1, f_classical, (1,))
     _break_stage(monkeypatch, 2)
     with pytest.raises(ExtractionError):
-        schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+        schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6))
     monkeypatch.undo()
     _break_stage(monkeypatch, 2)
-    code = main(["schur-check", "--type", "A1", "--homcap", "4", "--window", "6"])
+    code = main(_RESOLVED_SCHUR_ARGV)
     captured = capsys.readouterr()
     assert code == 1 and "ExtractionError" in captured.err and not captured.out
 
@@ -218,10 +228,10 @@ def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, caps
 def test_failed_dd_check_is_never_stable(a1, f_classical, monkeypatch):
     """An entry is stable only when d o d = 0 was verified on both windows'
     resolutions of its row, so a failed check turns a match inconclusive."""
-    triv = trivial_module(a1, f_classical, (0,))
-    assert schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6)).verdict == "match"
+    simple = build_simple(a1, f_classical, (1,))
+    assert schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6)).verdict == "match"
     monkeypatch.setattr(ext_module, "_check_dd", lambda algebra, stages, V: False)
-    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    rep = schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6))
     assert rep.verdict == "inconclusive" and not any(rep.stable)
 
 
@@ -340,8 +350,13 @@ def test_chain_and_resolution_disagreement_is_not_verified(a1, f_classical, monk
         a1, f_classical, [triv], 4, 6, resolve=True
     )
     assert verified == [False] and table[2][(0, 0)] == 0
-    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
-    assert rep.verdict == "inconclusive" and not any(rep.stable)
+    tab, _mods, _res = ext_module._ext_run(
+        a1, f_classical, [triv], 4, (4, 6), ("V",), resolve=True
+    )
+    assert not any(layer[(0, 0)] for layer in tab.stable)
+    rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2, windows=(4, 6))
+    assert rep["verdict"] == "inconclusive"
+    assert rep["classes"] == [{"pair": ["L0", "L0"], "status": "unstable"}]
 
 
 def _resolved_tables(monkeypatch, run):
@@ -437,8 +452,8 @@ def _summed_need_cap(quiver, rank, homcap):
 def test_resolved_windows_complete_to_the_summed_need(a1, f_qinteger, monkeypatch):
     """Every window that resolves keeps the cap of the summed-need ladder:
     a window resolved on request (``resolve=True``), the clamped B2 window
-    whose chains give no table, and the ring-check window (radius 8) of A1
-    generic q at homcap 4, windows (6, 8)."""
+    whose chains give no table, and the last window (radius 8) that
+    koszul-check resolves for A1 generic q at homcap 4, windows (6, 8)."""
     for series, rank, radius, homcap in [("A", 2, 3, 2), ("A", 2, 4, 4), ("B", 2, 2, 2)]:
         quiver, state, _table = _window_state(series, rank, radius, homcap, resolve=True)
         assert state.cap == _summed_need_cap(quiver, rank, homcap)
@@ -452,10 +467,11 @@ def test_resolved_windows_complete_to_the_summed_need(a1, f_qinteger, monkeypatc
         return real(algebra, V, homcap)
 
     monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
-    rep = schur_check(
-        a1, f_qinteger, trivial_module(a1, f_qinteger, (0,)), homcap=4, windows=(6, 8)
+    rep = koszul_check(
+        a1, f_qinteger, [trivial_module(a1, f_qinteger, (0,))], labels=("L0",),
+        homcap=4, windows=(6, 8),
     )
-    assert rep.ring_comparison["compared"]
+    assert rep["verdict"] == "list-insufficient"
     assert [q.radius for q, _cap in resolved] == [8]
     assert [cap for _q, cap in resolved] == [
         _summed_need_cap(q, 1, 4) for q, _cap in resolved
@@ -736,13 +752,13 @@ def test_wrong_kernel_mod_p_raises(
 
 @pytest.mark.parametrize("how", ["perturb", "extra"])
 def test_wrong_kernel_mod_p_never_yields_match(a1, f_classical, monkeypatch, capsys, how):
-    triv = trivial_module(a1, f_classical, (0,))
+    simple = build_simple(a1, f_classical, (1,))
     _corrupt_kernel(monkeypatch, 2, how)
     with pytest.raises(ExtractionError):
-        schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+        schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6))
     monkeypatch.undo()
     _corrupt_kernel(monkeypatch, 2, how)
-    code = main(["schur-check", "--type", "A1", "--homcap", "4", "--window", "6"])
+    code = main(_RESOLVED_SCHUR_ARGV)
     captured = capsys.readouterr()
     name = "KernelLiftError" if how == "perturb" else "ExtractionError"
     assert code == 1 and name in captured.err and not captured.out
@@ -981,6 +997,37 @@ def test_koszul_single_list_insufficient(a1, f_classical):
     assert statuses == {"list-insufficient"}
 
 
+def test_koszul_check_refuses_unstable_entries(a1, f_classical, monkeypatch, capsys):
+    """An unstable Ext^1 or Ext^2 entry makes the probe inconclusive, and an
+    unstable Ext^2 entry is listed whatever its value.  A resolution whose
+    Ext^2 wrongly reads 0 leaves its row unverified, so the single trivial
+    module no longer reads as generated."""
+    real_dims = ext_module.ext_dims
+    with monkeypatch.context() as m:
+        m.setattr(
+            ext_module, "ext_dims",
+            lambda res, W, upto=None: real_dims(res, W, upto)[:2] + (0,) * (upto - 1),
+        )
+        code = main(["koszul-check", "--type", "A1", "--window", "6"])
+    rep = json.loads(capsys.readouterr().out)["results"]["koszul"]
+    assert code == 0 and rep["verdict"] == "inconclusive"
+    assert rep["classes"] == [{"pair": ["trivial", "trivial"], "status": "unstable"}]
+    # an unstable Ext^1 entry alone: Ext^2 is stable and still probed
+    real_run = ext_module._ext_run
+
+    def ext_run(*args):
+        tab, modules, resolutions = real_run(*args)
+        stable = ({k: False for k in tab.stable[1]},)
+        stable = tab.stable[:1] + stable + tab.stable[2:]
+        return dataclasses.replace(tab, stable=stable), modules, resolutions
+
+    monkeypatch.setattr(ext_module, "_ext_run", ext_run)
+    triv = trivial_module(a1, f_classical, (0,))
+    rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2, windows=(4, 6))
+    assert rep["verdict"] == "inconclusive"
+    assert [entry["status"] for entry in rep["classes"]] == ["list-insufficient"]
+
+
 # -- compute once: verdict checks reuse the last window of the Ext table ---
 
 
@@ -1020,9 +1067,9 @@ def _count_builds(monkeypatch, advances=None):
 
 def _count_algebras(monkeypatch):
     """Record the window radius of every ``WindowedAlgebra`` the Ext run
-    builds and the rank of every ``flag_ring`` call.  ``ext`` does not
-    import ``flag_ring``; the counter is set as its global all the same, so
-    a call from ``ext`` is recorded, not a NameError."""
+    builds and the rank of every ``flag_ring`` call.  The counter replaces
+    ``rootdata.flag_ring`` and every ``schurq`` module's import of it, so a
+    call through any of them is recorded."""
     calls = {"WindowedAlgebra": [], "flag_ring": []}
     real_algebra = ext_module.WindowedAlgebra
     real_ring = rootdata.flag_ring
@@ -1036,7 +1083,9 @@ def _count_algebras(monkeypatch):
         return real_ring(c, *args)
 
     monkeypatch.setattr(ext_module, "WindowedAlgebra", algebra)
-    monkeypatch.setattr(ext_module, "flag_ring", flag_ring, raising=False)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "schurq" and getattr(module, "flag_ring", None) is real_ring:
+            monkeypatch.setattr(module, "flag_ring", flag_ring)
     return calls
 
 
@@ -1089,19 +1138,28 @@ def _koszul_oracle(c, f, modules, labels, homcap, windows):
     return report
 
 
-def test_schur_check_builds_each_window_once(a1, f_classical, monkeypatch):
-    triv = trivial_module(a1, f_classical, (0,))
-    calls, resolutions = _count_builds(monkeypatch)
-    built = _count_algebras(monkeypatch)
-    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
-    assert rep.ring_comparison["compared"]
-    assert calls == {"completion": [4, 6], "minimal_resolution": [6]}
-    assert built == {"WindowedAlgebra": [6], "flag_ring": []}
-    monkeypatch.undo()
-    # oracle: the Yoneda square on a last window rebuilt from scratch
-    _mods, (fresh,) = _fresh_last_window(a1, f_classical, [triv], 4, (4, 6))
-    assert fresh.stages == resolutions[-1].stages
-    assert rep.ring_comparison["square_zero_computed"] == yoneda_square(fresh, triv, 2)
+def test_schur_check_builds_each_window_once(a1, f_classical, f_qinteger, monkeypatch):
+    """The A1 trivial module reads both windows off the chains and resolves
+    neither: the ring comparison follows from the stable Ext table, and it
+    agrees with the Yoneda square on a freshly resolved last window."""
+    for f, windows in [(f_classical, (4, 6)), (f_qinteger, (6, 8))]:
+        triv = trivial_module(a1, f, (0,))
+        with monkeypatch.context() as m:
+            calls, _resolutions = _count_builds(m)
+            built = _count_algebras(m)
+            rep = schur_check(a1, f, triv, homcap=4, windows=windows)
+        assert rep.verdict == "match"
+        assert calls == {"completion": list(windows), "minimal_resolution": []}
+        assert built == {"WindowedAlgebra": [], "flag_ring": []}
+        assert rep.ring_comparison == {
+            "compared": True,
+            "generator_degree": 2,
+            "square_zero_computed": True,
+            "square_zero_target": True,
+        }
+        # oracle: the Yoneda square on a last window rebuilt from scratch
+        _mods, (fresh,) = _fresh_last_window(a1, f, [triv], 4, windows)
+        assert yoneda_square(fresh, triv, 2) == rep.ring_comparison["square_zero_computed"]
 
 
 def test_chain_capped_windows_resume_their_completion(a2, f_classical, monkeypatch):
@@ -1165,7 +1223,7 @@ def test_no_run_decodes_a_basis(a1, a2, f_classical, f_qinteger, monkeypatch):
         a1, f_qinteger, trivial_module(a1, f_qinteger, (0,)), homcap=4,
         windows=(6, 8),
     )
-    # radius 8 resolves for the ring check
+    # both windows are read off the chains, and the rings are compared
     assert rep.ring_comparison["compared"]
     assert len(started) == 6
     simple = build_simple(a1, f_classical, (1,))
