@@ -101,6 +101,16 @@ CLI_RUNS = {
         "schur-check", "--type", "A1", "--f", "qinteger", "--module", "simple:1",
         "--window", "8",
     ],
+    # Yoneda lifts at generic q, and Ext^2 read below the top stage of a
+    # resolution (homcap 3): the two kinds of cocycle rows
+    "koszul-A1-w6-floor-q": [
+        "koszul-check", "--type", "A1", "--f", "qinteger", "--modules",
+        "trivial;verma:-1:floor", "--window", "6",
+    ],
+    "koszul-A1-w6-floor-h3": [
+        "koszul-check", "--type", "A1", "--modules", "trivial;verma:-1:floor",
+        "--window", "6", "--homcap", "3",
+    ],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

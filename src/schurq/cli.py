@@ -123,14 +123,11 @@ def _validate_q(text):
         raise ConfigError("q: not a rational number: %r" % text)
     if val == 0:
         raise ConfigError("q: specialization at 0 is not allowed")
-    power = Fraction(1)
-    for k in range(1, 25):
-        power *= val
-        if power == 1:
-            raise ConfigError(
-                "q: %s is a root of unity of order %d (orders up to 24 rejected)"
-                % (text, k)
-            )
+    # the only rational roots of unity are 1 and -1
+    if val in (1, -1):
+        raise ConfigError(
+            "q: %s is a root of unity of order %d" % (text, 1 if val == 1 else 2)
+        )
 
 
 def parse_module_spec(spec, c, f):

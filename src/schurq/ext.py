@@ -816,55 +816,54 @@ def _pullback(res, p, W, elems):
     return tuple(rows)
 
 
-def _delta_matrix(res, p, W):
-    """Matrix of Hom(P_p, W) -> Hom(P_{p+1}, W) composing with d_{p+1}: the
-    pullback on the next stage's differentials."""
-    stage = res.stages[p + 1]
-    return _pullback(res, p, W, zip(stage.gens, stage.diff))
+def _cocycle_rows(res, p, W):
+    """Rows on Hom(P_p, W) whose kernel is the p-cocycles.
 
-
-def _top_constraints(res, W):
-    """Constraint rows on Hom(P_top, W): the pullback on the exact kernel
-    vectors of d_top at the weights of supp(W)."""
-    p = len(res.stages) - 1
+    Below the top stage they are the pullback on stage p + 1's
+    differentials, so column k is the coboundary of basis vector k.  At
+    the top stage they are the pullback on the exact kernel vectors of d_p
+    at the weights of supp(W), the elements that stage p + 1 would reach.
+    Past a terminated resolution Hom(P_p, W) is zero and there are none.
+    """
+    top = len(res.stages) - 1
+    if p < top:
+        stage = res.stages[p + 1]
+        return _pullback(res, p, W, zip(stage.gens, stage.diff))
     elems = []
-    for m, _d in W.dims:
-        dom, rows = _map_matrix(res.algebra, res.stages, res.module, p, m)
-        if dom:
-            for vec in nullspace(rows, len(dom)):
-                elems.append((m, [(b, c) for b, c in zip(dom, vec) if c]))
+    if p == top:
+        for m, _d in W.dims:
+            dom, rows = _map_matrix(res.algebra, res.stages, res.module, p, m)
+            if dom:
+                for vec in nullspace(rows, len(dom)):
+                    elems.append((m, [(b, c) for b, c in zip(dom, vec) if c]))
     return _pullback(res, p, W, elems)
 
 
+def _coboundaries(res, W, p):
+    """The p-coboundaries in Hom(P_p, W): the column span of the cocycle
+    rows of degree p - 1."""
+    image = Subspace(_hom_layout(res, p, W)[1])
+    if p >= 1 and image.ncols:
+        rows = _cocycle_rows(res, p - 1, W)
+        for k in range(_hom_layout(res, p - 1, W)[1]):
+            image.add(tuple(row[k] for row in rows))
+    return image
+
+
 def ext_dims(res, W, upto=None):
-    """Ext^p(V, W) dimensions for p = 0..upto from the stored resolution."""
+    """Ext^p(V, W) dimensions for p = 0..upto from the stored resolution:
+    dim Hom(P_p, W) less the ranks of the cocycle rows of degrees p and
+    p - 1.  Past a terminated resolution they are 0."""
     top = len(res.stages) - 1
     if upto is None:
         upto = top
-    pad = 0
-    if upto > top:
-        if res.stages[-1].gens:
-            raise ExtError(
-                "resolution has %d stages, requested degree %d" % (top, upto)
-            )
-        # resolution terminated: higher Ext groups vanish
-        pad = upto - top
-        upto = top
-    deltas = {}
-    for p in range(0, min(upto + 1, top)):
-        deltas[p] = _delta_matrix(res, p, W)
-    ranks = {p: mat_rank(d) for p, d in deltas.items()}
-    dims = []
-    for p in range(0, upto + 1):
-        _off, dim_p = _hom_layout(res, p, W)
-        if p < top:
-            kdim = dim_p - ranks.get(p, 0)
-        else:
-            cons = _top_constraints(res, W)
-            kdim = dim_p - (mat_rank(cons) if cons else 0)
-        prev_rank = ranks.get(p - 1, 0) if p >= 1 else 0
-        dims.append(kdim - prev_rank)
-    return tuple(dims) + (0,) * pad
+    if upto > top and res.stages[-1].gens:
+        raise ExtError("resolution has %d stages, requested degree %d" % (top, upto))
+    ranks = [mat_rank(_cocycle_rows(res, p, W)) for p in range(upto + 1)]
+    return tuple(
+        _hom_layout(res, p, W)[1] - ranks[p] - (ranks[p - 1] if p else 0)
+        for p in range(upto + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1132,10 +1131,9 @@ def _window_algebra(c, f, modules, homcap, radius, resolve):
     return, before anything resolves.
     """
     modules = _materialize(modules, radius)
-    quiver = instantiate_window(c, f, radius, homcap)
     if any(V.total_dim() != 1 for V in modules):
-        state = Completion(quiver, 2 * radius + 4)
-        return WindowedAlgebra(quiver, state.advance(state.top)), modules, None
+        return build_algebra(c, f, radius, homcap), modules, None
+    quiver = instantiate_window(c, f, radius, homcap)
     for V in modules:
         _check_window_module(quiver, V)
     vertices = [next(n for n, d in V.dims if d) for V in modules]
@@ -1237,33 +1235,14 @@ def ext_table(c, f, modules, homcap, windows, labels=None):
 
 
 def ext_cocycle_basis(res, W, p):
-    """Representative cocycles of Ext^p(V, W): list of coordinate vectors on
-    Hom(P_p, W), plus the image subspace for class comparisons."""
-    top = len(res.stages) - 1
-    if p > top:
-        _stage_at(res, p)  # validates termination
-        return [], Subspace(0)
-    _off, dim_p = _hom_layout(res, p, W)
-    if p < top:
-        delta = _delta_matrix(res, p, W)
-        kernel = nullspace(delta, dim_p)
-    else:
-        cons = _top_constraints(res, W)
-        kernel = nullspace(cons, dim_p)
-    image = Subspace(dim_p)
-    if p >= 1 and dim_p:
-        dprev = _delta_matrix(res, p - 1, W)
-        _offp, dim_prev = _hom_layout(res, p - 1, W)
-        for k in range(dim_prev):
-            image.add(tuple(row[k] for row in dprev))
-    reps = []
-    probe = Subspace(dim_p)
+    """Representative cocycles of Ext^p(V, W): flat coordinate vectors on
+    Hom(P_p, W), plus the coboundary subspace for class comparisons."""
+    image = _coboundaries(res, W, p)
+    probe = Subspace(image.ncols)
     for row in image.basis():
         probe.add(row)
-    for vec in kernel:
-        if probe.add(vec):
-            reps.append(tuple(vec))
-    return reps, image
+    kernel = nullspace(_cocycle_rows(res, p, W), image.ncols)
+    return [tuple(vec) for vec in kernel if probe.add(vec)], image
 
 
 def _cocycle_components(res, p, W, vec):
@@ -1277,76 +1256,59 @@ def _cocycle_components(res, p, W, vec):
     return out
 
 
-def _lift_chain_map(resV, resW, p, phi_parts, depth):
-    """Chain maps f_k: P_{p+k}(V) -> P_k(W), k = 0..depth, over the cocycle.
+def _lift_chain_map(resV, resW, p, phi, depth):
+    """Chain maps f_k: P_{p+k}(V) -> P_k(W), k = 0..depth, over the flat
+    cocycle phi on Hom(P_p(V), W).
 
-    ``f_k`` holds per generator of P_{p+k}(V) its image as pairs
-    ``((gen, coded word), coeff)``, as ``Stage.diff`` does.
+    At each generator of P_{p+k}(V), of weight w, f_k solves the map out of
+    stage k of resW at w (``_map_matrix``) for a right-hand side: phi's
+    part at the generator for k = 0, through the augmentation, and
+    f_{k-1} of the generator's differential after it, through d_k.
+    ``f_k`` holds per generator its image as pairs ``((gen, coded word),
+    coeff)``, as ``Stage.diff`` does.
     """
     algebra = resV.algebra
     W = resW.module
+    parts = _cocycle_components(resV, p, W, phi)
+    sources = [[algebra.code.vertex(w) for w in st.gens] for st in resW.stages]
     fmaps = []
-    # f_0: solve augmentation
-    f0 = []
-    stage0W = resW.stages[0]
-    for g, w in enumerate(_stage_at(resV, p).gens):
-        target = phi_parts[g]
-        dom, rows = _aug_matrix(algebra, stage0W, W, w)
-        if not dom:
-            if any(target):
-                raise ExtError("cocycle lift failed: empty projective component")
-            f0.append(())
-            continue
-        sol = solve(rows, target)
-        if sol is None:
-            raise ExtError("cocycle lift failed at stage 0")
-        f0.append(tuple((b, c) for b, c in zip(dom, sol) if c))
-    fmaps.append(f0)
-    for k in range(1, depth + 1):
-        fk = []
-        prev_f = fmaps[k - 1]
+    for k in range(depth + 1):
         stageV = _stage_at(resV, p + k)
-        if not stageV.gens:
-            fmaps.append([])
-            continue
-        if k >= len(resW.stages):
+        if stageV.gens and k >= len(resW.stages):
             raise ExtError("target resolution too short for the lift depth")
-        sources = [algebra.code.vertex(w) for w in resW.stages[k - 1].gens]
+        fk = []
         for g, w in enumerate(stageV.gens):
-            # rhs = f_{k-1}(d(e_g)) in P_{k-1}(W)(w)
-            rhs = _compose(stageV.diff[g], prev_f, sources, algebra.nf)
-            dom, cod, rows = _diff_matrix(algebra, resW.stages, k, w)
-            codex = {b: i for i, b in enumerate(cod)}
-            b = [_Z] * len(cod)
-            for key, val in rhs.items():
-                i = codex.get(key)
-                if i is None:
-                    raise ExtError("lift right-hand side escaped the basis")
-                b[i] = val
-            if not dom:
-                if any(b):
-                    raise ExtError("cocycle lift failed: no preimage basis")
-                fk.append(())
-                continue
-            sol = solve(rows, tuple(b))
+            dom, rows = _map_matrix(algebra, resW.stages, W, k, w)
+            if k:
+                cod = _pbasis(algebra, resW.stages[k - 1], w)
+                index = {b: i for i, b in enumerate(cod)}
+                rhs = [_Z] * len(cod)
+                image = _compose(stageV.diff[g], fmaps[-1], sources[k - 1], algebra.nf)
+                for key, c in image.items():
+                    if key not in index:
+                        raise ExtError("lift right-hand side escaped the basis")
+                    rhs[index[key]] = c
+            else:
+                rhs = parts[g]
+            sol = solve(rows, tuple(rhs))
             if sol is None:
                 raise ExtError("cocycle lift failed at stage %d" % k)
-            fk.append(tuple((bb, c) for bb, c in zip(dom, sol) if c))
+            fk.append(tuple((b, c) for b, c in zip(dom, sol) if c))
         fmaps.append(fk)
     return fmaps
 
 
-def yoneda_product(resV, resW, U, p, phiV_parts, r, psiW_parts):
+def yoneda_product(resV, resW, U, p, phi, r, psi):
     """Yoneda product of psi in Ext^r(W, U) with phi in Ext^p(V, W).
 
-    phi is a cocycle on resV with values in W = resW.module; psi a cocycle on
-    resW with values in U.  Returns the flat product cocycle on Hom(P_{p+r}(V), U):
-    psi evaluated at the images f_r of the chain map over phi (``_pullback``).
+    phi is a flat cocycle on resV with values in W = resW.module, psi one
+    on resW with values in U, as ``ext_cocycle_basis`` gives them.  Returns
+    the flat product cocycle on Hom(P_{p+r}(V), U): psi evaluated at the
+    images f_r of the chain map over phi (``_pullback``).
     """
-    fr = _lift_chain_map(resV, resW, p, phiV_parts, r)[r]
+    fr = _lift_chain_map(resV, resW, p, phi, r)[r]
     gens = _stage_at(resV, p + r).gens
-    rows = _pullback(resW, r, U, zip(gens, fr))
-    return mat_vec(rows, [x for part in psiW_parts for x in part])
+    return mat_vec(_pullback(resW, r, U, zip(gens, fr)), psi)
 
 
 def yoneda_square(res, W, p):
@@ -1354,10 +1316,8 @@ def yoneda_square(res, W, p):
     reps, _img = ext_cocycle_basis(res, W, p)
     if len(reps) != 1:
         raise ExtError("expected a one-dimensional Ext^%d; got %d" % (p, len(reps)))
-    parts = _cocycle_components(res, p, W, reps[0])
-    prod = yoneda_product(res, res, W, p, parts, p, parts)
-    _reps2, img2 = ext_cocycle_basis(res, W, 2 * p)
-    return img2.contains(prod)  # True iff the square is zero in Ext^{2p}
+    prod = yoneda_product(res, res, W, p, reps[0], p, reps[0])
+    return _coboundaries(res, W, 2 * p).contains(prod)  # True iff the square is zero
 
 
 # ---------------------------------------------------------------------------
@@ -1408,18 +1368,12 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8)):
     tab, (V,), _resolutions = _ext_run(c, f, [V], homcap, windows, ("V",))
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
-    verdict = "match"
-    for p in range(homcap + 1):
-        if not stable[p]:
-            verdict = "inconclusive"
-            break
-    if verdict == "match" and computed != padded_target:
-        if any(
-            stable[p] and computed[p] != padded_target[p] for p in range(homcap + 1)
-        ):
-            verdict = "mismatch"
-        else:
-            verdict = "inconclusive"
+    if not all(stable):
+        verdict = "inconclusive"
+    elif computed != padded_target:
+        verdict = "mismatch"
+    else:
+        verdict = "match"
 
     ring_cmp = {"compared": False}
     if homcap >= 4 and c.rank <= 2 and verdict == "match":
@@ -1508,27 +1462,18 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
                 continue
             if d2 == 0:
                 continue
-            # span of products Ext^1(X_k, V_j) o Ext^1(V_i, X_k)
+            # span of products Ext^1(X_k, V_j) o Ext^1(V_i, X_k), modulo
+            # the coboundaries
             resV = resolutions[i]
-            _offs, dim2 = _hom_layout(resV, 2, modules[j])
-            _reps2, img2 = ext_cocycle_basis(resV, modules[j], 2)
-            prodspan = Subspace(dim2)
-            for row in img2.basis():
-                prodspan.add(row)
+            prodspan = _coboundaries(resV, modules[j], 2)
             baseline = prodspan.dim
             had_factors = False
             for k in range(len(modules)):
-                reps_a = ext1_reps(i, k)
-                reps_b = ext1_reps(k, j)
-                for va in reps_a:
-                    parts_a = _cocycle_components(resV, 1, modules[k], va)
-                    for vb in reps_b:
-                        parts_b = _cocycle_components(
-                            resolutions[k], 1, modules[j], vb
-                        )
+                for va in ext1_reps(i, k):
+                    for vb in ext1_reps(k, j):
                         had_factors = True
                         prod = yoneda_product(
-                            resV, resolutions[k], modules[j], 1, parts_a, 1, parts_b
+                            resV, resolutions[k], modules[j], 1, va, 1, vb
                         )
                         prodspan.add(prod)
             generated = prodspan.dim - baseline

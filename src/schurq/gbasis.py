@@ -98,9 +98,6 @@ class MonomialOrder:
 
     precedence: tuple
 
-    def index(self):
-        return {letter: k for k, letter in enumerate(self.precedence)}
-
     def describe(self):
         return ">".join("%s%d" % (k, i + 1) for k, i in self.precedence)
 
