@@ -3,7 +3,10 @@
 
 Each CLI run goes through ``schurq.cli.main`` in process, and each script of
 ``scripts/`` runs in process with its default arguments.  The output is one
-JSON object, ``{name: {argv, exit, stdout_sha256}}``.  The script imports
+JSON object, ``{name: {argv, exit, stdout_sha256}}``; a CLI run that exits
+0 also records ``results_sha256``, the sha256 of its ``results`` block as
+``tests/test_cli.py::_RESULT_DIGESTS`` serializes it, so that a change which
+moves only ``config`` bytes can show that no result moved.  The script imports
 ``schurq`` from the ``src/`` of the checkout it sits in, so running it from
 two checkouts and comparing the outputs shows whether a change moves any
 report byte:
@@ -134,23 +137,34 @@ def _run_script(path):
     return 0
 
 
-def _digest(run, arg):
-    """(exit code, sha256 of standard output) of ``run(arg)``."""
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _capture(run, arg):
+    """(exit code, standard output) of ``run(arg)``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(arg)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
 
 
 def main():
     runs = {}
     for name, argv in CLI_RUNS.items():
-        code, digest = _digest(_run_cli, argv)
-        runs[name] = {"argv": ["schurq"] + argv, "exit": code, "stdout_sha256": digest}
+        code, out = _capture(_run_cli, argv)
+        run = runs[name] = {"argv": ["schurq"] + argv, "exit": code}
+        run["stdout_sha256"] = _sha256(out)
+        if code == 0:
+            results = json.loads(out)["results"]
+            text = json.dumps(results, sort_keys=True, indent=2, default=str)
+            run["results_sha256"] = _sha256(text)
     for script in SCRIPTS:
         rel = os.path.join("scripts", script + ".py")
-        code, digest = _digest(_run_script, os.path.join(ROOT, rel))
-        runs["script-" + script] = {"argv": [rel], "exit": code, "stdout_sha256": digest}
+        code, out = _capture(_run_script, os.path.join(ROOT, rel))
+        runs["script-" + script] = {
+            "argv": [rel], "exit": code, "stdout_sha256": _sha256(out),
+        }
     print(json.dumps(runs, indent=1, sort_keys=True))
     return 0
 

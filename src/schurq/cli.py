@@ -59,7 +59,6 @@ class RunConfig:
     f: str = "classical"  # classical | qinteger
     q: str = "generic"  # generic | rational value for specialization
     window: int = 6  # largest window radius; stabilization pairs with window-2
-    margin: int = -1  # -1: default to homcap
     homcap: int = 4
     cap: int = 8  # degree cap for hilbert
     module: str = "trivial"  # trivial[:n0] | simple:n0 | verma:n0:depth|floor
@@ -68,6 +67,22 @@ class RunConfig:
     cache: str = ""
 
     def validated(self):
+        # a --config file can carry any JSON value; type each field before
+        # any comparison reads it
+        for name in ("rank", "window", "homcap", "cap"):
+            val = getattr(self, name)
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ConfigError("%s: expected an integer, got %r" % (name, val))
+        for name in ("series", "f", "q", "module", "out", "cache"):
+            val = getattr(self, name)
+            if not isinstance(val, str):
+                raise ConfigError("%s: expected a string, got %r" % (name, val))
+        if not isinstance(self.modules, list) or not all(
+            isinstance(s, str) for s in self.modules
+        ):
+            raise ConfigError(
+                "modules: expected a list of strings, got %r" % (self.modules,)
+            )
         if self.series.upper() not in "ABCDEFG" or len(self.series) != 1:
             raise ConfigError("type: unknown series %r" % self.series)
         if self.rank < 1:
@@ -81,18 +96,11 @@ class RunConfig:
             )
         if self.cap < 0:
             raise ConfigError("cap: must be >= 0, got %d" % self.cap)
-        margin = self.homcap if self.margin < 0 else self.margin
-        if not (self.window >= margin >= self.homcap >= 0):
-            raise ConfigError(
-                "window/margin/homcap: need window >= margin >= homcap >= 0, "
-                "got %d/%d/%d" % (self.window, margin, self.homcap)
-            )
+        if self.homcap < 0:
+            raise ConfigError("homcap: must be >= 0, got %d" % self.homcap)
         if self.q != "generic":
             _validate_q(self.q)
         return self
-
-    def effective_margin(self):
-        return self.homcap if self.margin < 0 else self.margin
 
     def fspec(self):
         if self.f == "classical":
@@ -151,6 +159,8 @@ def parse_module_spec(spec, c, f):
         return xs
 
     if name == "trivial":
+        if len(parts) > 2:
+            raise ConfigError("module: trivial spec needs trivial or trivial:<n0>")
         n0 = weight(parts[1]) if len(parts) > 1 else (0,) * rank
         return trivial_module(c, f, n0)
     if name == "simple":
@@ -338,14 +348,13 @@ def cmd_check_module(cfg):
 
 def _windows(cfg, homcap):
     """The two radii compared by a run at ``homcap``: (max(window - 2,
-    margin), window), where the margin is at least that homcap."""
-    margin = max(cfg.effective_margin(), homcap)
-    if cfg.window - 1 < margin:
+    homcap), window)."""
+    if cfg.window - 1 < homcap:
         raise ConfigError(
-            "window: the smaller window radius %d is below margin %d; "
-            "need window - 1 >= margin" % (cfg.window - 1, margin)
+            "window: window %d has no smaller radius at least homcap %d; "
+            "need window - 1 >= homcap" % (cfg.window, homcap)
         )
-    return (max(cfg.window - 2, margin), cfg.window)
+    return (max(cfg.window - 2, homcap), cfg.window)
 
 
 def cmd_ext(cfg):
@@ -406,7 +415,6 @@ def build_parser():
     p.add_argument("--f", choices=("classical", "qinteger"))
     p.add_argument("--q", help="generic (default) or a rational value")
     p.add_argument("--window", type=int)
-    p.add_argument("--margin", type=int)
     p.add_argument("--homcap", type=int)
     p.add_argument("--cap", type=int, help="degree cap for hilbert")
     p.add_argument("--module", help="trivial[:n0] | simple:n0 | verma:n0:depth|floor")
@@ -428,8 +436,7 @@ def config_from_args(args):
         if len(text) < 2 or not text[1:].isdigit():
             raise ConfigError("type: expected SERIES+RANK like A2, got %r" % text)
         data["series"], data["rank"] = text[0].upper(), int(text[1:])
-    for name in ("f", "q", "window", "margin", "homcap", "cap", "module",
-                 "out", "cache"):
+    for name in ("f", "q", "window", "homcap", "cap", "module", "out", "cache"):
         val = getattr(args, name)
         if val is not None:
             data[name] = val

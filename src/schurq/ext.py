@@ -371,10 +371,10 @@ class WindowedAlgebra:
         return "%s;lencap=%d" % (self.quiver.describe(), self.lencap)
 
 
-def build_algebra(c, f, radius, margin, lencap=None):
+def build_algebra(c, f, radius, lencap=None):
     if lencap is None:
         lencap = 2 * radius + 4
-    quiver = instantiate_window(c, f, radius, margin)
+    quiver = instantiate_window(c, f, radius)
     return WindowedAlgebra(quiver, Completion(quiver, lencap).advance(lencap))
 
 
@@ -1132,8 +1132,8 @@ def _window_algebra(c, f, modules, homcap, radius, resolve):
     """
     modules = _materialize(modules, radius)
     if any(V.total_dim() != 1 for V in modules):
-        return build_algebra(c, f, radius, homcap), modules, None
-    quiver = instantiate_window(c, f, radius, homcap)
+        return build_algebra(c, f, radius), modules, None
+    quiver = instantiate_window(c, f, radius)
     for V in modules:
         _check_window_module(quiver, V)
     vertices = [next(n for n, d in V.dims if d) for V in modules]
@@ -1173,10 +1173,11 @@ def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
 def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
     """Two-window Ext table plus the larger window's modules and resolutions.
 
-    ``windows`` is one pair of radii, smaller first.  The smaller window
-    keeps only its dims and which rows it verified (``_ext_matrix_once``):
-    its algebra and resolutions are dropped before the larger window is
-    built, so at most one window's objects are alive at a time.  Where the
+    ``windows`` is one pair of radii, smaller first, the smaller at least
+    ``homcap``.  The smaller window keeps only its dims and which rows it
+    verified (``_ext_matrix_once``): its algebra and resolutions are
+    dropped before the larger window is built, so at most one window's
+    objects are alive at a time.  Where the
     chains give Ext, the larger window is resolved only when ``resolve``
     asks; else its resolutions are None.  Only ``koszul_check`` asks: it
     reads its cocycles and Yoneda products from the returned resolutions
@@ -1192,6 +1193,10 @@ def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
     small, large = windows
     if small >= large:
         raise ExtError("window radii must strictly increase, got %s" % (tuple(windows),))
+    if small < homcap:
+        raise ExtError(
+            "the smaller window radius %d is below homcap %d" % (small, homcap)
+        )
     if labels is None:
         if any(callable(m) for m in modules):
             raise ExtError("labels are required for radius-dependent modules")

@@ -162,13 +162,11 @@ class FSpec:
     kind "classical": f_j(n) = sum_i a_ji n_i (exact rationals).
     kind "qinteger":  f_j(n) = [sum_i a_ji n_i] at base q^(d_j).
     kind "affine":    f_j(n) = sum_i m[i][j] n_i + c_j.
-    kind "table":     finite map weight -> vector of scalars.
     """
 
     kind: str
     matrix: tuple = None  # affine: rows m[i] of rationals
     offset: tuple = None  # affine: QScalar vector c
-    table: tuple = None  # table: sorted ((weight, (QScalar, ...)), ...)
     at: object = None  # qinteger: optional evaluation point ("one" or Fraction)
 
     @staticmethod
@@ -195,35 +193,14 @@ class FSpec:
         )
         return FSpec("affine", matrix=m, offset=c)
 
-    @staticmethod
-    def from_table(mapping):
-        rows = []
-        for n, vec in mapping.items():
-            rows.append(
-                (
-                    tuple(int(x) for x in n),
-                    tuple(
-                        v if isinstance(v, QScalar) else QScalar.from_rational(v)
-                        for v in vec
-                    ),
-                )
-            )
-        return FSpec("table", table=tuple(sorted(rows)))
-
     def describe(self):
         if self.kind == "classical":
             return "classical"
         if self.kind == "qinteger":
             return "qinteger" if self.at is None else "qinteger@%s" % (self.at,)
-        if self.kind == "affine":
-            return "affine[%s;%s]" % (
-                self.matrix,
-                tuple(v.render() for v in self.offset),
-            )
-        return "table[%s]" % (
-            ";".join(
-                "%s->%s" % (n, tuple(v.render() for v in vec)) for n, vec in self.table
-            )
+        return "affine[%s;%s]" % (
+            self.matrix,
+            tuple(v.render() for v in self.offset),
         )
 
 
@@ -251,11 +228,6 @@ def eval_f(f, c, j, n):
     if f.kind == "affine":
         lin = sum(f.matrix[i][j] * n[i] for i in range(c.rank))
         return QScalar.from_rational(lin) + f.offset[j]
-    if f.kind == "table":
-        for key, vec in f.table:
-            if key == n:
-                return vec[j]
-        raise WindowError("weight %s outside the stored f table" % (n,))
     raise PresentationError("unknown f family %r" % f.kind)
 
 
@@ -329,7 +301,6 @@ class WindowedQuiver:
     cartan: object
     f: FSpec
     radius: int
-    margin: int
     vertices: tuple
     arrows: tuple  # (letter, source, target)
     relations: tuple  # (name, vertex, NCPoly)
@@ -339,23 +310,21 @@ class WindowedQuiver:
         return self.cartan.rank
 
     def describe(self):
-        return "window[%s;f=%s;N=%d;m=%d]" % (
+        return "window[%s;f=%s;N=%d]" % (
             self.cartan.series or self.cartan.a,
             self.f.describe(),
             self.radius,
-            self.margin,
         )
 
 
-def instantiate_window(c, f, radius, margin=0):
+def instantiate_window(c, f, radius):
     """Finite box presentation of the category algebra.
 
     Relations are instantiated only where every weight visited by every word
-    stays inside the box; relations touching outside are dropped, and the
-    margin is recorded for downstream trust bookkeeping.
+    stays inside the box; relations touching outside are dropped.
     """
-    if radius < 0 or margin < 0 or margin > radius:
-        raise WindowError("need radius >= margin >= 0")
+    if radius < 0:
+        raise WindowError("need radius >= 0, got %d" % radius)
     r = c.rank
     box = [tuple(v) for v in product(range(-radius, radius + 1), repeat=r)]
     box.sort()
@@ -412,6 +381,4 @@ def instantiate_window(c, f, radius, margin=0):
 
     kind_rank = {"comm": 0, "serre_x": 1, "serre_y": 2}
     relations.sort(key=lambda t: (t[1], kind_rank[t[0].split("[")[0]], t[0]))
-    return WindowedQuiver(
-        c, f, radius, margin, tuple(box), tuple(arrows), tuple(relations)
-    )
+    return WindowedQuiver(c, f, radius, tuple(box), tuple(arrows), tuple(relations))

@@ -43,7 +43,7 @@ def report(n, text):
 def last_window_square_is_zero(c, f, V, homcap, radius):
     """The Yoneda square of the degree-2 class of V on a fresh resolution
     at the last window radius, completed at its top cap 2 * radius + 4."""
-    res = minimal_resolution(build_algebra(c, f, radius, margin=homcap), V, homcap)
+    res = minimal_resolution(build_algebra(c, f, radius), V, homcap)
     return yoneda_square(res, V, 2)
 
 
@@ -204,7 +204,7 @@ def test_criterion_8_property_suites():
                 assert dims.get(beta, 0) == dense_rank_dims(pres, beta)
 
     # d o d = 0 and Ext^0 Schur-lemma values on all computed pairs
-    algebra = build_algebra(a1, fc, 6, margin=2)
+    algebra = build_algebra(a1, fc, 6)
     simples = [trivial_module(a1, fc, (0,)), build_simple(a1, fc, (1,))]
     resolutions = [minimal_resolution(algebra, V, 2) for V in simples]
     for res in resolutions:

@@ -155,8 +155,9 @@ def test_koszul_check_command(capsys):
 
 def test_koszul_check_windows_keep_the_homcap_it_runs(capsys):
     """koszul-check reads Ext^2, so it runs at homcap 2 even when homcap 1
-    is given, and its windows keep margin 2: window 3 compares radii 2 and
-    3 (window 2 is a window error, ``test_config_error_names_field``)."""
+    is given, and its smaller window keeps that homcap: window 3 compares
+    radii 2 and 3 (window 2 is a window error,
+    ``test_config_error_names_field``)."""
     code, out = run_cli(
         capsys, "koszul-check", "--type", "A1", "--window", "3", "--homcap", "1"
     )
@@ -231,6 +232,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert report["config"]["cap"] == 5  # flag wins
 
 
+def _with_config(argv, tmp_path):
+    """argv with a dict in it written to a JSON file passed as --config."""
+    out = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(arg))
+            out += ["--config", str(path)]
+        else:
+            out.append(arg)
+    return out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,10 +270,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ("koszul-check", "--type", "A1", "--window", "3", "--homcap", "3"),
         ("schur-check", "--type", "A2", "--module", "verma:0,0:floor"),
         ("build-module", "--type", "A1", "--module", "verma:0:-1"),
+        ("build-module", "--type", "A1", "--module", "trivial:0:junk"),
+        ("schur-check", "--type", "A1", {"window": "6"}),
+        ("schur-check", "--type", "A1", {"homcap": 2.5}),
+        ("ext", "--type", "A1", {"modules": "trivial"}),
+        ("schur-check", "--type", "A1", "--f", "qinteger", {"q": 0.1}),
+        ("root-data", {"series": "A", "rank": True}),
+        ("schur-check", "--type", "A1", "--homcap", "-1"),
     ],
 )
-def test_config_errors_exit_two(capsys, argv):
-    code = main(list(argv))
+def test_config_errors_exit_two(capsys, tmp_path, argv):
+    code = main(_with_config(argv, tmp_path))
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
@@ -277,10 +298,17 @@ def test_config_errors_exit_two(capsys, argv):
         (("ext", "--type", "A2", "--module", "verma:0,0:floor"), "module"),
         (("build-module", "--type", "A1", "--module", "verma:0:-1"), "module"),
         (("koszul-check", "--type", "A1", "--window", "2", "--homcap", "1"), "window"),
+        (("build-module", "--type", "A1", "--module", "trivial:0:junk"), "module"),
+        (("schur-check", "--type", "A1", {"window": "6"}), "window"),
+        (("schur-check", "--type", "A1", {"homcap": 2.5}), "homcap"),
+        (("ext", "--type", "A1", {"modules": "trivial"}), "modules"),
+        (("schur-check", "--type", "A1", "--f", "qinteger", {"q": 0.1}), "q"),
+        (("root-data", {"series": "A", "rank": True}), "rank"),
+        (("schur-check", "--type", "A1", "--homcap", "-1"), "homcap"),
     ],
 )
-def test_config_error_names_field(capsys, argv, field):
-    assert main(list(argv)) == 2
+def test_config_error_names_field(capsys, tmp_path, argv, field):
+    assert main(_with_config(argv, tmp_path)) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith(field + ":")
 
@@ -292,6 +320,19 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "vibes" in captured.err
+
+
+def test_margin_is_not_an_option(tmp_path, capsys):
+    """Each window is built by its radius alone: --margin is no flag, and a
+    config file that sets a margin names it as an unknown field."""
+    with pytest.raises(SystemExit) as info:
+        main(["schur-check", "--type", "A1", "--margin", "3"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    argv = _with_config(("schur-check", "--type", "A1", {"margin": 4}), tmp_path)
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "config: unknown fields ['margin']"
 
 
 # sha256 of the results payload, as main serializes it, recorded in

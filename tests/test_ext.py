@@ -49,7 +49,7 @@ from schurq.presentation import FSpec, WindowedQuiver, instantiate_window, word_
 
 @pytest.fixture(scope="module")
 def a1_setup(a1, f_classical):
-    algebra = build_algebra(a1, f_classical, 6, margin=4)
+    algebra = build_algebra(a1, f_classical, 6)
     triv = trivial_module(a1, f_classical, (0,))
     simple = build_simple(a1, f_classical, (1,))
     res = minimal_resolution(algebra, triv, 4)
@@ -59,7 +59,7 @@ def a1_setup(a1, f_classical):
 # -- resolutions and Ext dimensions ---------------------------------------
 
 
-def test_resolution_dd_and_margin(a1_setup):
+def test_resolution_dd_verified(a1_setup):
     _algebra, _triv, _simple, res = a1_setup
     assert res.dd_verified
 
@@ -106,7 +106,7 @@ def test_stage_extraction_is_pinned(key):
     series, rank, family, radius, homcap = key
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=homcap)
+    algebra = build_algebra(c, f, radius)
     res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), homcap)
     assert _stage_digest(algebra, res) == STAGE_SHA256[key]
 
@@ -194,7 +194,7 @@ def test_dropped_generator_fails_the_certificate(
 ):
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=stage)
+    algebra = build_algebra(c, f, radius)
     _break_stage(monkeypatch, stage)
     with pytest.raises(ExtractionError) as info:
         minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), stage)
@@ -237,7 +237,7 @@ def test_failed_dd_check_is_never_stable(a1, f_classical, monkeypatch):
 def test_closure_escape_names_stage_and_weight(a1, f_classical, monkeypatch):
     """A letter action that returns a word outside the target's domain
     basis stops the closure with a typed error, not a silent skip."""
-    algebra = build_algebra(a1, f_classical, 4, margin=1)
+    algebra = build_algebra(a1, f_classical, 4)
 
     def letter_mod(letter, word, source):
         return {letter * (algebra.lencap + 1): 1}  # longer than every budget
@@ -260,7 +260,7 @@ def test_a2_window_ext_on_a_lencap_ladder(a2, f_classical, lencap):
     """A2 radius 3: generators (1, 4, 8) and Ext (1, 0, 2) at every cap; the
     budgets fall by the entry lengths 1 and 2."""
     triv = trivial_module(a2, f_classical, (0, 0))
-    algebra = build_algebra(a2, f_classical, 3, margin=2, lencap=lencap)
+    algebra = build_algebra(a2, f_classical, 3, lencap=lencap)
     res = minimal_resolution(algebra, triv, 2)
     assert tuple(len(s.gens) for s in res.stages) == (1, 4, 8)
     assert tuple(s.budget for s in res.stages) == (lencap, lencap - 1, lencap - 3)
@@ -270,7 +270,7 @@ def test_a2_window_ext_on_a_lencap_ladder(a2, f_classical, lencap):
 @pytest.mark.parametrize("rank", [1, 2])
 def test_stage_one_has_two_generators_per_rank(rank, f_classical):
     c = build_cartan("A", rank)
-    algebra = build_algebra(c, f_classical, 3, margin=1)
+    algebra = build_algebra(c, f_classical, 3)
     res = minimal_resolution(algebra, trivial_module(c, f_classical, (0,) * rank), 1)
     assert len(res.stages[1].gens) == 2 * rank
 
@@ -400,7 +400,7 @@ def _window_state(series, rank, radius, homcap, resolve=False):
     """The classical window at ``radius`` and its chain-capped completion
     and table for the trivial module (``ext._chain_capped_basis``)."""
     c = build_cartan(series, rank)
-    quiver = instantiate_window(c, FSpec.classical(), radius, homcap)
+    quiver = instantiate_window(c, FSpec.classical(), radius)
     state, table = ext_module._chain_capped_basis(quiver, [(0,) * rank], homcap, resolve)
     return quiver, state, table
 
@@ -522,15 +522,15 @@ def test_a2_adjoint_simple_matches(a2, f_classical):
 
 
 @pytest.mark.parametrize(
-    "series,rank,family,radius,margin",
+    "series,rank,family,radius,homcap",
     [("A", 2, "classical", 2, 2), ("A", 1, "qinteger", 6, 4)],
 )
-def test_nf_mod_is_the_image_of_nf(series, rank, family, radius, margin):
+def test_nf_mod_is_the_image_of_nf(series, rank, family, radius, homcap):
     """Every letter times a normal word, inside the window: the mod-p
     reducer gives the image mod p of the exact normal form."""
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=margin)
+    algebra = build_algebra(c, f, radius)
     decode = algebra.decode
     box = set(algebra.quiver.vertices)
     count = 0
@@ -575,11 +575,11 @@ def _certified_len_words(algebra, every=7):
 
 
 @pytest.mark.parametrize(
-    "series,rank,family,radius,margin",
+    "series,rank,family,radius,homcap",
     [("A", 2, "classical", 2, 2), ("A", 1, "qinteger", 6, 4)],
 )
 def test_nf_mod_on_differential_words_without_the_heap(
-    series, rank, family, radius, margin, monkeypatch
+    series, rank, family, radius, homcap, monkeypatch
 ):
     """Every normal word times a differential entry (the words
     ``_diff_matrix`` reduces) and words of length certified_len: nf_mod,
@@ -587,8 +587,8 @@ def test_nf_mod_on_differential_words_without_the_heap(
     exact normal form."""
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=margin)
-    res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), margin)
+    algebra = build_algebra(c, f, radius)
+    res = minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), homcap)
     queries = set()
     for p in range(1, len(res.stages)):
         stage, prev = res.stages[p], res.stages[p - 1]
@@ -603,7 +603,7 @@ def test_nf_mod_on_differential_words_without_the_heap(
     def heap(*args):
         raise AssertionError("nf_mod called the heap reducer")
 
-    fresh = build_algebra(c, f, radius, margin=margin)
+    fresh = build_algebra(c, f, radius)
     monkeypatch.setattr(ext_module, "_reduce_full", heap)
     got = {key: fresh.nf_mod(*key) for key in sorted(queries)}
     with pytest.raises(ExtError, match="beyond certified"):
@@ -621,7 +621,7 @@ def test_nf_mod_on_differential_words_without_the_heap(
 def test_letter_action_tries_position_0_only(a2, f_classical, monkeypatch):
     """The letter action searches each word for a divisor at position 0
     only: its suffix is normal, so a divisor cannot start anywhere else."""
-    algebra = build_algebra(a2, f_classical, 2, margin=2)
+    algebra = build_algebra(a2, f_classical, 2)
     bounds = []
     real = ext_module._find_divisor
 
@@ -671,7 +671,7 @@ def test_module_of_another_algebra_is_rejected(
     """A truncated Verma whose bottom weight sits inside the box breaks a
     commutator relation there; one with a weight outside the box is no
     module of the window algebra at all."""
-    algebra = build_algebra(a1, f_classical, radius, margin=2)
+    algebra = build_algebra(a1, f_classical, radius)
     with pytest.raises(WindowModuleError) as info:
         minimal_resolution(algebra, truncated_verma(a1, f_classical, n0, depth), 2)
     assert info.value.weight == weight and info.value.relation == relation
@@ -679,7 +679,7 @@ def test_module_of_another_algebra_is_rejected(
 
 
 def test_exact_kernels_only_where_a_generator_is_chosen(a1, f_qinteger, monkeypatch):
-    algebra = build_algebra(a1, f_qinteger, 6, margin=4)
+    algebra = build_algebra(a1, f_qinteger, 6)
     calls = []
     real = ext_module.nullspace
 
@@ -738,7 +738,7 @@ def test_wrong_kernel_mod_p_raises(
 ):
     c = build_cartan(series, rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=stage)
+    algebra = build_algebra(c, f, radius)
     _corrupt_kernel(monkeypatch, stage, how)
     with pytest.raises(ExtractionError) as info:
         minimal_resolution(algebra, trivial_module(c, f, (0,) * rank), stage)
@@ -788,7 +788,7 @@ def test_ext0_schur_lemma(a1_setup):
 
 
 def test_terminated_resolution_pads_zeros(a1, f_classical):
-    algebra = build_algebra(a1, f_classical, 6, margin=2)
+    algebra = build_algebra(a1, f_classical, 6)
     triv = trivial_module(a1, f_classical, (0,))
     res = minimal_resolution(algebra, triv, 2)
     dims = ext_dims(res, triv, 2)
@@ -814,7 +814,7 @@ def test_top_stage_ext_equals_the_longer_resolution(
     differentials of stage h + 1 (``_cocycle_rows``)."""
     c = build_cartan("A", rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=2)
+    algebra = build_algebra(c, f, radius)
     built = {
         "trivial": lambda: trivial_module(c, f, (0,) * rank),
         "simple": lambda: build_simple(c, f, (1,) * rank),
@@ -832,7 +832,7 @@ def test_window_ext_independent_of_lencap(a2, f_classical):
     triv = trivial_module(a2, f_classical, (0, 0))
     dims = []
     for lencap in (10, 12):
-        algebra = build_algebra(a2, f_classical, 3, margin=2, lencap=lencap)
+        algebra = build_algebra(a2, f_classical, 3, lencap=lencap)
         dims.append(ext_dims(minimal_resolution(algebra, triv, 2), triv, 2))
     assert dims[0] == dims[1]
 
@@ -913,6 +913,8 @@ def test_ext_table_requires_two_windows(a1, f_classical):
     for windows in ((4, 4), (6, 4)):
         with pytest.raises(ExtError, match="strictly increase"):
             ext_table(a1, f_classical, [triv], 2, windows=windows)
+    with pytest.raises(ExtError, match="radius 2 is below homcap 4"):
+        ext_table(a1, f_classical, [triv], 4, windows=(2, 3))
 
 
 def test_ext_table_labels_required_for_factories(a1, f_classical):

@@ -297,7 +297,7 @@ def test_word_code_round_trips_and_keeps_the_order(case):
 def code_windows(a1, f_classical, a2_window_r3):
     """The windows whose vertex codes are checked, by radius and cap."""
     return {
-        "A1 r8 cap 20": build_algebra(a1, f_classical, 8, margin=2),
+        "A1 r8 cap 20": build_algebra(a1, f_classical, 8),
         "A2 r3 cap 10": a2_window_r3,
     }
 
@@ -419,12 +419,12 @@ def _scan_levels_from(algebra, source, maxlen=None):
 
 @pytest.fixture(scope="module")
 def a1_window(a1, f_classical):
-    return build_algebra(a1, f_classical, 3, margin=2)
+    return build_algebra(a1, f_classical, 3)
 
 
 @pytest.fixture(scope="module")
 def a2_window(a2, f_classical):
-    return build_algebra(a2, f_classical, 2, margin=2)
+    return build_algebra(a2, f_classical, 2)
 
 
 def _overlapping_leads():
@@ -554,7 +554,7 @@ def test_levels_from_matches_linear_scan(request, window):
 @pytest.fixture(scope="module")
 def a2_window_r3(a2, f_classical):
     """The larger window of the sl3 probe: radius 3, lencap 10."""
-    return build_algebra(a2, f_classical, 3, margin=2)
+    return build_algebra(a2, f_classical, 3)
 
 
 def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_r3):
@@ -611,8 +611,8 @@ def test_levels_enumerated_only_as_deep_as_requested(a2, f_classical, a2_window_
 # -- resumed completion ----------------------------------------------------
 
 
-# (series+rank, family, radius, margin, caps): margin = homcap of the runs
-# these windows serve; each cap is one rung, the top cap is 2 * radius + 4
+# (series+rank, family, radius, homcap, caps): homcap of the runs these
+# windows serve, the m<homcap> of the ids; each cap is one rung, the top cap is 2 * radius + 4
 _RESUME_CASES = [
     ("A1", "classical", 6, 4, (6, 8, 12, 16)),
     ("A1", "qinteger", 8, 4, (6, 9, 14, 20)),
@@ -623,9 +623,9 @@ _RESUME_CASES = [
 ]
 
 
-def _window(kind, family, radius, margin):
+def _window(kind, family, radius):
     c = build_cartan(kind[0], int(kind[1:]))
-    return instantiate_window(c, getattr(FSpec, family)(), radius, margin)
+    return instantiate_window(c, getattr(FSpec, family)(), radius)
 
 
 def _counting_reduce(monkeypatch):
@@ -642,18 +642,18 @@ def _counting_reduce(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, family, radius, margin, caps",
+    "kind, family, radius, homcap, caps",
     _RESUME_CASES,
-    ids=["%s%s-r%d-m%d" % (k, f[0], r, m) for k, f, r, m, _c in _RESUME_CASES],
+    ids=["%s%s-r%d-m%d" % (k, f[0], r, h) for k, f, r, h, _c in _RESUME_CASES],
 )
 def test_resumed_completion_equals_scratch(
-    monkeypatch, kind, family, radius, margin, caps
+    monkeypatch, kind, family, radius, homcap, caps
 ):
     """Each rung of one resumed completion has the basis of a completion at
     that cap from scratch, and the rungs together reduce exactly as many
     polynomials as one scratch completion at the last cap: no work is
     redone."""
-    quiver = _window(kind, family, radius, margin)
+    quiver = _window(kind, family, radius)
     count = _counting_reduce(monkeypatch)
     state = Completion(quiver, 2 * radius + 4)
     resumed = []
@@ -671,7 +671,7 @@ def test_resumed_completion_equals_scratch(
 def test_resumed_completion_refuses_misuse(a2, f_classical):
     """A lower cap and a cap above the top are typed errors that name both
     caps."""
-    quiver = instantiate_window(a2, f_classical, 2, 2)
+    quiver = instantiate_window(a2, f_classical, 2)
     state = Completion(quiver, 8)
     state.advance(5)
     with pytest.raises(GBError, match=r"cap 4 below the cap 5"):
@@ -684,33 +684,33 @@ def test_resumed_completion_refuses_misuse(a2, f_classical):
 
 
 @pytest.mark.parametrize(
-    "kind, family, radius, margin, caps",
+    "kind, family, radius, homcap, caps",
     _RESUME_CASES,
-    ids=["%s%s-r%d-m%d" % (k, f[0], r, m) for k, f, r, m, _c in _RESUME_CASES],
+    ids=["%s%s-r%d-m%d" % (k, f[0], r, h) for k, f, r, h, _c in _RESUME_CASES],
 )
-def test_chains_read_off_the_completion_index(kind, family, radius, margin, caps):
+def test_chains_read_off_the_completion_index(kind, family, radius, homcap, caps):
     """At every rung, the chains of S_0 read off the completion's own lead
     index, whose code reaches radius + top, equal those read off the lead
     index of the decoded basis, whose code reaches radius + the cap."""
-    quiver = _window(kind, family, radius, margin)
+    quiver = _window(kind, family, radius)
     zero = (0,) * quiver.rank
     state = Completion(quiver, 2 * radius + 4)
     for cap in caps:
         state.advance(cap)
         decoded = _basis_index(state.result(), radius)
         assert decoded.code.reach < state.code.reach or cap == state.top
-        assert chains(state.index, zero, margin + 1, radius) == chains(
-            decoded, zero, margin + 1, radius
+        assert chains(state.index, zero, homcap + 1, radius) == chains(
+            decoded, zero, homcap + 1, radius
         )
 
 
 @pytest.mark.parametrize(
-    "kind, family, radius, margin, caps",
+    "kind, family, radius, homcap, caps",
     _RESUME_CASES,
-    ids=["%s%s-r%d-m%d" % (k, f[0], r, m) for k, f, r, m, _c in _RESUME_CASES],
+    ids=["%s%s-r%d-m%d" % (k, f[0], r, h) for k, f, r, h, _c in _RESUME_CASES],
 )
 def test_completion_index_reduces_like_the_decoded_index(
-    kind, family, radius, margin, caps
+    kind, family, radius, homcap, caps
 ):
     """At the last rung, the completion's own lead index and the lead index
     of its decoded basis give the same normal words and the same normal
@@ -719,7 +719,7 @@ def test_completion_index_reduces_like_the_decoded_index(
     lead once decoded.  The words reduced are each letter times each normal
     word shorter than the cap, and products a + b of two normal words of
     total length the cap."""
-    quiver = _window(kind, family, radius, margin)
+    quiver = _window(kind, family, radius)
     state = Completion(quiver, 2 * radius + 4)
     for cap in caps:
         state.advance(cap)
@@ -774,7 +774,7 @@ def test_chains_of_the_trivial_module(
     many end at weight 0 (the flag Betti numbers for A2 radius 6)."""
     c = build_cartan("A", rank)
     f = getattr(FSpec, family)()
-    algebra = build_algebra(c, f, radius, margin=2, lencap=lencap)
+    algebra = build_algebra(c, f, radius, lencap=lencap)
     zero = (0,) * rank
     stages = chains(algebra._index, zero, len(counts), radius)
     assert stages[0] == ((0, zero),)
@@ -788,7 +788,7 @@ def test_chains_of_the_trivial_module(
 def test_chains_stay_in_the_box(a2, f_classical):
     """At radius 1 the letters leave the origin inside the box, and every
     chain endpoint lies in the box."""
-    algebra = build_algebra(a2, f_classical, 1, margin=1)
+    algebra = build_algebra(a2, f_classical, 1)
     stages = chains(algebra._index, (0, 0), 3, 1)
     assert len(stages[1]) == 4
     for stage in stages:
@@ -798,12 +798,13 @@ def test_chains_stay_in_the_box(a2, f_classical):
     assert sorted(e for _n, e in corner[1]) == [(0, 1), (1, 0)]
 
 
-# sha256 of GBResult.serialize(), recorded from the linear-scan engine (a1, a2)
-# and from the all-pairs ambiguity scan (a2 radius 3)
+# sha256 of GBResult.serialize(); the bodies were recorded from the
+# linear-scan engine (a1, a2) and from the all-pairs ambiguity scan (a2
+# radius 3)
 _WINDOW_HASHES = {
-    "a1_window": "3fb9bf7ada96e71a1af60fb1413f8f9dff766acdd1b9d5efb2a0fafe02886383",
-    "a2_window": "d5bb07f91b9fa7504b88bf7599657863a7e1288ff03f0b8b2eba4e889df62cf2",
-    "a2_window_r3": "e1a2845433e1281c9a0b5ab0cc7cbb81acaae6c72668238cc988b1f198eb94d5",
+    "a1_window": "c36c5a858a7b06a724dcc30441f3346c5d5c93a51171358ca8c7d876a383bd51",
+    "a2_window": "5da8e76b9a384685d2a5fc1fae4e73f63d45e5d8ddc14202ea3433bc9dadd44c",
+    "a2_window_r3": "ff876cff2831b9d4d254d6b68295addae72c83148d4f272a68a9713d02a0c67b",
 }
 
 
@@ -814,19 +815,19 @@ def test_window_basis_hash_unchanged(request, window):
     assert digest == _WINDOW_HASHES[window]
 
 
-# sha256 of GBResult.serialize() for windows at generic q (margin 2, the
-# default lencap 2 * radius + 4), recorded in BENCH_14.json as gb-A1q-r8
-# and gb-A2q-r2
+# sha256 of GBResult.serialize() for windows at generic q (the default
+# lencap 2 * radius + 4); the bodies are those recorded in BENCH_14.json
+# as gb-A1q-r8 and gb-A2q-r2, whose window labels still carried a margin
 @pytest.mark.parametrize(
     "rank, radius, digest",
     [
-        (1, 8, "199d341296af3ebd2055e1954bed3c9b24c4d12c7ade81ad403c9eb478d6ca2c"),
-        (2, 2, "e1d0aabd61142ee23bd86dd2f46f1de53673e6408731c6cfd69e46a154d1a9a9"),
+        (1, 8, "527f91706a7c86a5cb316fb4e7550cb03633e94a78fc3f89f788fedec53800a0"),
+        (2, 2, "2ef2ef9737d04d9c5571a8060e71249f0ac8e2e87875f9795695e6f089f4d392"),
     ],
     ids=["A1q-r8", "A2q-r2"],
 )
 def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
-    quiver = instantiate_window(build_cartan("A", rank), f_qinteger, radius, 2)
+    quiver = instantiate_window(build_cartan("A", rank), f_qinteger, radius)
     assert groebner(quiver, 2 * radius + 4).content_hash() == digest
 
 

@@ -153,13 +153,6 @@ def test_eval_f_affine(a1):
     assert eval_f(f, a1, 0, (1,)) == QScalar.from_rational(3)
 
 
-def test_eval_f_table_window_error(a1):
-    f = FSpec.from_table({(0,): (0,), (1,): (2,)})
-    assert eval_f(f, a1, 0, (1,)) == QScalar.from_rational(2)
-    with pytest.raises(WindowError):
-        eval_f(f, a1, 0, (5,))
-
-
 def test_spec_point():
     assert FSpec.classical().spec_point() == "one"
     assert FSpec.qinteger().spec_point() is None
@@ -191,8 +184,6 @@ def test_a1_window_radius_zero(a1, f_classical):
 def test_window_rejections(a1, f_classical):
     with pytest.raises(WindowError):
         instantiate_window(a1, f_classical, -1)
-    with pytest.raises(WindowError):
-        instantiate_window(a1, f_classical, 2, margin=3)
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
