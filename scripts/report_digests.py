@@ -76,6 +76,10 @@ CLI_RUNS = {
     "hilbert-B3-c10": ["hilbert", "--type", "B3", "--cap", "10"],
     "hilbert-G2-c14": ["hilbert", "--type", "G2", "--cap", "14"],
     "hilbert-C3-c8": ["hilbert", "--type", "C3", "--cap", "8"],
+    # free presentations where the chain criterion of the completion skips
+    # the most reductions
+    "hilbert-A5-c10": ["hilbert", "--type", "A5", "--cap", "10"],
+    "hilbert-E6-c8": ["hilbert", "--type", "E6", "--cap", "8"],
     # an Ext table read off the Anick chains, and one whose clamped cap
     # keeps the resolutions
     "ext-A2-w5-h4": ["ext", "--type", "A2", "--window", "5", "--homcap", "4"],

@@ -206,7 +206,11 @@ def _canonical_bytes(obj):
 
 
 class Cache:
-    """Content-addressed JSON store with byte verification and quarantine."""
+    """Content-addressed JSON store with byte verification and quarantine.
+
+    An entry is written as the canonical (compact, key-sorted) JSON of
+    ``{"key", "payload", "sha256"}``; ``get`` reads an entry in any JSON
+    layout, such as the indented one written before."""
 
     def __init__(self, root):
         self.root = root
@@ -217,7 +221,10 @@ class Cache:
     def _path(self, key):
         return os.path.join(self.root, key + ".json")
 
-    def get(self, key):
+    def get(self, key, decode):
+        """``decode`` of the payload stored under key, None on a miss.  An
+        entry that does not parse, verify or decode is quarantined and
+        counts as a miss."""
         if not self.root:
             return None
         path = self._path(key)
@@ -230,13 +237,14 @@ class Cache:
             digest = hashlib.sha256(_canonical_bytes(payload)).hexdigest()
             if digest != wrapper.get("sha256") or wrapper.get("key") != key:
                 raise CacheError("digest mismatch")
-        except (CacheError, KeyError, ValueError, UnicodeDecodeError):
+            value = decode(payload)
+        except (CacheError, KeyError, TypeError, ValueError, UnicodeDecodeError):
             qpath = path + ".quarantine"
             os.replace(path, qpath)
             self.events.append({"event": "quarantined", "path": qpath})
             return None
         self.events.append({"event": "hit", "key": key})
-        return payload
+        return value
 
     def put(self, key, payload):
         if not self.root:
@@ -249,7 +257,7 @@ class Cache:
         path = self._path(key)
         tmp = path + ".tmp.%d" % os.getpid()
         with open(tmp, "wb") as fh:
-            fh.write(json.dumps(wrapper, sort_keys=True, indent=1).encode())
+            fh.write(_canonical_bytes(wrapper))
         os.replace(tmp, path)
         self.events.append({"event": "stored", "key": key})
 
@@ -260,9 +268,9 @@ def cached_groebner(cache, pres, cap):
     label = pres.label if hasattr(pres, "label") else pres.describe()
     keysrc = "%s|%s|%s|cap=%d" % (probe, __version__, label, cap)
     key = hashlib.sha256(keysrc.encode()).hexdigest()
-    hit = cache.get(key) if cache else None
+    hit = cache.get(key, GBResult.from_dict) if cache else None
     if hit is not None:
-        return GBResult.from_dict(hit)
+        return hit
     g = groebner(pres, cap=cap)
     if cache:
         cache.put(key, g.to_dict())

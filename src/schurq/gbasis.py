@@ -39,7 +39,12 @@ Completion pairs each new element only with the elements a partner index
 (``_PartnerIndex``) returns: the prefixes, suffixes, inner subwords and
 whole leads of the basis so far, keyed by subword and the anchor at its
 right end.  No lookup scans the basis.  Completion adds each new element to
-both indexes as it is found.
+both indexes as it is found.  It skips an overlap ambiguity whose word
+holds a third lead that splits it into smaller, resolved ambiguities (the
+chain criterion, ``_chain_resolvable``), and builds no S-polynomial for it.
+That adds no element, so the basis is the one a completion that reduces
+every ambiguity finds.  Reduction rewrites a lead with the element's
+``tail``, whose coefficients are negated once per element.
 
 A completion advances one cap after another (``Completion``): its state
 keeps the indexes and the ambiguity heap, with every ambiguity up to a top
@@ -207,7 +212,9 @@ def _lead(words):
 
 
 class _Elem:
-    __slots__ = ("terms", "source", "lead", "_mod_terms")
+    """A monic element: ``terms`` has lead coefficient 1."""
+
+    __slots__ = ("terms", "source", "lead", "_tail", "_mod_terms")
 
     def __init__(self, terms, source):
         lead = _lead(terms)
@@ -217,7 +224,17 @@ class _Elem:
         self.terms = terms
         self.source = source
         self.lead = lead
+        self._tail = None
         self._mod_terms = None
+
+    def tail(self):
+        """The other terms with their coefficients negated, the rewrite of the
+        lead that reduction applies; computed once, when first asked for, as
+        most elements of a window never divide a word."""
+        if self._tail is None:
+            lead = self.lead
+            self._tail = tuple((w, -v) for w, v in self.terms.items() if w != lead)
+        return self._tail
 
     def mod_terms(self):
         """The terms with each coefficient mapped once by ``QScalar.modp``."""
@@ -235,16 +252,18 @@ class _LeadIndex:
     added; the anchor is the element's source, the vertex at the lead's
     right end, or ``None`` for free presentations.  Of several elements with
     the same lead and anchor only the first is kept, which is the one a scan
-    in insertion order meets first.  ``code`` is the basis's ``WordCode``.
+    in insertion order meets first.  ``code`` is the basis's ``WordCode``;
+    ``shortest`` is the length of the shortest lead, None while there is none.
     """
 
-    __slots__ = ("code", "anchored", "elems", "root")
+    __slots__ = ("code", "anchored", "elems", "root", "shortest")
 
     def __init__(self, code, anchored):
         self.code = code
         self.anchored = anchored
         self.elems = []  # in rank order
         self.root = ({}, {})
+        self.shortest = None
 
     def add(self, e):
         if not e.lead:
@@ -258,6 +277,8 @@ class _LeadIndex:
             node = child
         node[1].setdefault(e.source if self.anchored else None, (len(self.elems), e))
         self.elems.append(e)
+        if self.shortest is None or len(e.lead) < self.shortest:
+            self.shortest = len(e.lead)
 
 
 def _find_divisor(word, source, index, hint=None, stop=None):
@@ -312,7 +333,8 @@ def _reduce_full(terms, source, index):
     Pending words leave a heap largest first, keyed once, when they enter
     ``work``, by ``(-length, word)``.  A word made by rewriting a divisible
     word keeps that word's right end, so its anchors are extended from the
-    parent's (``_find_divisor``'s hint).
+    parent's (``_find_divisor``'s hint).  A divisor g rewrites its lead as
+    ``g.tail()``.
     """
     done = {}
     work = dict(terms)
@@ -329,13 +351,9 @@ def _reduce_full(terms, source, index):
             done[w] = done[w] + c if w in done else c
             continue
         pos, g, anchors = hit
-        u = g.lead
-        left, right = w[:pos], w[pos + len(u):]
+        left, right = w[:pos], w[pos + len(g.lead):]
         hint = (anchors, len(right)) if anchors is not None else None
-        c = -c
-        for uw, uc in g.terms.items():
-            if uw == u:
-                continue
+        for uw, uc in g.tail():
             nw = left + uw + right
             add = c * uc
             if nw in done:
@@ -386,6 +404,76 @@ def _ambiguities(g1, g2, code):
             else:
                 source = None
             yield u1, source, 0, p
+
+
+def _s_polynomial(word, g1, g2, p1, p2):
+    """The two rewrites of the ambiguity word subtracted, zero terms dropped."""
+    terms = {}
+    left1, right1 = word[:p1], word[p1 + len(g1.lead):]
+    left2, right2 = word[:p2], word[p2 + len(g2.lead):]
+    for uw, uc in g1.terms.items():
+        nw = left1 + uw + right1
+        terms[nw] = terms.get(nw, QScalar.zero()) + uc
+    for uw, uc in g2.terms.items():
+        nw = left2 + uw + right2
+        terms[nw] = terms.get(nw, QScalar.zero()) - uc
+    return {w: v for w, v in terms.items() if v}
+
+
+def _chain_resolvable(word, source, g1, g2, p1, p2, index):
+    """True when the chain criterion (Mora 1994) proves the ambiguity at
+    ``word`` resolvable, so that its S-polynomial would reduce to zero.
+
+    The ambiguity must be a proper overlap: lead(g1) at p1 = 0, lead(g2) at
+    p2 > 0 ending the word, and len(lead(g1)) = l1 < len(word); an
+    inclusion, where one lead is the whole word, never qualifies.  It is
+    resolvable when the word holds an occurrence [s, e) of a lead of
+    ``index`` whose anchor is the vertex of the word's path at e (as
+    ``_find_divisor`` computes it) and which lies strictly inside the word
+    (0 < s, e < len(word)), or is a prefix ending by p2 (s = 0, e <= p2), or
+    a suffix starting at l1 or later (e = len(word), s >= l1).
+
+    Why this is exact (Bergman's diamond lemma, 1978): S(word) is the sum of
+    the S-polynomials of g1 and g3, and of g3 and g2, at the word, where g3
+    is the third occurrence.  Two occurrences that do not overlap are
+    resolvable relative to the word.  Two that overlap inside a proper
+    subword u give x S(u) y, and u is shorter, so its ambiguity popped
+    earlier and was resolved then.  So S(word) lies in the span of the
+    a g b with a lead(g) b below the word.  The queue pops by length and
+    then in the order, so every ambiguity at a smaller word is resolved
+    when this one pops, and S(word) would reduce to zero: skipping it adds
+    no element, and leaves the index and the pop sequence as they are.
+
+    The check is kept cheap where it cannot fire: p2 and len(word) - l1 are
+    at most len(word) - 2, so nothing qualifies unless the shortest lead
+    fits in that, and the walk from position 0 stops at depth p2.
+    """
+    n = len(word)
+    l1 = len(g1.lead)
+    if p1 or not 0 < p2 or l1 >= n or p2 + len(g2.lead) != n:
+        return False
+    shortest = index.shortest
+    if shortest is None or shortest > n - 2:
+        return False
+    anchored = index.anchored
+    anchors = None  # index.code.path(word, source), once a walk needs it
+    top = index.root[0]
+    for s in range(n - shortest + 1):
+        children = top
+        # the walk from s ends where no occurrence [s, k + 1) can qualify
+        for k in range(s, p2 if s == 0 else n if s >= l1 else n - 1):
+            node = children.get(word[k])
+            if node is None:
+                break
+            children, ends = node
+            if ends:
+                if not anchored:
+                    return True
+                if anchors is None:
+                    anchors = index.code.path(word, source)
+                if anchors[n - k - 1] in ends:
+                    return True
+    return False
 
 
 class _PartnerIndex:
@@ -597,6 +685,12 @@ class Completion:
     higher cap continues exactly as a completion at that cap from scratch
     would, and gives the same basis.  The basis stays coded in ``index``
     until ``result`` decodes it.
+
+    ``advance`` skips each popped ambiguity that ``_chain_resolvable``
+    proves resolvable from the leads in ``index`` at that moment, before it
+    builds the S-polynomial.  Such an S-polynomial would reduce to zero, so
+    the skip changes neither the elements nor the order they are found in,
+    and a resumed completion still equals one from scratch.
     """
 
     def __init__(self, pres, top):
@@ -661,17 +755,9 @@ class Completion:
         heap, index = self.heap, self.index
         while heap and heap[0][0][0] <= cap:
             _key, _n, word, source, g1, g2, p1, p2 = heapq.heappop(heap)
-            terms = {}
-            left1, right1 = word[:p1], word[p1 + len(g1.lead):]
-            left2, right2 = word[:p2], word[p2 + len(g2.lead):]
-            for uw, uc in g1.terms.items():
-                nw = left1 + uw + right1
-                terms[nw] = terms.get(nw, QScalar.zero()) + uc
-            for uw, uc in g2.terms.items():
-                nw = left2 + uw + right2
-                terms[nw] = terms.get(nw, QScalar.zero()) - uc
-            terms = {w: v for w, v in terms.items() if v}
-            red = _reduce_full(terms, source, index)
+            if _chain_resolvable(word, source, g1, g2, p1, p2, index):
+                continue
+            red = _reduce_full(_s_polynomial(word, g1, g2, p1, p2), source, index)
             if red:
                 e = _Elem(red, source)
                 index.add(e)

@@ -800,11 +800,17 @@ def _parse_laurent(text):
 
 
 def parse_qscalar(text):
-    """Parse the canonical text rendering back into a QScalar."""
+    """Parse the canonical text rendering back into a QScalar.  Text that is
+    not a string, or has no such reading, raises ``ValueError``."""
+    if not isinstance(text, str):
+        raise ValueError("scalar text must be a string, got %r" % (text,))
     text = text.strip()
     if text == "0":
         return _QZERO
     m = re.fullmatch(r"\((.*)\)/\((.*)\)", text)
     if m:
-        return _parse_laurent(m.group(1)) / _parse_laurent(m.group(2))
+        den = _parse_laurent(m.group(2))
+        if not den:
+            raise ValueError("zero denominator in scalar text %r" % text)
+        return _parse_laurent(m.group(1)) / den
     return _parse_laurent(text)

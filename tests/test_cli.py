@@ -103,6 +103,73 @@ def test_corrupted_cache_quarantined_and_recomputed(tmp_path, capsys):
     assert any(p.endswith(".quarantine") for p in os.listdir(cache))
 
 
+def _rewrite_entry(capsys, cache, rewrite):
+    """Store the A2 cap-5 hilbert run's entry, replace its bytes by
+    ``rewrite(key, stored bytes)``, run again; returns both reports."""
+    argv = ("hilbert", "--type", "A2", "--cap", "5", "--cache", str(cache))
+    code, out1 = run_cli(capsys, *argv)
+    assert code == 0
+    (entry,) = [p for p in os.listdir(cache) if p.endswith(".json")]
+    path = cache / entry
+    path.write_bytes(rewrite(entry[: -len(".json")], path.read_bytes()))
+    code, out2 = run_cli(capsys, *argv)
+    assert code == 0
+    return json.loads(out1), json.loads(out2)
+
+
+def _signed(key, payload):
+    """An entry for payload whose digest verifies."""
+    digest = hashlib.sha256(cli._canonical_bytes(payload)).hexdigest()
+    return json.dumps({"key": key, "payload": payload, "sha256": digest}).encode()
+
+
+def _with_coefficient(stored, text):
+    """The stored payload with its first coefficient's text replaced."""
+    payload = json.loads(stored)["payload"]
+    payload["elements"][0]["terms"][0][1] = text
+    return payload
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda key, stored: b"[1, 2]",
+        lambda key, stored: b'"text"',
+        lambda key, stored: _signed(key, {"rank": 2}),
+        lambda key, stored: _signed(key, [1, 2]),
+        lambda key, stored: _signed(key, _with_coefficient(stored, 5)),
+        lambda key, stored: _signed(key, _with_coefficient(stored, "(1)/(0)")),
+    ],
+    ids=[
+        "list", "string", "payload-missing-fields", "payload-list",
+        "coefficient-not-text", "coefficient-zero-denominator",
+    ],
+)
+def test_malformed_cache_entry_quarantined_and_recomputed(tmp_path, capsys, rewrite):
+    """An entry that is not a wrapper object, or whose verified payload is not
+    a basis, is quarantined like a tampered one, and the run recomputes."""
+    cache = tmp_path / "cache"
+    r1, r2 = _rewrite_entry(capsys, cache, rewrite)
+    assert [e["event"] for e in r2["cache_events"]] == ["quarantined", "stored"]
+    assert r2["results"] == r1["results"]
+    assert any(p.endswith(".quarantine") for p in os.listdir(cache))
+
+
+def test_cache_entry_in_indented_layout_is_a_hit(tmp_path, capsys):
+    """Entries are written compact, as the canonical bytes of the wrapper,
+    and an entry in the indented layout written before is still a hit."""
+    cache = tmp_path / "cache"
+
+    def indent(key, stored):
+        wrapper = json.loads(stored)
+        assert stored == cli._canonical_bytes(wrapper)
+        return json.dumps(wrapper, sort_keys=True, indent=1).encode()
+
+    r1, r2 = _rewrite_entry(capsys, cache, indent)
+    assert [e["event"] for e in r2["cache_events"]] == ["hit"]
+    assert r2["results"] == r1["results"]
+
+
 def test_cache_entry_from_other_version_is_a_miss(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     argv = ("hilbert", "--type", "A2", "--cap", "5", "--cache", str(cache))

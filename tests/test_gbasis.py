@@ -2,6 +2,7 @@
 
 from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -751,6 +752,117 @@ def test_completion_index_reduces_like_the_decoded_index(
             assert _reduce_full({w: one}, source, state.index) == want
 
 
+# -- chain criterion -------------------------------------------------------
+
+
+# (id, presentation, cap, whether the criterion must fire): a free Serre
+# presentation is (series, rank), a window (series+rank, family, radius)
+_CHAIN_CASES = [
+    ("A4", ("A", 4), 10, True),
+    ("B3", ("B", 3), 10, True),
+    ("G2", ("G", 2), 14, True),
+    ("C3", ("C", 3), 10, True),
+    ("A5", ("A", 5), 10, True),
+    ("A2c-r2", ("A2", "classical", 2), 8, False),
+    ("A2c-r3", ("A2", "classical", 3), 10, True),
+    ("B2c-r3", ("B2", "classical", 3), 8, False),
+    ("A3c-r2", ("A3", "classical", 2), 6, True),
+    ("A2q-r2", ("A2", "qinteger", 2), 8, False),
+]
+
+
+def _chain_case(spec):
+    if len(spec) == 2:
+        return un_presentation(build_cartan(*spec))
+    return _window(*spec)
+
+
+def _recording_criterion(monkeypatch):
+    """Record, for each ambiguity gbasis._chain_resolvable skips, its
+    S-polynomial reduced against the lead index of that moment, and the
+    arguments of the call."""
+    skipped = []
+    real = gbasis._chain_resolvable
+
+    def chain_resolvable(word, source, g1, g2, p1, p2, index):
+        found = real(word, source, g1, g2, p1, p2, index)
+        if found:
+            s = gbasis._s_polynomial(word, g1, g2, p1, p2)
+            skipped.append((_reduce_full(s, source, index), word, source, g1, g2, p1, p2))
+        return found
+
+    monkeypatch.setattr(gbasis, "_chain_resolvable", chain_resolvable)
+    return skipped
+
+
+@pytest.mark.parametrize(
+    "spec, cap, fires", [c[1:] for c in _CHAIN_CASES], ids=[c[0] for c in _CHAIN_CASES]
+)
+def test_chain_criterion_keeps_the_basis(monkeypatch, spec, cap, fires):
+    """A completion that skips the ambiguities the chain criterion proves
+    resolvable finds the elements, in the same order, and the basis of a
+    completion that reduces every ambiguity.  The criterion fires on every
+    free presentation here and on the larger windows, so the comparison is
+    not vacuous."""
+    pres = _chain_case(spec)
+    skipped = _recording_criterion(monkeypatch)
+    on = Completion(pres, cap).advance(cap)
+    monkeypatch.setattr(gbasis, "_chain_resolvable", lambda *args: False)
+    off = Completion(pres, cap).advance(cap)
+    assert [(e.lead, e.source) for e in on.index.elems] == [
+        (e.lead, e.source) for e in off.index.elems
+    ]
+    assert on.result().content_hash() == off.result().content_hash()
+    assert skipped or not fires
+
+
+@pytest.mark.parametrize(
+    "spec, cap, fires", [c[1:] for c in _CHAIN_CASES], ids=[c[0] for c in _CHAIN_CASES]
+)
+def test_chain_criterion_skips_only_zero_reductions(monkeypatch, spec, cap, fires):
+    """Each skipped S-polynomial reduces to zero against the lead index it
+    was skipped at and against the completed basis."""
+    skipped = _recording_criterion(monkeypatch)
+    state = Completion(_chain_case(spec), cap).advance(cap)
+    for then, word, source, g1, g2, p1, p2 in skipped:
+        assert then == {}
+        s = gbasis._s_polynomial(word, g1, g2, p1, p2)
+        assert _reduce_full(s, source, state.index) == {}
+
+
+_FREE_LETTERS = (("x", 0), ("x", 1), ("x", 2))
+
+
+@st.composite
+def _multihomogeneous_presentations(draw):
+    """A free presentation on 2 or 3 letters: 1 to 4 relations, each a sum
+    of 1 to 3 rearrangements of one word of length 2 to 4."""
+    rank = draw(st.integers(2, 3))
+    letters = _FREE_LETTERS[:rank]
+    relations = []
+    for _r in range(draw(st.integers(1, 4))):
+        word = draw(st.lists(st.sampled_from(letters), min_size=2, max_size=4))
+        words = draw(
+            st.lists(st.permutations(word), min_size=1, max_size=3, unique_by=tuple)
+        )
+        coeffs = st.sampled_from((-2, -1, 1, 2)).map(QScalar.from_rational)
+        relations.append(
+            NCPoly.make({tuple(w): draw(coeffs) for w in words}, rank=rank)
+        )
+    return Presentation(rank, letters, tuple(relations), "random")
+
+
+@settings(max_examples=300, deadline=None)
+@given(pres=_multihomogeneous_presentations(), cap=st.integers(5, 7))
+def test_chain_criterion_keeps_random_bases(pres, cap):
+    """Random multihomogeneous relations complete to the same basis with the
+    chain criterion and without it."""
+    on = groebner(pres, cap).content_hash()
+    with mock.patch.object(gbasis, "_chain_resolvable", lambda *args: False):
+        off = groebner(pres, cap).content_hash()
+    assert on == off
+
+
 # -- Anick chains ----------------------------------------------------------
 
 
@@ -831,6 +943,9 @@ def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
     assert groebner(quiver, 2 * radius + 4).content_hash() == digest
 
 
+# sha256 of GBResult.serialize() for free Serre presentations; the last four
+# were recorded by the completion that reduced every ambiguity, before the
+# chain criterion
 @pytest.mark.parametrize(
     "series, rank, cap, digest",
     [
@@ -839,8 +954,12 @@ def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
         ("B", 3, 10, "0548db3f6eab6ad8fbb52a5edd9e8eed7ceeb8feafefa7a9d1aff69bcdb6edd4"),
         ("C", 3, 8, "a574f33e4f5e80c9149d9bbb86d9c4bb1c531cd89e47994a67c4213abfd609f9"),
         ("G", 2, 14, "677bc0863f11771b9b0021586af4ceaf3de8d1a09e2a33206e3ad426b5252219"),
+        ("A", 5, 10, "df04f3b9277f3f30a1d3ffca3b8b630e66d310ad9bb477cb5bfb9ce144cf101b"),
+        ("C", 3, 10, "a65a55110cb302f16429bd071061f1be2e06610135c5413e84abc2a45449bae9"),
+        ("D", 4, 10, "9a0c467171fe9205c9366101b9cc358c4d4da7b232a8d97d4ad78bdbc0b5e3e5"),
+        ("E", 6, 8, "245e0497b535501b1ae4c0c7b527bde1346593b142d9cabed80d316d2ac05971"),
     ],
-    ids=["A4", "B2", "B3", "C3", "G2"],
+    ids=["A4", "B2", "B3", "C3", "G2", "A5", "C3-c10", "D4", "E6"],
 )
 def test_free_basis_hash_unchanged(series, rank, cap, digest):
     g = groebner(un_presentation(build_cartan(series, rank)), cap=cap)

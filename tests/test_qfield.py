@@ -546,8 +546,9 @@ def test_parse_examples():
     assert parse_qscalar("-q^2 + 3/2") == QScalar.from_laurent(
         {2: -1, 0: Fraction(3, 2)}
     )
-    with pytest.raises(ValueError):
-        parse_qscalar("q + +")
+    for bad in ("q + +", "(1)/(0)", "(q)/(q - q)", 5, None):
+        with pytest.raises(ValueError):
+            parse_qscalar(bad)
 
 
 # -- the image in Z/p at q0 ------------------------------------------------
