@@ -44,7 +44,11 @@ holds a third lead that splits it into smaller, resolved ambiguities (the
 chain criterion, ``_chain_resolvable``), and builds no S-polynomial for it.
 That adds no element, so the basis is the one a completion that reduces
 every ambiguity finds.  Reduction rewrites a lead with the element's
-``tail``, whose coefficients are negated once per element.
+``tail``, whose coefficients are negated once per element.  Where the
+coefficients are integer Laurent polynomials it carries each one as a
+single int, its value at q = 2**64 (``QScalar.pack``), with an L1 bound
+that keeps the int exact; it reduces on ``QScalar`` where it meets a
+denominator or the bound reaches 2**63.
 
 A completion advances one cap after another (``Completion``): its state
 keeps the indexes and the ambiguity heap, with every ambiguity up to a top
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .linalg import mat_rank
-from .qfield import QScalar
+from .qfield import PACK_BITS, PACK_LIMIT, QScalar, unpack
 from .presentation import NCPoly, Presentation, WindowedQuiver, word_degree
 
 __all__ = [
@@ -214,7 +218,7 @@ def _lead(words):
 class _Elem:
     """A monic element: ``terms`` has lead coefficient 1."""
 
-    __slots__ = ("terms", "source", "lead", "_tail", "_mod_terms")
+    __slots__ = ("terms", "source", "lead", "_tail", "_packed_tail", "_mod_terms")
 
     def __init__(self, terms, source):
         lead = _lead(terms)
@@ -225,6 +229,7 @@ class _Elem:
         self.source = source
         self.lead = lead
         self._tail = None
+        self._packed_tail = False  # not computed yet
         self._mod_terms = None
 
     def tail(self):
@@ -235,6 +240,19 @@ class _Elem:
             lead = self.lead
             self._tail = tuple((w, -v) for w, v in self.terms.items() if w != lead)
         return self._tail
+
+    def packed_tail(self):
+        """``tail`` with each coefficient packed (``QScalar.pack``), as
+        ``(word, packed, shift, bound)``; None when a coefficient has a
+        denominator.  Computed once, when first asked for."""
+        if self._packed_tail is False:
+            packed = [(w, v.pack()) for w, v in self.tail()]
+            self._packed_tail = (
+                None
+                if any(p is None for _w, p in packed)
+                else tuple((w, *p) for w, p in packed)
+            )
+        return self._packed_tail
 
     def mod_terms(self):
         """The terms with each coefficient mapped once by ``QScalar.modp``."""
@@ -334,8 +352,20 @@ def _reduce_full(terms, source, index):
     ``work``, by ``(-length, word)``.  A word made by rewriting a divisible
     word keeps that word's right end, so its anchors are extended from the
     parent's (``_find_divisor``'s hint).  A divisor g rewrites its lead as
-    ``g.tail()``.
+    ``g.tail()``.  A rewrite makes only words below the rewritten one, and
+    words pop largest first, so each word pops once and no rewrite reaches a
+    word already done.
+
+    The coefficients are reduced packed (``_reduce_packed``) where they are
+    integer Laurent polynomials, and exactly (``_reduce_exact``, the
+    reference) where that gives up.
     """
+    red = _reduce_packed(terms, source, index)
+    return red if red is not None else _reduce_exact(terms, source, index)
+
+
+def _reduce_exact(terms, source, index):
+    """``_reduce_full`` with every coefficient a ``QScalar``."""
     done = {}
     work = dict(terms)
     hints = {}
@@ -348,7 +378,7 @@ def _reduce_full(terms, source, index):
             continue
         hit = _find_divisor(w, source, index, hints.pop(w, None))
         if hit is None:
-            done[w] = done[w] + c if w in done else c
+            done[w] = c
             continue
         pos, g, anchors = hit
         left, right = w[:pos], w[pos + len(g.lead):]
@@ -356,18 +386,88 @@ def _reduce_full(terms, source, index):
         for uw, uc in g.tail():
             nw = left + uw + right
             add = c * uc
-            if nw in done:
-                done[nw] = done[nw] + add
-                if not done[nw]:
-                    del done[nw]
-            elif nw in work:
+            if nw in work:
                 work[nw] = work[nw] + add
             else:
                 work[nw] = add
                 if hint is not None:
                     hints[nw] = hint
                 heapq.heappush(heap, (-len(nw), nw))
-    return {w: v for w, v in done.items() if v}
+    return done
+
+
+def _reduce_packed(terms, source, index):
+    """``_reduce_full`` on packed coefficients; None where it gives up.
+
+    A coefficient is packed (``QScalar.pack``: an int, a shift and an L1
+    bound) when a rewrite first touches it, and unpacked when its word is
+    done; a word never touched keeps its ``QScalar``.  A rewrite is then one
+    int product per tail term, and a merge one int sum aligned on the
+    smaller shift.  It gives up when a coefficient it touches or a divisor's
+    tail has a denominator, or when a bound reaches ``PACK_LIMIT``, beyond
+    which the packed int no longer determines the value.
+    """
+    done = {}
+    work = dict(terms)
+    hints = {}
+    heap = [(-len(w), w) for w in work]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = work.pop(w)
+        if type(c) is tuple:
+            if not c[0]:
+                continue
+        elif not c:
+            continue
+        hit = _find_divisor(w, source, index, hints.pop(w, None))
+        if hit is None:
+            done[w] = c
+            continue
+        pos, g, anchors = hit
+        tail = g.packed_tail()
+        if tail is None:
+            return None
+        if type(c) is not tuple:
+            c = c.pack()
+            if c is None:
+                return None
+        cp, ck, cb = c
+        left, right = w[:pos], w[pos + len(g.lead):]
+        hint = (anchors, len(right)) if anchors is not None else None
+        for uw, up, uk, ub in tail:
+            nw = left + uw + right
+            p, k, b = cp * up, ck + uk, cb * ub
+            old = work.get(nw)
+            if old is None:
+                if b >= PACK_LIMIT:
+                    return None
+                work[nw] = (p, k, b)
+                if hint is not None:
+                    hints[nw] = hint
+                heapq.heappush(heap, (-len(nw), nw))
+                continue
+            if type(old) is not tuple:
+                old = old.pack()
+                if old is None:
+                    return None
+            op, ok, ob = old
+            if ok < k:
+                p = op + (p << PACK_BITS * (k - ok))
+                k = ok
+            elif ok > k:
+                p += op << PACK_BITS * (ok - k)
+            else:
+                p += op
+            b += ob
+            if b >= PACK_LIMIT:
+                return None
+            # a sum that cancels is exactly zero, so its bound restarts at 0
+            work[nw] = (p, k, b) if p else (0, k, 0)
+    for w, c in done.items():
+        if type(c) is tuple:
+            done[w] = unpack(c[0], c[1])
+    return done
 
 
 def _ambiguities(g1, g2, code):
@@ -408,15 +508,14 @@ def _ambiguities(g1, g2, code):
 
 def _s_polynomial(word, g1, g2, p1, p2):
     """The two rewrites of the ambiguity word subtracted, zero terms dropped."""
-    terms = {}
     left1, right1 = word[:p1], word[p1 + len(g1.lead):]
     left2, right2 = word[:p2], word[p2 + len(g2.lead):]
-    for uw, uc in g1.terms.items():
-        nw = left1 + uw + right1
-        terms[nw] = terms.get(nw, QScalar.zero()) + uc
+    # the words of one rewrite are distinct, so only the second can merge
+    terms = {left1 + uw + right1: uc for uw, uc in g1.terms.items()}
     for uw, uc in g2.terms.items():
         nw = left2 + uw + right2
-        terms[nw] = terms.get(nw, QScalar.zero()) - uc
+        old = terms.get(nw)
+        terms[nw] = -uc if old is None else old - uc
     return {w: v for w, v in terms.items() if v}
 
 
@@ -626,27 +725,68 @@ class GBResult:
 
     @staticmethod
     def from_dict(data):
+        """The result ``to_dict`` gave.  Raises ``ValueError`` on a field of
+        the wrong type, an element with no terms, a repeated word or a zero
+        coefficient, so a broken entry is refused when it is read."""
         from .qfield import parse_qscalar
 
-        def poly_in(d):
-            terms = {
-                tuple((k, int(i)) for k, i in w): parse_qscalar(text)
-                for w, text in d["terms"]
-            }
-            source = tuple(d["source"]) if d["source"] is not None else None
-            return NCPoly.make(terms, source, data["rank"])
+        def typed(value, kind, what):
+            if not isinstance(value, kind) or (kind is int and type(value) is bool):
+                raise ValueError(
+                    "gbresult %s: expected %s, got %r" % (what, kind.__name__, value)
+                )
+            return value
 
+        def letter(l):
+            if not isinstance(l, list) or len(l) != 2:
+                raise ValueError(
+                    "gbresult letter: expected [kind, index], got %r" % (l,)
+                )
+            return typed(l[0], str, "letter kind"), typed(l[1], int, "letter index")
+
+        def poly_in(d):
+            typed(d, dict, "element")
+            pairs = typed(d["terms"], list, "terms")
+            if not pairs:
+                raise ValueError("gbresult element with no terms")
+            terms = {}
+            for pair in pairs:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(
+                        "gbresult term: expected [word, text], got %r" % (pair,)
+                    )
+                w, text = pair
+                word = tuple(letter(l) for l in typed(w, list, "word"))
+                value = parse_qscalar(text)
+                if not value:
+                    raise ValueError("gbresult element with a zero coefficient")
+                if word in terms:
+                    raise ValueError("gbresult element repeats the word %r" % (word,))
+                terms[word] = value
+            source = d["source"]
+            if source is not None:
+                source = tuple(
+                    typed(x, int, "source") for x in typed(source, list, "source")
+                )
+            return NCPoly.make(terms, source, rank)
+
+        typed(data, dict, "entry")
+        rank = typed(data["rank"], int, "rank")
         return GBResult(
-            rank=data["rank"],
-            anchored=data["anchored"],
-            order=MonomialOrder(tuple((k, int(i)) for k, i in data["precedence"])),
-            letters=tuple((k, int(i)) for k, i in data["letters"]),
-            elements=tuple(poly_in(d) for d in data["elements"]),
-            cap=data["cap"],
-            certified_len=data["certified_len"],
-            complete=data["complete"],
-            input_label=data["input_label"],
-            input_hash=data["input_hash"],
+            rank=rank,
+            anchored=typed(data["anchored"], bool, "anchored"),
+            order=MonomialOrder(
+                tuple(letter(l) for l in typed(data["precedence"], list, "precedence"))
+            ),
+            letters=tuple(letter(l) for l in typed(data["letters"], list, "letters")),
+            elements=tuple(
+                poly_in(d) for d in typed(data["elements"], list, "elements")
+            ),
+            cap=typed(data["cap"], int, "cap"),
+            certified_len=typed(data["certified_len"], int, "certified_len"),
+            complete=typed(data["complete"], bool, "complete"),
+            input_label=typed(data["input_label"], str, "input_label"),
+            input_hash=typed(data["input_hash"], str, "input_hash"),
         )
 
 

@@ -28,6 +28,17 @@ prime ``MOD_P`` and point ``MOD_Q0``: Horner mod p on num and den and one
 modular inverse.  Where the denominator vanishes mod p it raises
 ModularPoleError instead of returning a value.
 
+``pack`` is the other ring map, Kronecker substitution (Kronecker 1882;
+Harvey, *J. Symbolic Comput.* 44, 2009): an integer Laurent polynomial
+q**shift * num(q) maps to the int ``num(2**PACK_BITS)``, with an upper
+bound on the L1 norm of num, and ``unpack`` reads the polynomial back from
+the signed base-2**PACK_BITS digits of that int.  While the bound of a
+value is below ``PACK_LIMIT`` every coefficient of num is too, so the
+digits are exactly the coefficients and the int is zero exactly when the
+value is.  A product of packed values is one int product, with the bounds
+multiplied; a sum aligns the shifts by shifting one int left by
+PACK_BITS per power of q, with the bounds added.
+
 The bit ceiling (``set_bit_ceiling``) bounds the bit length of every integer
 stored in the primitive num and den; every construction path checks it and
 raises CoefficientOverflowError.
@@ -47,6 +58,9 @@ __all__ = [
     "CoefficientOverflowError",
     "MOD_P",
     "MOD_Q0",
+    "PACK_BITS",
+    "PACK_LIMIT",
+    "unpack",
     "qint",
     "qbinom",
     "specialize",
@@ -76,6 +90,14 @@ class CoefficientOverflowError(QArithmeticError):
 # q0 is the image of 991/907.
 MOD_P = 2**31 - 1
 MOD_Q0 = 991 * pow(907, -1, MOD_P) % MOD_P
+
+
+# Kronecker substitution: packed values are polynomials evaluated at
+# q = 2**PACK_BITS, exact while their L1-norm bound is below PACK_LIMIT.
+PACK_BITS = 64
+PACK_LIMIT = 1 << (PACK_BITS - 1)
+_PACK_MASK = (1 << PACK_BITS) - 1
+_PACK_BASE = 1 << PACK_BITS
 
 
 _BIT_CEILING = 1_000_000
@@ -476,6 +498,21 @@ class QScalar:
             n = n * pow(d, -1, MOD_P)
         return n % MOD_P
 
+    def pack(self):
+        """The image at q = 2**PACK_BITS of an integer Laurent polynomial, as
+        ``(num(2**PACK_BITS), shift, L1 norm of num)``; None where the
+        denominator is not 1.  ``unpack`` reads it back."""
+        if self.den is not _D1:
+            return None
+        num = self.num
+        if len(num) == 1:
+            x = num[0]
+            return x, self.shift, abs(x)
+        packed = 0
+        for x in reversed(num):
+            packed = (packed << PACK_BITS) + x
+        return packed, self.shift, sum(map(abs, num))
+
     # -- rendering -----------------------------------------------------
 
     def render(self):
@@ -680,6 +717,25 @@ def _mod_eval(c):
     for x in reversed(c):
         acc = (acc * MOD_Q0 + x) % MOD_P
     return acc
+
+
+def unpack(packed, shift):
+    """The QScalar q**shift * num(q) for the int ``packed = num(2**PACK_BITS)``
+    (``QScalar.pack``), where every coefficient of num is below PACK_LIMIT in
+    absolute value: num is the signed base-2**PACK_BITS digits of the int."""
+    if not packed:
+        return _QZERO
+    while not packed & _PACK_MASK:
+        packed >>= PACK_BITS
+        shift += 1
+    digits = []
+    while packed:
+        d = packed & _PACK_MASK
+        if d >= PACK_LIMIT:
+            d -= _PACK_BASE
+        digits.append(d)
+        packed = (packed - d) >> PACK_BITS
+    return _build(shift, tuple(digits), _D1)
 
 
 def _coerce(x):

@@ -130,6 +130,17 @@ def _with_coefficient(stored, text):
     return payload
 
 
+def _with_field(stored, name, value):
+    """The stored payload with one field replaced; ``terms`` replaces the
+    first element's terms."""
+    payload = json.loads(stored)["payload"]
+    if name == "terms":
+        payload["elements"][0]["terms"] = value
+    else:
+        payload[name] = value
+    return payload
+
+
 @pytest.mark.parametrize(
     "rewrite",
     [
@@ -139,10 +150,15 @@ def _with_coefficient(stored, text):
         lambda key, stored: _signed(key, [1, 2]),
         lambda key, stored: _signed(key, _with_coefficient(stored, 5)),
         lambda key, stored: _signed(key, _with_coefficient(stored, "(1)/(0)")),
+        lambda key, stored: _signed(key, _with_field(stored, "terms", [])),
+        lambda key, stored: _signed(key, _with_coefficient(stored, "0")),
+        lambda key, stored: _signed(key, _with_field(stored, "cap", "5")),
+        lambda key, stored: _signed(key, _with_field(stored, "elements", {})),
     ],
     ids=[
         "list", "string", "payload-missing-fields", "payload-list",
         "coefficient-not-text", "coefficient-zero-denominator",
+        "element-no-terms", "coefficient-zero", "cap-not-int", "elements-not-list",
     ],
 )
 def test_malformed_cache_entry_quarantined_and_recomputed(tmp_path, capsys, rewrite):

@@ -833,10 +833,14 @@ def test_chain_criterion_skips_only_zero_reductions(monkeypatch, spec, cap, fire
 _FREE_LETTERS = (("x", 0), ("x", 1), ("x", 2))
 
 
+_SMALL_INTS = st.sampled_from((-2, -1, 1, 2)).map(QScalar.from_rational)
+
+
 @st.composite
-def _multihomogeneous_presentations(draw):
+def _multihomogeneous_presentations(draw, coeffs=_SMALL_INTS):
     """A free presentation on 2 or 3 letters: 1 to 4 relations, each a sum
-    of 1 to 3 rearrangements of one word of length 2 to 4."""
+    of 1 to 3 rearrangements of one word of length 2 to 4, with coefficients
+    drawn from ``coeffs``."""
     rank = draw(st.integers(2, 3))
     letters = _FREE_LETTERS[:rank]
     relations = []
@@ -845,7 +849,6 @@ def _multihomogeneous_presentations(draw):
         words = draw(
             st.lists(st.permutations(word), min_size=1, max_size=3, unique_by=tuple)
         )
-        coeffs = st.sampled_from((-2, -1, 1, 2)).map(QScalar.from_rational)
         relations.append(
             NCPoly.make({tuple(w): draw(coeffs) for w in words}, rank=rank)
         )
@@ -861,6 +864,94 @@ def test_chain_criterion_keeps_random_bases(pres, cap):
     with mock.patch.object(gbasis, "_chain_resolvable", lambda *args: False):
         off = groebner(pres, cap).content_hash()
     assert on == off
+
+
+# -- packed coefficients ---------------------------------------------------
+
+
+_LAURENT_COEFFS = st.sampled_from(
+    tuple(
+        QScalar.from_laurent(t)
+        for t in (
+            {0: 1}, {0: -1}, {0: 2}, {0: -2}, {1: 1}, {1: -1}, {-1: 1}, {-2: -1},
+            {3: 1}, {1: 1, -1: 1}, {1: -1, -1: -1},
+        )
+    )
+)
+
+
+def _reduction_paths(monkeypatch):
+    """Count the reductions gbasis._reduce_packed finishes (``packed``) and
+    gives up, to be redone exactly (``exact``)."""
+    count = {"packed": 0, "exact": 0}
+    real = gbasis._reduce_packed
+
+    def reduce_packed(*args):
+        red = real(*args)
+        count["packed" if red is not None else "exact"] += 1
+        return red
+
+    monkeypatch.setattr(gbasis, "_reduce_packed", reduce_packed)
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(pres=_multihomogeneous_presentations(_LAURENT_COEFFS), cap=st.integers(5, 7))
+def test_packed_reduction_keeps_random_bases(pres, cap):
+    """Random multihomogeneous relations with Laurent coefficients (+-q^k,
+    q + 1/q, small ints) complete to the same basis with packed reduction
+    and with every reduction exact."""
+    on = groebner(pres, cap).content_hash()
+    with mock.patch.object(gbasis, "_reduce_packed", lambda *args: None):
+        off = groebner(pres, cap).content_hash()
+    assert on == off
+
+
+@pytest.mark.parametrize(
+    "coeff, path",
+    [
+        ({1: 2**62}, "packed"),
+        ({1: -(2**62), 2: 2**61}, "packed"),
+        ({1: 2**63}, "exact"),
+        ({1: 2**70}, "exact"),
+    ],
+    ids=["2^62q", "-2^62q+2^61q^2", "2^63q", "2^70q"],
+)
+def test_packed_reduction_gives_up_at_the_bound(monkeypatch, coeff, path):
+    """Modulo x1 x2 = q x2 x1 the normal form of c x1x1x2 + x2x1x1 is
+    (c q^2 + 1) x2x1x1.  The bound of c q^2 + 1 is |c|_1 + 1: below 2^63
+    the reduction stays packed, from 2^63 on it is redone exactly, and both
+    give the exact normal form."""
+    x1, x2 = _FREE_LETTERS[:2]
+    one, q = QScalar.one(), QScalar.q_pow(1)
+    rel = NCPoly.make({(x1, x2): one, (x2, x1): -q}, rank=2)
+    g = groebner(Presentation(2, (x1, x2), (rel,), "q-commuting"), 4)
+    c = QScalar.from_laurent(coeff)
+    x = NCPoly.make({(x1, x1, x2): c, (x2, x1, x1): one}, rank=2)
+    count = _reduction_paths(monkeypatch)
+    assert normal_form(x, g) == NCPoly.make({(x2, x1, x1): c * q * q + one}, rank=2)
+    assert count == {"packed": int(path == "packed"), "exact": int(path == "exact")}
+
+
+@pytest.mark.parametrize(
+    "series, rank, cap, exact", [("A", 4, 10, False), ("G", 2, 14, True)], ids=["A4", "G2"]
+)
+def test_packed_reduction_falls_back_at_denominators(
+    monkeypatch, series, rank, cap, exact
+):
+    """The free A4 basis is integral and every reduction of its completion
+    stays packed.  Two elements of the free G2 basis carry the denominator
+    1 + q^2, so the reductions that touch them are redone exactly, and the
+    basis is the one of a completion with every reduction exact."""
+    pres = un_presentation(build_cartan(series, rank))
+    count = _reduction_paths(monkeypatch)
+    on = groebner(pres, cap)
+    assert count["packed"] > 0
+    assert (count["exact"] > 0) == exact
+    fractions = [p for p in on.elements if any(v.pack() is None for _w, v in p.terms)]
+    assert len(fractions) == (2 if exact else 0)
+    monkeypatch.setattr(gbasis, "_reduce_packed", lambda *args: None)
+    assert groebner(pres, cap).content_hash() == on.content_hash()
 
 
 # -- Anick chains ----------------------------------------------------------
