@@ -31,7 +31,7 @@ CLI_RUNS = {
     "ext-A1-w6-triv": ["ext", "--type", "A1", "--window", "6", "--homcap", "3"],
     "ext-A1-w6-pair": [
         "ext", "--type", "A1", "--window", "6", "--homcap", "3",
-        "--modules", "trivial;simple:1",
+        "--module", "trivial;simple:1",
     ],
     "ext-A2-w3-cl": ["ext", "--type", "A2", "--window", "3", "--homcap", "2"],
     "ext-A2-w3-q": [
@@ -92,7 +92,7 @@ CLI_RUNS = {
         "ext", "--type", "A2", "--f", "qinteger", "--window", "5", "--homcap", "4",
     ],
     "koszul-A1-w6-floor": [
-        "koszul-check", "--type", "A1", "--modules", "trivial;verma:-1:floor",
+        "koszul-check", "--type", "A1", "--module", "trivial;verma:-1:floor",
         "--window", "6",
     ],
     # a rank-2 window of a module that is not a vertex simple, on the
@@ -111,13 +111,19 @@ CLI_RUNS = {
     # Yoneda lifts at generic q, and Ext^2 read below the top stage of a
     # resolution (homcap 3): the two kinds of cocycle rows
     "koszul-A1-w6-floor-q": [
-        "koszul-check", "--type", "A1", "--f", "qinteger", "--modules",
+        "koszul-check", "--type", "A1", "--f", "qinteger", "--module",
         "trivial;verma:-1:floor", "--window", "6",
     ],
     "koszul-A1-w6-floor-h3": [
-        "koszul-check", "--type", "A1", "--modules", "trivial;verma:-1:floor",
+        "koszul-check", "--type", "A1", "--module", "trivial;verma:-1:floor",
         "--window", "6", "--homcap", "3",
     ],
+    # check-module runs: relations and simplicity of a simple module at
+    # generic q, and of a truncated Verma module, which is not simple
+    "check-A2-s11-q": [
+        "check-module", "--type", "A2", "--f", "qinteger", "--module", "simple:1,1",
+    ],
+    "check-A1-v0-d2": ["check-module", "--type", "A1", "--module", "verma:0:2"],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

@@ -13,12 +13,11 @@ from schurq.presentation import FSpec
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--homcap", type=int, default=2)
-    ap.add_argument("--windows", default="6,8")
+    ap.add_argument("--window", type=int, default=8)
     ap.add_argument("--single", action="store_true",
                     help="run with the trivial module only, demonstrating "
                          "the list-insufficiency verdict")
     args = ap.parse_args()
-    windows = tuple(int(w) for w in args.windows.split(","))
 
     c = build_cartan("A", 1)
     f = FSpec.classical()
@@ -29,7 +28,7 @@ def main():
     else:
         modules, labels = [triv, verma], ("L0", "M")
     rep = koszul_check(c, f, modules, labels=labels, homcap=args.homcap,
-                       windows=windows)
+                       window=args.window)
     print(json.dumps(rep, indent=2, sort_keys=True))
     return 0 if rep["verdict"] in ("generated", "list-insufficient") else 1
 

@@ -13,21 +13,20 @@ from schurq.presentation import FSpec
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--homcap", type=int, default=4)
-    ap.add_argument("--windows", default="6,8")
+    ap.add_argument("--window", type=int, default=8)
     args = ap.parse_args()
-    windows = tuple(int(w) for w in args.windows.split(","))
 
     c = build_cartan("A", 1)
     fq = FSpec.qinteger()
     rep = schur_check(c, fq, trivial_module(c, fq, (0,)),
-                      homcap=args.homcap, windows=windows)
+                      homcap=args.homcap, window=args.window)
 
     f1 = FSpec.qinteger("one")
     fc = FSpec.classical()
     tab1 = ext_table(c, f1, [trivial_module(c, f1, (0,))], args.homcap,
-                     windows, labels=("L0",))
+                     args.window, labels=("L0",))
     tabc = ext_table(c, fc, [trivial_module(c, fc, (0,))], args.homcap,
-                     windows, labels=("L0",))
+                     args.window, labels=("L0",))
     coherent = tab1.dims == tabc.dims
 
     out = {

@@ -12,10 +12,9 @@ from schurq.presentation import FSpec
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--homcap", type=int, default=4)
-    ap.add_argument("--windows", default="6,8",
-                    help="comma-separated window radii")
+    ap.add_argument("--window", type=int, default=8,
+                    help="the larger of the two window radii")
     args = ap.parse_args()
-    windows = tuple(int(w) for w in args.windows.split(","))
 
     c = build_cartan("A", 1)
     f = FSpec.classical()
@@ -24,7 +23,7 @@ def main():
         ("trivial", trivial_module(c, f, (0,))),
         ("simple_3dim", build_simple(c, f, (1,))),
     ):
-        rep = schur_check(c, f, module, homcap=args.homcap, windows=windows)
+        rep = schur_check(c, f, module, homcap=args.homcap, window=args.window)
         out[label] = rep.to_dict()
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0 if all(r["verdict"] == "match" for r in out.values()) else 1

@@ -13,14 +13,13 @@ from schurq.presentation import FSpec
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--homcap", type=int, default=2)
-    ap.add_argument("--windows", default="2,3")
+    ap.add_argument("--window", type=int, default=3)
     args = ap.parse_args()
-    windows = tuple(int(w) for w in args.windows.split(","))
 
     c = build_cartan("A", 2)
     f = FSpec.classical()
     rep = schur_check(c, f, trivial_module(c, f, (0, 0)),
-                      homcap=args.homcap, windows=windows)
+                      homcap=args.homcap, window=args.window)
     out = {
         "probe": rep.to_dict(),
         "full_target": list(flag_betti(c)),

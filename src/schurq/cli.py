@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 from . import __version__
@@ -61,8 +61,7 @@ class RunConfig:
     window: int = 6  # largest window radius; stabilization pairs with window-2
     homcap: int = 4
     cap: int = 8  # degree cap for hilbert
-    module: str = "trivial"  # trivial[:n0] | simple:n0 | verma:n0:depth|floor
-    modules: list = field(default_factory=list)  # koszul-check list
+    module: str = "trivial"  # one spec, or a ;-separated list for ext/koszul-check
     out: str = ""
     cache: str = ""
 
@@ -77,12 +76,6 @@ class RunConfig:
             val = getattr(self, name)
             if not isinstance(val, str):
                 raise ConfigError("%s: expected a string, got %r" % (name, val))
-        if not isinstance(self.modules, list) or not all(
-            isinstance(s, str) for s in self.modules
-        ):
-            raise ConfigError(
-                "modules: expected a list of strings, got %r" % (self.modules,)
-            )
         if self.series.upper() not in "ABCDEFG" or len(self.series) != 1:
             raise ConfigError("type: unknown series %r" % self.series)
         if self.rank < 1:
@@ -325,8 +318,21 @@ def cmd_hilbert(cfg, cache):
     }
 
 
+def _module_specs(cfg, single=False):
+    """The specs of ``cfg.module``, a ;-separated list: one where ``single``
+    asks for it, at least one otherwise."""
+    specs = [s for s in cfg.module.split(";") if s]
+    if not specs or single and len(specs) > 1:
+        raise ConfigError(
+            "module: expected %s, got %r"
+            % ("one module spec" if single else "a ;-separated spec list", cfg.module)
+        )
+    return specs
+
+
 def _single_module(cfg, c, f):
-    mod = parse_module_spec(cfg.module, c, f)
+    (spec,) = _module_specs(cfg, single=True)
+    mod = parse_module_spec(spec, c, f)
     if callable(mod):
         mod = mod(cfg.window)
     return mod
@@ -354,44 +360,45 @@ def cmd_check_module(cfg):
     return out
 
 
-def _windows(cfg, homcap):
-    """The two radii compared by a run at ``homcap``: (max(window - 2,
-    homcap), window)."""
+def _window(cfg, homcap):
+    """``cfg.window``, checked to leave a smaller radius of at least
+    ``homcap`` (the library pairs it with max(window - 2, homcap))."""
     if cfg.window - 1 < homcap:
         raise ConfigError(
             "window: window %d has no smaller radius at least homcap %d; "
             "need window - 1 >= homcap" % (cfg.window, homcap)
         )
-    return (max(cfg.window - 2, homcap), cfg.window)
+    return cfg.window
 
 
 def cmd_ext(cfg):
     c = cfg.cartan()
     f = cfg.fspec()
-    specs = cfg.modules or [cfg.module]
+    specs = _module_specs(cfg)
     mods = [parse_module_spec(s, c, f) for s in specs]
-    windows = _windows(cfg, cfg.homcap)
-    tab = ext_table(c, f, mods, cfg.homcap, windows, labels=tuple(specs))
+    window = _window(cfg, cfg.homcap)
+    tab = ext_table(c, f, mods, cfg.homcap, window, labels=tuple(specs))
     return {"ext_table": tab.to_dict()}
 
 
 def cmd_schur_check(cfg):
     c = cfg.cartan()
     f = cfg.fspec()
-    mod = parse_module_spec(cfg.module, c, f)
-    rep = schur_check(c, f, mod, homcap=cfg.homcap, windows=_windows(cfg, cfg.homcap))
+    (spec,) = _module_specs(cfg, single=True)
+    mod = parse_module_spec(spec, c, f)
+    rep = schur_check(c, f, mod, homcap=cfg.homcap, window=_window(cfg, cfg.homcap))
     return {"schur": rep.to_dict()}
 
 
 def cmd_koszul_check(cfg):
     c = cfg.cartan()
     f = cfg.fspec()
-    specs = cfg.modules or [cfg.module]
+    specs = _module_specs(cfg)
     mods = [parse_module_spec(s, c, f) for s in specs]
     # the probe reads Ext^2, so it runs at homcap 2 at least
     homcap = max(2, cfg.homcap)
     rep = koszul_check(
-        c, f, mods, labels=list(specs), homcap=homcap, windows=_windows(cfg, homcap)
+        c, f, mods, labels=list(specs), homcap=homcap, window=_window(cfg, homcap)
     )
     return {"koszul": rep}
 
@@ -425,9 +432,10 @@ def build_parser():
     p.add_argument("--window", type=int)
     p.add_argument("--homcap", type=int)
     p.add_argument("--cap", type=int, help="degree cap for hilbert")
-    p.add_argument("--module", help="trivial[:n0] | simple:n0 | verma:n0:depth|floor")
     p.add_argument(
-        "--modules", help="comma-free semicolon-separated module specs for lists"
+        "--module",
+        help="trivial[:n0] | simple:n0 | verma:n0:depth|floor; ext and "
+        "koszul-check take a ;-separated list",
     )
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--cache", help="cache directory")
@@ -448,8 +456,6 @@ def config_from_args(args):
         val = getattr(args, name)
         if val is not None:
             data[name] = val
-    if args.modules is not None:
-        data["modules"] = [s for s in args.modules.split(";") if s]
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:

@@ -37,8 +37,8 @@ The algebra keeps words coded as ``gbasis`` does (``WindowedAlgebra.code``:
 ``str`` words, ``int`` vertices).  Its normal paths, normal forms and
 letter action, the projective bases, the kernel vectors over them, the
 differential entries of ``Stage.diff`` and the Yoneda lifts are on codes.
-A word is decoded only where a module matrix acts on it (``word_matrix``,
-``_act_mod``) and in error messages.
+A word is decoded only where a module matrix acts on it (``word_matrix``)
+and in error messages.
 """
 
 from __future__ import annotations
@@ -480,28 +480,9 @@ def _diff_matrix(algebra, stages, p, m, diff_mod=None):
     return dom, cod, rows
 
 
-def _act_mod(V, word, n, vec):
-    """The action of an operator word on an int vector of V(n), mod p.
-
-    Once the vector is zero or meets an operator V lacks, the result is the
-    zero vector of V at the word's target; no further letter is applied.
-    """
-    for k in reversed(range(len(word))):
-        letter = word[k]
-        mat = V.operator(letter, n)
-        if mat is None or not any(vec):
-            return [0] * V.dim(word_target(word[: k + 1], n))
-        vec = [
-            sum(x.modp() * y for x, y in zip(row, vec) if x and y) % MOD_P
-            for row in mat
-        ]
-        n = word_target((letter,), n)
-    return vec
-
-
-def _aug_matrix(algebra, stage, V, m, aug_mod=None):
-    """Matrix of the augmentation P_0(m) -> V(m); over Z/p with ``aug_mod``
-    (the stage's augmentation vectors mod p).
+def _aug_matrix(algebra, stage, V, m, modp=False):
+    """Matrix of the augmentation P_0(m) -> V(m); its exact entries mapped
+    to Z/p with ``modp``.
 
     Where V(m) = 0 the matrix has no rows, so the domain basis is returned
     without acting on any word.
@@ -514,11 +495,8 @@ def _aug_matrix(algebra, stage, V, m, aug_mod=None):
     for (g, word) in dom:
         w = stage.gens[g]
         word = algebra.decode(word)
-        if aug_mod is None:
-            vec = mat_vec(V.word_matrix(word, w), stage.aug[g])
-        else:
-            vec = _act_mod(V, word, w, aug_mod[g])
-        cols.append(vec)
+        vec = mat_vec(V.word_matrix(word, w), stage.aug[g])
+        cols.append([x.modp() for x in vec] if modp else vec)
     rows = tuple(tuple(col[i] for col in cols) for i in range(dim))
     return dom, rows
 
@@ -526,9 +504,9 @@ def _aug_matrix(algebra, stage, V, m, aug_mod=None):
 def _map_matrix(algebra, stages, V, k, m, mod=None):
     """Domain basis and matrix at weight m of the map out of stage k: the
     augmentation to V for k = 0, d_k otherwise.  With ``mod`` (stage k's
-    augmentation vectors or differential entries mod p) it is over Z/p."""
+    differential entries mod p) it is over Z/p."""
     if k == 0:
-        return _aug_matrix(algebra, stages[0], V, m, mod)
+        return _aug_matrix(algebra, stages[0], V, m, mod is not None)
     dom, _cod, rows = _diff_matrix(algebra, stages, k, m, diff_mod=mod)
     return dom, rows
 
@@ -540,10 +518,7 @@ def _exact_kernel(algebra, stages, V, k, m):
 
 
 def _mod_data(stage):
-    """A stage's augmentation vectors (stage 0) or differential entries,
-    mod p."""
-    if stage.aug:
-        return tuple(tuple(x.modp() for x in v) for v in stage.aug)
+    """A stage's differential entries mod p (none at stage 0)."""
     return tuple(tuple((b, c.modp()) for b, c in entry) for entry in stage.diff)
 
 
@@ -1170,14 +1145,14 @@ def _ext_matrix_once(c, f, modules, homcap, radius, resolve=False):
     return table, verified, modules, resolutions
 
 
-def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
+def _ext_run(c, f, modules, homcap, window, labels, resolve=False):
     """Two-window Ext table plus the larger window's modules and resolutions.
 
-    ``windows`` is one pair of radii, smaller first, the smaller at least
-    ``homcap``.  The smaller window keeps only its dims and which rows it
-    verified (``_ext_matrix_once``): its algebra and resolutions are
-    dropped before the larger window is built, so at most one window's
-    objects are alive at a time.  Where the
+    ``window`` is the larger radius and max(window - 2, homcap) the
+    smaller, so ``window - 1 >= homcap`` is needed.  The smaller window
+    keeps only its dims and which rows it verified (``_ext_matrix_once``):
+    its algebra and resolutions are dropped before the larger window is
+    built, so at most one window's objects are alive at a time.  Where the
     chains give Ext, the larger window is resolved only when ``resolve``
     asks; else its resolutions are None.  Only ``koszul_check`` asks: it
     reads its cocycles and Yoneda products from the returned resolutions
@@ -1186,24 +1161,19 @@ def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
     is verified, since its Hom differential is zero; a resolved row needs
     ``d o d = 0`` and, where the chains give Ext too, their dims.
     """
-    if len(windows) != 2:
+    if window - 1 < homcap:
         raise ExtError(
-            "stabilization compares two window radii, got %s" % (tuple(windows),)
+            "window %d has no smaller radius at least homcap %d; "
+            "need window - 1 >= homcap" % (window, homcap)
         )
-    small, large = windows
-    if small >= large:
-        raise ExtError("window radii must strictly increase, got %s" % (tuple(windows),))
-    if small < homcap:
-        raise ExtError(
-            "the smaller window radius %d is below homcap %d" % (small, homcap)
-        )
+    small = max(window - 2, homcap)
     if labels is None:
         if any(callable(m) for m in modules):
             raise ExtError("labels are required for radius-dependent modules")
         labels = tuple(V.provenance + str(k) for k, V in enumerate(modules))
     prev, prev_verified = _ext_matrix_once(c, f, modules, homcap, small)[:2]
     last, verified, modules, resolutions = _ext_matrix_once(
-        c, f, modules, homcap, large, resolve
+        c, f, modules, homcap, window, resolve
     )
     verified = [a and b for a, b in zip(verified, prev_verified)]
     dims = []
@@ -1218,20 +1188,21 @@ def _ext_run(c, f, modules, homcap, windows, labels, resolve=False):
         dims=tuple(dims),
         stable=tuple(stable),
         homcap=homcap,
-        windows=tuple(windows),
+        windows=(small, window),
         description="%s;f=%s" % (c.series or c.a, f.describe()),
     )
     return table, modules, resolutions
 
 
-def ext_table(c, f, modules, homcap, windows, labels=None):
-    """Ext^p(V_i, V_j) over two window radii with stability flags: an entry
-    is stable when the two windows agree on it and both verified row i.  A
-    window of vertex simples whose chains give Ext reads its table off them
-    and resolves nothing; its rows are verified, since the Hom differential
-    is zero.  Other windows need ``d o d = 0`` on their resolutions of V_i
+def ext_table(c, f, modules, homcap, window=8, labels=None):
+    """Ext^p(V_i, V_j) over two window radii, ``window`` and the smaller
+    max(window - 2, homcap), with stability flags: an entry is stable when
+    the two windows agree on it and both verified row i.  A window of vertex
+    simples whose chains give Ext reads its table off them and resolves
+    nothing; its rows are verified, since the Hom differential is zero.
+    Other windows need ``d o d = 0`` on their resolutions of V_i
     (``_ext_run``)."""
-    return _ext_run(c, f, modules, homcap, windows, labels)[0]
+    return _ext_run(c, f, modules, homcap, window, labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1354,7 +1325,7 @@ class SchurReport:
         }
 
 
-def schur_check(c, f, V, homcap=4, windows=(6, 8)):
+def schur_check(c, f, V, homcap=4, window=8):
     """Compare Ext^*(V, V) with the flag variety cohomology target.
 
     V may be a module or a radius-dependent factory (built per window).  The
@@ -1370,7 +1341,7 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8)):
     padded_target = tuple(
         target[p] if p < len(target) else 0 for p in range(homcap + 1)
     )
-    tab, (V,), _resolutions = _ext_run(c, f, [V], homcap, windows, ("V",))
+    tab, (V,), _resolutions = _ext_run(c, f, [V], homcap, window, ("V",))
     computed = tab.diagonal(0)
     stable = tuple(tab.stable[p][(0, 0)] for p in range(homcap + 1))
     if not all(stable):
@@ -1401,7 +1372,7 @@ def schur_check(c, f, V, homcap=4, windows=(6, 8)):
         ring_comparison=ring_cmp,
         # the v1 schema keeps lencap as null until schema v2 reports the
         # cap used per window, so report bytes do not change
-        caps={"homcap": homcap, "windows": list(windows), "lencap": None},
+        caps={"homcap": homcap, "windows": list(tab.windows), "lencap": None},
         assumptions=(
             "scalars extended from Q to the rational function field Q(q); "
             "'generic q' means the parameter is transcendental over Q",
@@ -1421,7 +1392,7 @@ def euler_check(table, i=0):
     return sum((-1) ** p * d for p, d in enumerate(dims))
 
 
-def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
+def koszul_check(c, f, modules, labels, homcap=2, window=8):
     """Degree-1 generation probe: do Ext^2 classes factor through Ext^1 products?
 
     Cocycles and Yoneda products are taken on the modules and resolutions that
@@ -1430,7 +1401,7 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
     Ext^2 entry makes the verdict inconclusive, and an unstable Ext^2 entry
     is listed as such whatever its value.
     """
-    tab, modules, resolutions = _ext_run(c, f, modules, homcap, windows, labels, True)
+    tab, modules, resolutions = _ext_run(c, f, modules, homcap, window, labels, True)
     cocycles = {}
 
     def ext1_reps(a, b):
@@ -1442,7 +1413,7 @@ def koszul_check(c, f, modules, labels, homcap=2, windows=(6, 8)):
 
     report = {
         "labels": list(labels),
-        "windows": list(windows),
+        "windows": list(tab.windows),
         "homcap": homcap,
         "ext1": {},
         "classes": [],

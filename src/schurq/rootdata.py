@@ -316,7 +316,7 @@ def _check_length(c, v, what):
         )
 
 
-def kostant_table(c, cap, roots=None, box=None):
+def kostant_table(c, cap, box=None):
     """Kostant partition function on every beta >= 0 of height <= cap.
 
     One dynamic program over the downward-closed set of such beta (bounded
@@ -330,8 +330,7 @@ def kostant_table(c, cap, roots=None, box=None):
     0.  Each root's pass walks the grid in ``_grid``'s order and updates in
     place, so ``v - root`` already counts the partitions that use the root.
     """
-    if roots is None:
-        roots = positive_roots(c)
+    roots = positive_roots(c)
     if box is not None:
         _check_length(c, box, "box")
     bounds = box if box is not None else (cap,) * c.rank
@@ -357,13 +356,13 @@ def kostant_table(c, cap, roots=None, box=None):
     return {v: n for v, code in zip(grid, codes) if (n := counts[code])}
 
 
-def kostant(c, beta, roots=None):
+def kostant(c, beta):
     """Number of multisets of positive roots summing to beta."""
     beta = tuple(int(x) for x in beta)
     _check_length(c, beta, "kostant argument")
     if any(x < 0 for x in beta):
         raise RootDataError("kostant argument must have nonnegative coordinates")
-    return kostant_table(c, sum(beta), roots, box=beta).get(beta, 0)
+    return kostant_table(c, sum(beta), box=beta).get(beta, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_criterion_2_classical_sl2_schur_check():
     c = build_cartan("A", 1)
     f = FSpec.classical()
     for V in (trivial_module(c, f, (0,)), build_simple(c, f, (1,))):
-        rep = schur_check(c, f, V, homcap=4, windows=(6, 8))
+        rep = schur_check(c, f, V, homcap=4, window=8)
         assert rep.verdict == "match", rep.to_dict()
         assert rep.computed_betti == (1, 0, 1, 0, 0)
         assert all(rep.stable)
@@ -83,7 +83,7 @@ def test_criterion_3_quantum_sl2_schur_check():
     c = build_cartan("A", 1)
     f = FSpec.qinteger()
     V = trivial_module(c, f, (0,))
-    rep = schur_check(c, f, V, homcap=4, windows=(6, 8))
+    rep = schur_check(c, f, V, homcap=4, window=8)
     assert rep.verdict == "match", rep.to_dict()
     assert rep.computed_betti == (1, 0, 1, 0, 0)
     assert all(rep.stable)
@@ -100,8 +100,8 @@ def test_criterion_4_q_one_coherence():
     f1 = FSpec.qinteger("one")
     mods_c = [trivial_module(c, fc, (0,)), build_simple(c, fc, (1,))]
     mods_1 = [trivial_module(c, f1, (0,)), build_simple(c, f1, (1,))]
-    tab_c = ext_table(c, fc, mods_c, 4, (6, 8), labels=("L0", "L1"))
-    tab_1 = ext_table(c, f1, mods_1, 4, (6, 8), labels=("L0", "L1"))
+    tab_c = ext_table(c, fc, mods_c, 4, 8, labels=("L0", "L1"))
+    tab_1 = ext_table(c, f1, mods_1, 4, 8, labels=("L0", "L1"))
     assert tab_c.dims == tab_1.dims
     assert tab_c.stable == tab_1.stable
     report(4, "q=1 quantum ExtTable equals the classical table entrywise")
@@ -114,7 +114,7 @@ def test_criterion_5_sl3_degree_two_probe():
     a2 = build_cartan("A", 2)
     f = FSpec.classical()
     rep = schur_check(a2, f, trivial_module(a2, f, (0, 0)), homcap=2,
-                      windows=(2, 3))
+                      window=3)
     assert rep.verdict == "match", rep.to_dict()
     assert rep.computed_betti == (1, 0, 2)
     assert rep.computed_betti == flag_betti(a2)[:3]
@@ -125,10 +125,10 @@ def test_criterion_5_sl3_degree_two_probe():
     a1 = build_cartan("A", 1)
     fa = FSpec.affine([[2]], [-4])  # vanishes at n = 2, off the box center
     t2 = trivial_module(a1, fa, (2,))
-    starved = schur_check(a1, fa, t2, homcap=2, windows=(2, 3))
+    starved = schur_check(a1, fa, t2, homcap=2, window=3)
     assert starved.verdict == "inconclusive"
     assert not all(starved.stable)
-    wide = schur_check(a1, fa, t2, homcap=2, windows=(4, 6))
+    wide = schur_check(a1, fa, t2, homcap=2, window=6)
     assert wide.verdict == "match" and wide.computed_betti == (1, 0, 1)
     report(5, "sl3 degree-2 probe (1,0,2) stable; starved caps -> inconclusive")
 
@@ -142,12 +142,12 @@ def test_criterion_6_koszul_probe():
     triv = lambda radius: trivial_module(c, f, (0,))
     verma = lambda radius: truncated_verma(c, f, (-1,), radius - 1)
     rep = koszul_check(c, f, [triv, verma], labels=("L0", "M"), homcap=2,
-                       windows=(6, 8))
+                       window=8)
     assert rep["verdict"] == "generated", rep
     assert rep["ext1"]["L0->M"] == 1 and rep["ext1"]["M->L0"] == 1
     assert all(e["status"] == "generated" for e in rep["classes"])
     single = koszul_check(c, f, [triv], labels=("L0",), homcap=2,
-                          windows=(6, 8))
+                          window=8)
     assert single["verdict"] == "list-insufficient"
     assert not single["list_sufficient"]
     report(6, "Koszul pair generated in degree 1; single list -> insufficient")
@@ -157,7 +157,7 @@ def test_criterion_7_euler_characteristic():
     """Alternating Ext sum for sl2 classical trivial equals |W| = 2."""
     c = build_cartan("A", 1)
     f = FSpec.classical()
-    tab = ext_table(c, f, [trivial_module(c, f, (0,))], 4, (6, 8),
+    tab = ext_table(c, f, [trivial_module(c, f, (0,))], 4, 8,
                     labels=("L0",))
     assert euler_check(tab) == 2
     report(7, "Euler characteristic of Ext(L0, L0) equals |W| = 2")
@@ -230,7 +230,7 @@ def test_criterion_9_non_simply_laced_degree_two_probe():
     for series in ("B", "C", "G"):
         c = build_cartan(series, 2)
         rep = schur_check(c, f, trivial_module(c, f, (0, 0)), homcap=2,
-                          windows=(2, 3))
+                          window=3)
         assert rep.verdict == "match", (series, rep.to_dict())
         assert rep.computed_betti == (1, 0, 2) == flag_betti(c)[:3]
         assert all(rep.stable)

@@ -229,7 +229,7 @@ def test_koszul_check_command(capsys):
     code, out = run_cli(
         capsys,
         "koszul-check", "--type", "A1", "--window", "4", "--homcap", "2",
-        "--modules", "trivial;verma:-1:floor",
+        "--module", "trivial;verma:-1:floor",
     )
     assert code == 0
     rep = json.loads(out)["results"]["koszul"]
@@ -284,11 +284,11 @@ def test_verma_floor_below_the_smaller_window_is_a_config_error(capsys):
     "argv",
     [
         ("ext", "--module", "verma:1:1"),
-        ("ext", "--modules", "trivial;verma:5:2"),
+        ("ext", "--module", "trivial;verma:5:2"),
         ("schur-check", "--module", "verma:1:1"),
         ("schur-check", "--module", "verma:5:2"),
-        ("koszul-check", "--modules", "trivial;verma:1:1"),
-        ("koszul-check", "--modules", "verma:5:2;trivial"),
+        ("koszul-check", "--module", "trivial;verma:1:1"),
+        ("koszul-check", "--module", "verma:5:2;trivial"),
     ],
 )
 def test_module_of_another_algebra_is_a_typed_error(capsys, argv):
@@ -384,10 +384,17 @@ def test_config_errors_exit_two(capsys, tmp_path, argv):
         (("build-module", "--type", "A1", "--module", "trivial:0:junk"), "module"),
         (("schur-check", "--type", "A1", {"window": "6"}), "window"),
         (("schur-check", "--type", "A1", {"homcap": 2.5}), "homcap"),
-        (("ext", "--type", "A1", {"modules": "trivial"}), "modules"),
+        (("ext", "--type", "A1", {"modules": "trivial"}), "config"),
         (("schur-check", "--type", "A1", "--f", "qinteger", {"q": 0.1}), "q"),
         (("root-data", {"series": "A", "rank": True}), "rank"),
         (("schur-check", "--type", "A1", "--homcap", "-1"), "homcap"),
+        # schur-check, build-module and check-module take one module spec,
+        # and every command needs one
+        (("schur-check", "--type", "A1", "--module", "trivial;simple:1"), "module"),
+        (("build-module", "--type", "A1", "--module", "trivial;simple:1"), "module"),
+        (("check-module", "--type", "A1", "--module", "simple:1;verma:0:2"), "module"),
+        (("schur-check", "--type", "A1", "--module", ";"), "module"),
+        (("ext", "--type", "A1", "--module", ";"), "module"),
     ],
 )
 def test_config_error_names_field(capsys, tmp_path, argv, field):
@@ -403,6 +410,31 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "vibes" in captured.err
+
+
+def test_modules_is_not_an_option(capsys):
+    """--module is the one module option; --modules is no flag."""
+    with pytest.raises(SystemExit) as info:
+        main(["schur-check", "--type", "A1", "--modules", "simple:1"])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
+def test_module_list_runs_the_pair(capsys):
+    """ext reads a ;-separated --module as its list: the results are those
+    of the ext-A1-w6-pair run of scripts/report_digests.py."""
+    code, out = run_cli(
+        capsys, "ext", "--type", "A1", "--window", "6", "--homcap", "3",
+        "--module", "trivial;simple:1",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["module"] == "trivial;simple:1"
+    assert report["results"]["ext_table"]["labels"] == ["trivial", "simple:1"]
+    text = json.dumps(report["results"], sort_keys=True, indent=2, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "19ba08691b2f596c04df0ccc39d743a105e75915d932bc4a2deb142535b16bd2"
+    )
 
 
 def test_margin_is_not_an_option(tmp_path, capsys):

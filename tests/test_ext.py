@@ -41,8 +41,8 @@ from schurq.ext import (
     ext_cocycle_basis,
     _hom_layout,
 )
-from schurq.linalg import ModularSpan, Subspace, mat_vec
-from schurq.qfield import MOD_P, QScalar
+from schurq.linalg import ModularSpan, Subspace
+from schurq.qfield import MOD_P
 from schurq.gbasis import chains
 from schurq.presentation import FSpec, WindowedQuiver, instantiate_window, word_target
 
@@ -216,7 +216,7 @@ def test_dropped_generator_never_yields_match(a1, f_classical, monkeypatch, caps
     simple = build_simple(a1, f_classical, (1,))
     _break_stage(monkeypatch, 2)
     with pytest.raises(ExtractionError):
-        schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6))
+        schur_check(a1, f_classical, simple, homcap=4, window=6)
     monkeypatch.undo()
     _break_stage(monkeypatch, 2)
     code = main(_RESOLVED_SCHUR_ARGV)
@@ -228,9 +228,9 @@ def test_failed_dd_check_is_never_stable(a1, f_classical, monkeypatch):
     """An entry is stable only when d o d = 0 was verified on both windows'
     resolutions of its row, so a failed check turns a match inconclusive."""
     simple = build_simple(a1, f_classical, (1,))
-    assert schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6)).verdict == "match"
+    assert schur_check(a1, f_classical, simple, homcap=4, window=6).verdict == "match"
     monkeypatch.setattr(ext_module, "_check_dd", lambda algebra, stages, V: False)
-    rep = schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6))
+    rep = schur_check(a1, f_classical, simple, homcap=4, window=6)
     assert rep.verdict == "inconclusive" and not any(rep.stable)
 
 
@@ -350,10 +350,10 @@ def test_chain_and_resolution_disagreement_is_not_verified(a1, f_classical, monk
     )
     assert verified == [False] and table[2][(0, 0)] == 0
     tab, _mods, _res = ext_module._ext_run(
-        a1, f_classical, [triv], 4, (4, 6), ("V",), resolve=True
+        a1, f_classical, [triv], 4, 6, ("V",), resolve=True
     )
     assert not any(layer[(0, 0)] for layer in tab.stable)
-    rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2, windows=(4, 6))
+    rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2, window=6)
     assert rep["verdict"] == "inconclusive"
     assert rep["classes"] == [{"pair": ["L0", "L0"], "status": "unstable"}]
 
@@ -369,8 +369,8 @@ def test_a2_tables_come_off_the_chains(a2, f_classical, monkeypatch):
     """A2 at homcap 2 and 4 reads both windows off the chains, builds no
     resolution, and gives the tables that resolving both windows gives."""
     triv = trivial_module(a2, f_classical, (0, 0))
-    check = lambda: schur_check(a2, f_classical, triv, homcap=2, windows=(2, 3))
-    table = lambda: ext_table(a2, f_classical, [triv], 4, windows=(4, 5))
+    check = lambda: schur_check(a2, f_classical, triv, homcap=2, window=3)
+    table = lambda: ext_table(a2, f_classical, [triv], 4, window=5)
     want_check = _resolved_tables(monkeypatch, check)
     want_table = _resolved_tables(monkeypatch, table)
     calls, _resolutions = _count_builds(monkeypatch)
@@ -391,7 +391,7 @@ def test_clamped_cap_keeps_the_resolutions(monkeypatch):
     f = FSpec.classical()
     triv = trivial_module(b2, f, (0, 0))
     calls, _resolutions = _count_builds(monkeypatch)
-    tab = ext_table(b2, f, [triv], 2, windows=(2, 3))
+    tab = ext_table(b2, f, [triv], 2, window=3)
     assert calls["minimal_resolution"] == [2]
     assert tab.diagonal(0) == (1, 0, 2) and tab.diagonal_stable(0)
 
@@ -470,7 +470,7 @@ def test_resolved_windows_complete_to_the_summed_need(a1, f_qinteger, monkeypatc
     monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
     rep = koszul_check(
         a1, f_qinteger, [trivial_module(a1, f_qinteger, (0,))], labels=("L0",),
-        homcap=4, windows=(6, 8),
+        homcap=4, window=8,
     )
     assert rep["verdict"] == "list-insufficient"
     assert [q.radius for q, _cap in resolved] == [8]
@@ -498,7 +498,7 @@ def test_a2_homcap_4_matches_the_flag_betti_numbers(a2, f_classical, monkeypatch
     triv = trivial_module(a2, f_classical, (0, 0))
     calls, _resolutions = _count_builds(monkeypatch)
     built = _count_algebras(monkeypatch)
-    rep = schur_check(a2, f_classical, triv, homcap=4, windows=(4, 5))
+    rep = schur_check(a2, f_classical, triv, homcap=4, window=5)
     assert rep.verdict == "match"
     assert rep.computed_betti == (1, 0, 2, 0, 2) and all(rep.stable)
     assert rep.caps["lencap"] is None
@@ -513,7 +513,7 @@ def test_a2_adjoint_simple_matches(a2, f_classical):
     """The adjoint simple of A2; a closure that queues raw images on
     lowest-column pivots reads (1, 6, 5) here, inconclusive."""
     V = build_simple(a2, f_classical, (1, 1))
-    rep = schur_check(a2, f_classical, V, homcap=2, windows=(2, 3))
+    rep = schur_check(a2, f_classical, V, homcap=2, window=3)
     assert rep.verdict == "match"
     assert rep.computed_betti == (1, 0, 2) and all(rep.stable)
 
@@ -636,27 +636,6 @@ def test_letter_action_tries_position_0_only(a2, f_classical, monkeypatch):
     assert bounds and set(bounds) == {1}
 
 
-def test_act_mod_is_the_word_matrix_mod_p(a2, f_classical):
-    """The mod-p action of every word up to length 3 on the adjoint module,
-    whose zero weight is 2-dimensional, equals its word matrix mod p; words
-    that meet an absent operator or leave the support give the zero vector
-    of the target weight."""
-    V = build_simple(a2, f_classical, (1, 1))
-    letters = [(k, i) for k in "xy" for i in range(2)]
-    words = [w for length in range(4) for w in product(letters, repeat=length)]
-    count = 0
-    for n in V.support():
-        for k in range(V.dim(n)):
-            unit = [QScalar.zero()] * V.dim(n)
-            unit[k] = QScalar.one()
-            for word in words:
-                want = [x.modp() for x in mat_vec(V.word_matrix(word, n), unit)]
-                got = ext_module._act_mod(V, word, n, [x.modp() for x in unit])
-                assert got == want
-                count += bool(want) and not any(want)
-    assert count >= 50
-
-
 @pytest.mark.parametrize(
     "n0,depth,radius,weight,relation",
     [
@@ -756,7 +735,7 @@ def test_wrong_kernel_mod_p_never_yields_match(a1, f_classical, monkeypatch, cap
     simple = build_simple(a1, f_classical, (1,))
     _corrupt_kernel(monkeypatch, 2, how)
     with pytest.raises(ExtractionError):
-        schur_check(a1, f_classical, simple, homcap=4, windows=(4, 6))
+        schur_check(a1, f_classical, simple, homcap=4, window=6)
     monkeypatch.undo()
     _corrupt_kernel(monkeypatch, 2, how)
     code = main(_RESOLVED_SCHUR_ARGV)
@@ -899,33 +878,30 @@ def test_yoneda_square_needs_one_dimensional_class(a1_setup):
 
 def test_ext_table_stability(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
-    tab = ext_table(a1, f_classical, [triv], 4, windows=(4, 6))
+    tab = ext_table(a1, f_classical, [triv], 4, window=6)
     assert tab.diagonal(0) == (1, 0, 1, 0, 0)
     assert tab.diagonal_stable(0)
     assert tab.windows == (4, 6)
 
 
-def test_ext_table_requires_two_windows(a1, f_classical):
+def test_ext_table_window_leaves_a_smaller_radius(a1, f_classical):
+    """The smaller radius is max(window - 2, homcap), so a window below
+    homcap + 1 has none; the error names both numbers."""
     triv = trivial_module(a1, f_classical, (0,))
-    for windows in ((6,), (2, 4, 6)):
-        with pytest.raises(ExtError, match="two window radii"):
-            ext_table(a1, f_classical, [triv], 2, windows=windows)
-    for windows in ((4, 4), (6, 4)):
-        with pytest.raises(ExtError, match="strictly increase"):
-            ext_table(a1, f_classical, [triv], 2, windows=windows)
-    with pytest.raises(ExtError, match="radius 2 is below homcap 4"):
-        ext_table(a1, f_classical, [triv], 4, windows=(2, 3))
+    with pytest.raises(ExtError, match="window 3 .* homcap 4"):
+        ext_table(a1, f_classical, [triv], 4, window=3)
+    assert ext_table(a1, f_classical, [triv], 4, window=5).windows == (4, 5)
 
 
 def test_ext_table_labels_required_for_factories(a1, f_classical):
     factory = lambda radius: truncated_verma(a1, f_classical, (-1,), radius - 1)
     with pytest.raises(ExtError):
-        ext_table(a1, f_classical, [factory], 2, windows=(4, 6))
+        ext_table(a1, f_classical, [factory], 2, window=6)
 
 
 def test_euler_characteristic(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
-    tab = ext_table(a1, f_classical, [triv], 4, windows=(4, 6))
+    tab = ext_table(a1, f_classical, [triv], 4, window=6)
     assert euler_check(tab) == 2
 
 
@@ -955,7 +931,7 @@ def test_euler_refuses_unstable_or_open_tail():
 
 def test_schur_check_classical_trivial(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
-    rep = schur_check(a1, f_classical, triv, homcap=4, windows=(4, 6))
+    rep = schur_check(a1, f_classical, triv, homcap=4, window=6)
     assert rep.verdict == "match"
     assert rep.computed_betti == (1, 0, 1, 0, 0)
     assert rep.target_betti == (1, 0, 1, 0, 0)
@@ -968,7 +944,7 @@ def test_schur_check_classical_trivial(a1, f_classical):
 
 def test_schur_report_serializes(a1, f_classical):
     triv = trivial_module(a1, f_classical, (0,))
-    rep = schur_check(a1, f_classical, triv, homcap=2, windows=(4, 6))
+    rep = schur_check(a1, f_classical, triv, homcap=2, window=6)
     d = rep.to_dict()
     assert d["verdict"] in ("match", "mismatch", "inconclusive")
     assert d["computed_betti"] == list(rep.computed_betti)
@@ -980,7 +956,7 @@ def test_koszul_pair_generated(a1, f_classical):
     verma = lambda radius: truncated_verma(a1, f_classical, (-1,), radius - 1)
     rep = koszul_check(
         a1, f_classical, [triv, verma], labels=("L0", "M"), homcap=2,
-        windows=(4, 6),
+        window=6,
     )
     assert rep["verdict"] == "generated"
     assert rep["ext1"]["L0->M"] == 1
@@ -991,7 +967,7 @@ def test_koszul_pair_generated(a1, f_classical):
 def test_koszul_single_list_insufficient(a1, f_classical):
     triv = lambda radius: trivial_module(a1, f_classical, (0,))
     rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2,
-                       windows=(4, 6))
+                       window=6)
     assert rep["verdict"] == "list-insufficient"
     assert not rep["list_sufficient"]
     statuses = {entry["status"] for entry in rep["classes"]}
@@ -1024,7 +1000,7 @@ def test_koszul_check_refuses_unstable_entries(a1, f_classical, monkeypatch, cap
 
     monkeypatch.setattr(ext_module, "_ext_run", ext_run)
     triv = trivial_module(a1, f_classical, (0,))
-    rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2, windows=(4, 6))
+    rep = koszul_check(a1, f_classical, [triv], labels=("L0",), homcap=2, window=6)
     assert rep["verdict"] == "inconclusive"
     assert [entry["status"] for entry in rep["classes"]] == ["list-insufficient"]
 
@@ -1090,21 +1066,21 @@ def _count_algebras(monkeypatch):
     return calls
 
 
-def _fresh_last_window(c, f, modules, homcap, windows):
+def _fresh_last_window(c, f, modules, homcap, window):
     """Last-window algebra, modules and resolutions, rebuilt from scratch
     with the length cap the Ext table chooses for them."""
-    algebra, modules, _chain = _window(c, f, modules, homcap, windows[-1])
+    algebra, modules, _chain = _window(c, f, modules, homcap, window)
     return modules, [minimal_resolution(algebra, V, homcap) for V in modules]
 
 
-def _koszul_oracle(c, f, modules, labels, homcap, windows):
+def _koszul_oracle(c, f, modules, labels, homcap, window):
     """koszul_check's report on fresh last-window resolutions, every degree-1
     cocycle basis recomputed for each pair."""
-    tab = ext_table(c, f, modules, homcap, windows, labels=labels)
-    modules, resolutions = _fresh_last_window(c, f, modules, homcap, windows)
+    tab = ext_table(c, f, modules, homcap, window, labels=labels)
+    modules, resolutions = _fresh_last_window(c, f, modules, homcap, window)
     n = len(modules)
     report = {
-        "labels": list(labels), "windows": list(windows), "homcap": homcap,
+        "labels": list(labels), "windows": list(tab.windows), "homcap": homcap,
         "ext1": {"%s->%s" % (labels[i], labels[j]): tab.dim(1, i, j)
                  for i in range(n) for j in range(n)},
         "classes": [], "list_sufficient": True, "verdict": "generated",
@@ -1140,14 +1116,15 @@ def test_schur_check_builds_each_window_once(a1, f_classical, f_qinteger, monkey
     """The A1 trivial module reads both windows off the chains and resolves
     neither: the ring comparison follows from the stable Ext table, and it
     agrees with the Yoneda square on a freshly resolved last window."""
-    for f, windows in [(f_classical, (4, 6)), (f_qinteger, (6, 8))]:
+    for f, windows in [(f_classical, [4, 6]), (f_qinteger, [6, 8])]:
         triv = trivial_module(a1, f, (0,))
         with monkeypatch.context() as m:
             calls, _resolutions = _count_builds(m)
             built = _count_algebras(m)
-            rep = schur_check(a1, f, triv, homcap=4, windows=windows)
+            rep = schur_check(a1, f, triv, homcap=4, window=windows[1])
         assert rep.verdict == "match"
-        assert calls == {"completion": list(windows), "minimal_resolution": []}
+        assert calls == {"completion": windows, "minimal_resolution": []}
+        assert rep.caps["windows"] == windows
         assert built == {"WindowedAlgebra": [], "flag_ring": []}
         assert rep.ring_comparison == {
             "compared": True,
@@ -1156,7 +1133,7 @@ def test_schur_check_builds_each_window_once(a1, f_classical, f_qinteger, monkey
             "square_zero_target": True,
         }
         # oracle: the Yoneda square on a last window rebuilt from scratch
-        _mods, (fresh,) = _fresh_last_window(a1, f, [triv], 4, windows)
+        _mods, (fresh,) = _fresh_last_window(a1, f, [triv], 4, windows[1])
         assert yoneda_square(fresh, triv, 2) == rep.ring_comparison["square_zero_computed"]
 
 
@@ -1167,7 +1144,7 @@ def test_chain_capped_windows_resume_their_completion(a2, f_classical, monkeypat
     triv = trivial_module(a2, f_classical, (0, 0))
     advances = []
     calls, _resolutions = _count_builds(monkeypatch, advances)
-    rep = schur_check(a2, f_classical, triv, homcap=4, windows=(4, 5))
+    rep = schur_check(a2, f_classical, triv, homcap=4, window=5)
     assert rep.verdict == "match"
     assert calls["completion"] == [4, 5]
     assert [cap for _state, cap in advances] == [None, 6, None, 6]
@@ -1213,13 +1190,13 @@ def test_no_run_decodes_a_basis(a1, a2, f_classical, f_qinteger, monkeypatch):
     monkeypatch.setattr(ext_module, "minimal_resolution", minimal_resolution)
     rep = schur_check(
         a2, f_classical, trivial_module(a2, f_classical, (0, 0)), homcap=2,
-        windows=(2, 3),
+        window=3,
     )
-    tab = ext_table(a2, f_qinteger, [trivial_module(a2, f_qinteger, (0, 0))], 4, (4, 5))
+    tab = ext_table(a2, f_qinteger, [trivial_module(a2, f_qinteger, (0, 0))], 4, 5)
     assert rep.verdict == "match" and tab.diagonal_stable(0)
     rep = schur_check(
         a1, f_qinteger, trivial_module(a1, f_qinteger, (0,)), homcap=4,
-        windows=(6, 8),
+        window=8,
     )
     # both windows are read off the chains, and the rings are compared
     assert rep.ring_comparison["compared"]
@@ -1227,14 +1204,14 @@ def test_no_run_decodes_a_basis(a1, a2, f_classical, f_qinteger, monkeypatch):
     # the last window resolves on the chain-capped completion
     report = koszul_check(
         a1, f_qinteger, [trivial_module(a1, f_qinteger, (0,))], ["L0"], homcap=2,
-        windows=(4, 6),
+        window=6,
     )
     assert report["verdict"] == "list-insufficient" and len(started) == 8
     simple = build_simple(a1, f_classical, (1,))
     verma = truncated_verma(a1, f_classical, (-1,), 3)
     assert len(started) == 10 and simple.total_dim() == 3 and verma.total_dim() == 4
     triv = trivial_module(a1, f_classical, (0,))
-    tab = ext_table(a1, f_classical, [triv, simple], 2, (2, 4))
+    tab = ext_table(a1, f_classical, [triv, simple], 2, 4)
     assert tab.diagonal(0) == (1, 0, 1) and tab.diagonal_stable(0)
     assert len(started) == 12
     assert calls == {"result": 0, "_input_hash": 0, "_basis_index": 0}
@@ -1243,11 +1220,11 @@ def test_no_run_decodes_a_basis(a1, a2, f_classical, f_qinteger, monkeypatch):
 def test_koszul_check_builds_each_window_once(a1, f_classical, monkeypatch):
     triv = lambda radius: trivial_module(a1, f_classical, (0,))
     verma = lambda radius: truncated_verma(a1, f_classical, (-1,), radius - 1)
-    modules, labels, windows = [triv, verma], ("L0", "M"), (4, 6)
+    modules, labels = [triv, verma], ("L0", "M")
     calls, _resolutions = _count_builds(monkeypatch)
     rep = koszul_check(a1, f_classical, modules, labels=labels, homcap=2,
-                       windows=windows)
+                       window=6)
     assert calls == {"completion": [4, 6], "minimal_resolution": [4, 4, 6, 6]}
     monkeypatch.undo()
     assert rep["classes"]  # the product loop ran
-    assert rep == _koszul_oracle(a1, f_classical, modules, labels, 2, windows)
+    assert rep == _koszul_oracle(a1, f_classical, modules, labels, 2, 6)
