@@ -124,6 +124,8 @@ CLI_RUNS = {
         "check-module", "--type", "A2", "--f", "qinteger", "--module", "simple:1,1",
     ],
     "check-A1-v0-d2": ["check-module", "--type", "A1", "--module", "verma:0:2"],
+    # a free completion with an element over 1 + q^2
+    "hilbert-F4-c8": ["hilbert", "--type", "F4", "--cap", "8"],
 }
 
 SCRIPTS = ("run_koszul_probe", "run_quantum_sl2", "run_schur_sl2", "run_sl3_probe")

@@ -275,7 +275,14 @@ def cached_groebner(cache, pres, cap):
 # ---------------------------------------------------------------------------
 
 
+def _generic_q_only(cfg, command):
+    """Reject a q other than generic for a command that reads no q."""
+    if cfg.q != "generic":
+        raise ConfigError("q: %s reads no q, got %r" % (command, cfg.q))
+
+
 def cmd_root_data(cfg):
+    _generic_q_only(cfg, "root-data")
     c = cfg.cartan()
     table = weyl_table(c)
     roots = positive_roots(c)
@@ -289,6 +296,7 @@ def cmd_root_data(cfg):
 
 
 def cmd_hilbert(cfg, cache):
+    _generic_q_only(cfg, "hilbert")
     c = cfg.cartan()
     pres = un_presentation(c)
     g = cached_groebner(cache, pres, cfg.cap)

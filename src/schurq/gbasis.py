@@ -44,11 +44,12 @@ holds a third lead that splits it into smaller, resolved ambiguities (the
 chain criterion, ``_chain_resolvable``), and builds no S-polynomial for it.
 That adds no element, so the basis is the one a completion that reduces
 every ambiguity finds.  Reduction rewrites a lead with the element's
-``tail``, whose coefficients are negated once per element.  Where the
-coefficients are integer Laurent polynomials it carries each one as a
-single int, its value at q = 2**64 (``QScalar.pack``), with an L1 bound
-that keeps the int exact; it reduces on ``QScalar`` where it meets a
-denominator or the bound reaches 2**63.
+``tail``, whose coefficients are negated once per element.  It carries
+each coefficient q**k * num(q) / D**e, where D is the one denominator the
+reduction meets, as a single int, the value of num at q = 2**64
+(``QScalar.pack``), with a key for k and e and an L1 bound that keeps the
+int exact; it reduces on ``QScalar`` where it meets a second denominator
+or the bound reaches 2**63.
 
 A completion advances one cap after another (``Completion``): its state
 keeps the indexes and the ambiguity heap, with every ambiguity up to a top
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .linalg import mat_rank
-from .qfield import PACK_BITS, PACK_LIMIT, QScalar, unpack
+from .qfield import PACK_BITS, PACK_EXP, PACK_LIMIT, QScalar, pack_over, unpack
 from .presentation import NCPoly, Presentation, WindowedQuiver, word_degree
 
 __all__ = [
@@ -218,7 +219,9 @@ def _lead(words):
 class _Elem:
     """A monic element: ``terms`` has lead coefficient 1."""
 
-    __slots__ = ("terms", "source", "lead", "_tail", "_packed_tail", "_mod_terms")
+    __slots__ = (
+        "terms", "source", "lead", "_tail", "_packed_tail", "_den_tail", "_mod_terms"
+    )
 
     def __init__(self, terms, source):
         lead = _lead(terms)
@@ -229,7 +232,7 @@ class _Elem:
         self.source = source
         self.lead = lead
         self._tail = None
-        self._packed_tail = False  # not computed yet
+        self._packed_tail = self._den_tail = False  # not computed yet
         self._mod_terms = None
 
     def tail(self):
@@ -244,7 +247,7 @@ class _Elem:
     def packed_tail(self):
         """``tail`` with each coefficient packed (``QScalar.pack``), as
         ``(word, packed, shift, bound)``; None when a coefficient has a
-        denominator.  Computed once, when first asked for."""
+        denominator (see ``den_tail``).  Computed once, when first asked for."""
         if self._packed_tail is False:
             packed = [(w, v.pack()) for w, v in self.tail()]
             self._packed_tail = (
@@ -253,6 +256,24 @@ class _Elem:
                 else tuple((w, *p) for w, p in packed)
             )
         return self._packed_tail
+
+    def den_tail(self):
+        """``tail`` packed over the one denominator D of its coefficients
+        (``qfield.pack_over``), as ``(over, terms)``: ``over`` is the
+        ``qfield.PackedDen`` of D and each term is ``(word, packed, key,
+        bound)``.  None where no coefficient has a denominator, or where one
+        has a second denominator or a shift that does not pack.  Computed
+        once, when first asked for."""
+        if self._den_tail is False:
+            tail = self.tail()
+            packed = pack_over([v for _w, v in tail])
+            if packed is None or packed[0] is None:
+                self._den_tail = None
+            else:
+                over, values = packed
+                terms = tuple((w, *p) for (w, _v), p in zip(tail, values))
+                self._den_tail = over, terms
+        return self._den_tail
 
     def mod_terms(self):
         """The terms with each coefficient mapped once by ``QScalar.modp``."""
@@ -356,9 +377,9 @@ def _reduce_full(terms, source, index):
     words pop largest first, so each word pops once and no rewrite reaches a
     word already done.
 
-    The coefficients are reduced packed (``_reduce_packed``) where they are
-    integer Laurent polynomials, and exactly (``_reduce_exact``, the
-    reference) where that gives up.
+    The coefficients are reduced packed (``_reduce_packed``) where their
+    denominators are powers of one polynomial, and exactly
+    (``_reduce_exact``, the reference) where that gives up.
     """
     red = _reduce_packed(terms, source, index)
     return red if red is not None else _reduce_exact(terms, source, index)
@@ -396,22 +417,33 @@ def _reduce_exact(terms, source, index):
     return done
 
 
+# keys of one exponent of D differ by less than this (``qfield.PackedDen``)
+_HALF_EXP = PACK_EXP >> 1
+
+
 def _reduce_packed(terms, source, index):
     """``_reduce_full`` on packed coefficients; None where it gives up.
 
-    A coefficient is packed (``QScalar.pack``: an int, a shift and an L1
+    A coefficient is packed (``QScalar.pack``: an int, a key and an L1
     bound) when a rewrite first touches it, and unpacked when its word is
     done; a word never touched keeps its ``QScalar``.  A rewrite is then one
     int product per tail term, and a merge one int sum aligned on the
-    smaller shift.  It gives up when a coefficient it touches or a divisor's
-    tail has a denominator, or when a bound reaches ``PACK_LIMIT``, beyond
-    which the packed int no longer determines the value.
+    smaller shift.  The denominators may be powers of one integer
+    polynomial D, fixed at the first one the reduction meets
+    (``qfield.PackedDen``): the key carries the exponent of D with the
+    shift, so a product adds exponents, and a merge of two exponents first
+    lifts the lower one.  Each done word over D**e is divided by D**e once,
+    on ``QScalar``.  It gives up when a coefficient it touches or a
+    divisor's tail has a second denominator or a shift out of range
+    (``PACK_SHIFT``), or when a bound reaches ``PACK_LIMIT``, beyond which
+    the packed int no longer determines the numerator.
     """
     done = {}
     work = dict(terms)
     hints = {}
     heap = [(-len(w), w) for w in work]
     heapq.heapify(heap)
+    over = den = None  # the PackedDen of D and D, once the reduction meets D
     while heap:
         w = heapq.heappop(heap)[1]
         c = work.pop(w)
@@ -427,11 +459,24 @@ def _reduce_packed(terms, source, index):
         pos, g, anchors = hit
         tail = g.packed_tail()
         if tail is None:
-            return None
-        if type(c) is not tuple:
-            c = c.pack()
-            if c is None:
+            tail = g.den_tail()
+            if tail is None:
                 return None
+            g_over, tail = tail
+            if over is None:
+                over, den = g_over, g_over.den
+            elif g_over is not over and g_over.den != den:
+                return None
+        if type(c) is not tuple:
+            packed = c.pack(den)
+            if packed is None:
+                # D is fixed at the first denominator the reduction meets
+                packed = pack_over((c,), over)
+                if packed is None:
+                    return None
+                over, (packed,) = packed
+                den = over.den
+            c = packed
         cp, ck, cb = c
         left, right = w[:pos], w[pos + len(g.lead):]
         hint = (anchors, len(right)) if anchors is not None else None
@@ -448,25 +493,41 @@ def _reduce_packed(terms, source, index):
                 heapq.heappush(heap, (-len(nw), nw))
                 continue
             if type(old) is not tuple:
-                old = old.pack()
-                if old is None:
-                    return None
+                packed = old.pack(den)
+                if packed is None:
+                    # D is fixed at the first denominator the reduction meets
+                    packed = pack_over((old,), over)
+                    if packed is None:
+                        return None
+                    over, (packed,) = packed
+                    den = over.den
+                old = packed
             op, ok, ob = old
             if ok < k:
-                p = op + (p << PACK_BITS * (k - ok))
-                k = ok
+                d = k - ok
+                if d < _HALF_EXP:
+                    p = op + (p << PACK_BITS * d)
+                    k = ok
+                    b += ob
+                else:
+                    p, k, b = over.add(p, k, b, op, ok, ob)
             elif ok > k:
-                p += op << PACK_BITS * (ok - k)
+                d = ok - k
+                if d < _HALF_EXP:
+                    p += op << PACK_BITS * d
+                    b += ob
+                else:
+                    p, k, b = over.add(p, k, b, op, ok, ob)
             else:
                 p += op
-            b += ob
+                b += ob
             if b >= PACK_LIMIT:
                 return None
             # a sum that cancels is exactly zero, so its bound restarts at 0
             work[nw] = (p, k, b) if p else (0, k, 0)
     for w, c in done.items():
         if type(c) is tuple:
-            done[w] = unpack(c[0], c[1])
+            done[w] = unpack(c[0], c[1]) if over is None else over.unpack(c[0], c[1])
     return done
 
 

@@ -39,6 +39,14 @@ value is.  A product of packed values is one int product, with the bounds
 multiplied; a sum aligns the shifts by shifting one int left by
 PACK_BITS per power of q, with the bounds added.
 
+Values whose denominators are all powers of one integer polynomial D pack
+too (``PackedDen``): q**shift * num(q) / D**e is num packed as above, with
+the int key shift + e * PACK_EXP in place of the shift.  A product adds
+the keys, so the exponents add and no gcd is taken; a sum of two exponents
+first multiplies the int of the lower one by the packed power of D, and
+its bound by the power of the L1 norm of D.  ``PackedDen.unpack`` divides
+by D**e on QScalar once, where the value leaves the packed form.
+
 The bit ceiling (``set_bit_ceiling``) bounds the bit length of every integer
 stored in the primitive num and den; every construction path checks it and
 raises CoefficientOverflowError.
@@ -60,6 +68,10 @@ __all__ = [
     "MOD_Q0",
     "PACK_BITS",
     "PACK_LIMIT",
+    "PACK_SHIFT",
+    "PACK_EXP",
+    "PackedDen",
+    "pack_over",
     "unpack",
     "qint",
     "qbinom",
@@ -94,8 +106,17 @@ MOD_Q0 = 991 * pow(907, -1, MOD_P) % MOD_P
 
 # Kronecker substitution: packed values are polynomials evaluated at
 # q = 2**PACK_BITS, exact while their L1-norm bound is below PACK_LIMIT.
+# A packed value q**k * num / D**e keeps k and e in one int key,
+# k + e * PACK_EXP.  Only shifts below PACK_SHIFT = 2**24 in absolute value
+# are packed, and a product adds two of them, so the shift of a key stays
+# below PACK_EXP / 4 = 2**94 for 2**70 rewrites: two keys of one exponent
+# differ by less than PACK_EXP / 2, and two of different exponents by more.
 PACK_BITS = 64
 PACK_LIMIT = 1 << (PACK_BITS - 1)
+PACK_SHIFT = 1 << 24
+_MIN_SHIFT = -PACK_SHIFT
+_EXP_BITS = 96
+PACK_EXP = 1 << _EXP_BITS
 _PACK_MASK = (1 << PACK_BITS) - 1
 _PACK_BASE = 1 << PACK_BITS
 
@@ -498,20 +519,28 @@ class QScalar:
             n = n * pow(d, -1, MOD_P)
         return n % MOD_P
 
-    def pack(self):
-        """The image at q = 2**PACK_BITS of an integer Laurent polynomial, as
-        ``(num(2**PACK_BITS), shift, L1 norm of num)``; None where the
-        denominator is not 1.  ``unpack`` reads it back."""
-        if self.den is not _D1:
+    def pack(self, den=_D1):
+        """The image at q = 2**PACK_BITS of the numerator, as
+        ``(num(2**PACK_BITS), key, L1 norm of num)``: the key is the shift
+        for an integer Laurent polynomial and the shift plus PACK_EXP for a
+        scalar over ``den``.  None where the denominator is neither 1 nor
+        den, or the shift is not below PACK_SHIFT in absolute value.
+        ``unpack`` and ``PackedDen.unpack`` read it back."""
+        shift = self.shift
+        if not _MIN_SHIFT < shift < PACK_SHIFT:
             return None
+        if self.den is not _D1:
+            if self.den != den:
+                return None
+            shift += PACK_EXP
         num = self.num
         if len(num) == 1:
             x = num[0]
-            return x, self.shift, abs(x)
+            return x, shift, abs(x)
         packed = 0
         for x in reversed(num):
             packed = (packed << PACK_BITS) + x
-        return packed, self.shift, sum(map(abs, num))
+        return packed, shift, sum(map(abs, num))
 
     # -- rendering -----------------------------------------------------
 
@@ -736,6 +765,66 @@ def unpack(packed, shift):
         digits.append(d)
         packed = (packed - d) >> PACK_BITS
     return _build(shift, tuple(digits), _D1)
+
+
+class PackedDen:
+    """Packed values over one denominator D, a canonical ``den`` tuple.
+
+    A value q**k * num(q) / D**e is packed as ``(num(2**PACK_BITS),
+    k + e * PACK_EXP, bound)`` (``QScalar.pack(den)`` for e = 0 or 1), so a
+    product adds the keys and e adds with them.  Two keys of one exponent
+    differ by less than PACK_EXP / 2.
+    """
+
+    __slots__ = ("den", "_d", "_norm", "_powers")
+
+    def __init__(self, den):
+        self.den = den
+        self._d = _build(0, tuple(den), _D1)
+        packed, _shift, self._norm = self._d.pack()
+        self._powers = [1, packed]
+
+    def add(self, p, k, b, op, ok, ob):
+        """The sum of the packed values (p, k, b) and (op, ok, ob) of two
+        exponents of D: the one of the lower exponent has its int multiplied
+        by the packed D**delta and its bound by |D|_1**delta, then the ints
+        are aligned on the smaller shift as in a sum of one exponent."""
+        if ok < k:
+            p, k, b, op, ok, ob = op, ok, ob, p, k, b
+        delta = (ok - k + (PACK_EXP >> 1)) >> _EXP_BITS
+        powers = self._powers
+        while len(powers) <= delta:
+            powers.append(powers[-1] * powers[1])
+        p *= powers[delta]
+        b *= self._norm**delta
+        k += delta * PACK_EXP
+        if ok < k:
+            p, k, op, ok = op, ok, p, k
+        return p + (op << PACK_BITS * (ok - k)), k, b + ob
+
+    def unpack(self, packed, key):
+        """The QScalar of the packed numerator ``packed`` under ``key``: the
+        numerator is read back (``unpack``) and divided by D**e."""
+        e = (key + (PACK_EXP >> 1)) >> _EXP_BITS
+        x = unpack(packed, key - (e << _EXP_BITS))
+        return x / self._d**e if e else x
+
+
+def pack_over(values, over=None):
+    """``(over, [x.pack(D) for x in values])`` for the denominator D of
+    ``over``, a PackedDen; where over is None, D is the first denominator
+    other than 1 among the values, and over the PackedDen made for it (None
+    where every value is integral).  None where a value does not pack."""
+    if over is None:
+        for x in values:
+            if x.den is not _D1:
+                over = PackedDen(x.den)
+                break
+    den = _D1 if over is None else over.den
+    packed = [x.pack(den) for x in values]
+    if None in packed:
+        return None
+    return over, packed
 
 
 def _coerce(x):

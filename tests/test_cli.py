@@ -360,6 +360,10 @@ def _with_config(argv, tmp_path):
         ("schur-check", "--type", "A1", "--f", "qinteger", {"q": 0.1}),
         ("root-data", {"series": "A", "rank": True}),
         ("schur-check", "--type", "A1", "--homcap", "-1"),
+        # hilbert and root-data run at generic q and read no q
+        ("hilbert", "--type", "A2", "--cap", "4", "--q", "3/2"),
+        ("root-data", "--type", "A2", "--q", "2"),
+        ("hilbert", "--type", "A2", "--cap", "4", {"q": "2"}),
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, argv):
@@ -395,6 +399,8 @@ def test_config_errors_exit_two(capsys, tmp_path, argv):
         (("check-module", "--type", "A1", "--module", "simple:1;verma:0:2"), "module"),
         (("schur-check", "--type", "A1", "--module", ";"), "module"),
         (("ext", "--type", "A1", "--module", ";"), "module"),
+        (("hilbert", "--type", "A2", "--cap", "4", "--q", "3/2"), "q"),
+        (("root-data", "--type", "A2", "--q", "2"), "q"),
     ],
 )
 def test_config_error_names_field(capsys, tmp_path, argv, field):

@@ -1,5 +1,6 @@
 """Truncated noncommutative Groebner engine and its independent oracles."""
 
+from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 from unittest import mock
@@ -907,6 +908,13 @@ def test_packed_reduction_keeps_random_bases(pres, cap):
     assert on == off
 
 
+def _q_commuting(c):
+    """The basis at cap 4 of x1 x2 = c x2 x1."""
+    x1, x2 = _FREE_LETTERS[:2]
+    rel = NCPoly.make({(x1, x2): QScalar.one(), (x2, x1): -c}, rank=2)
+    return groebner(Presentation(2, (x1, x2), (rel,), "q-commuting"), 4)
+
+
 @pytest.mark.parametrize(
     "coeff, path",
     [
@@ -924,8 +932,7 @@ def test_packed_reduction_gives_up_at_the_bound(monkeypatch, coeff, path):
     give the exact normal form."""
     x1, x2 = _FREE_LETTERS[:2]
     one, q = QScalar.one(), QScalar.q_pow(1)
-    rel = NCPoly.make({(x1, x2): one, (x2, x1): -q}, rank=2)
-    g = groebner(Presentation(2, (x1, x2), (rel,), "q-commuting"), 4)
+    g = _q_commuting(q)
     c = QScalar.from_laurent(coeff)
     x = NCPoly.make({(x1, x1, x2): c, (x2, x1, x1): one}, rank=2)
     count = _reduction_paths(monkeypatch)
@@ -934,24 +941,111 @@ def test_packed_reduction_gives_up_at_the_bound(monkeypatch, coeff, path):
 
 
 @pytest.mark.parametrize(
-    "series, rank, cap, exact", [("A", 4, 10, False), ("G", 2, 14, True)], ids=["A4", "G2"]
+    "series, rank, cap, fractions", [("A", 4, 10, 0), ("G", 2, 14, 2)], ids=["A4", "G2"]
 )
 def test_packed_reduction_falls_back_at_denominators(
-    monkeypatch, series, rank, cap, exact
+    monkeypatch, series, rank, cap, fractions
 ):
-    """The free A4 basis is integral and every reduction of its completion
-    stays packed.  Two elements of the free G2 basis carry the denominator
-    1 + q^2, so the reductions that touch them are redone exactly, and the
-    basis is the one of a completion with every reduction exact."""
+    """The free A4 basis is integral.  Two elements of the free G2 basis
+    carry the denominator 1 + q^2, the one denominator the reductions that
+    touch them meet, so they stay packed too.  No reduction of either
+    completion falls back, and the basis is the one of a completion with
+    every reduction exact."""
     pres = un_presentation(build_cartan(series, rank))
     count = _reduction_paths(monkeypatch)
     on = groebner(pres, cap)
     assert count["packed"] > 0
-    assert (count["exact"] > 0) == exact
-    fractions = [p for p in on.elements if any(v.pack() is None for _w, v in p.terms)]
-    assert len(fractions) == (2 if exact else 0)
+    assert count["exact"] == 0
+    dens = [p for p in on.elements if any(v.pack() is None for _w, v in p.terms)]
+    assert len(dens) == fractions
     monkeypatch.setattr(gbasis, "_reduce_packed", lambda *args: None)
     assert groebner(pres, cap).content_hash() == on.content_hash()
+
+
+def test_packed_reduction_falls_back_at_a_second_denominator(monkeypatch):
+    """Modulo x1 x2 = c x2 x1 with c = q / (1 + q^2), the normal form of
+    a x1x1x2 + x2x1x1 is (a c^2 + 1) x2x1x1.  With a = 1 / (1 + q) the
+    reduction meets two denominators and is redone exactly; with
+    a = 1 / (1 + q^2) it stays packed over one."""
+    x1, x2 = _FREE_LETTERS[:2]
+    one = QScalar.one()
+    c = QScalar.q_pow(1) / QScalar(0, (1, 0, 1), (1,))
+    g = _q_commuting(c)
+    for den, path in (((1, 1), "exact"), ((1, 0, 1), "packed")):
+        a = one / QScalar(0, den, (1,))
+        x = NCPoly.make({(x1, x1, x2): a, (x2, x1, x1): one}, rank=2)
+        count = _reduction_paths(monkeypatch)
+        assert normal_form(x, g) == NCPoly.make({(x2, x1, x1): a * c * c + one}, rank=2)
+        assert count == {"packed": int(path == "packed"), "exact": int(path == "exact")}
+
+
+def test_packed_reduction_falls_back_at_a_second_tail_denominator(monkeypatch):
+    """Modulo x1 x2 = c2 x2 x1 and x1 x3 = c3 x3 x1, whose tails are over
+    1 + q^2 and 1 + q, the normal form of x1x2x3 is c2 c3 x2x3x1.  Its
+    reduction meets the two denominators in two tails and is redone
+    exactly; with c3 = q / (1 + q^2) it stays packed."""
+    x1, x2, x3 = _FREE_LETTERS
+    one, q = QScalar.one(), QScalar.q_pow(1)
+    c2 = q / QScalar(0, (1, 0, 1), (1,))
+    for den, path in (((1, 1), "exact"), ((1, 0, 1), "packed")):
+        c3 = q / QScalar(0, den, (1,))
+        rels = (
+            NCPoly.make({(x1, x2): one, (x2, x1): -c2}, rank=3),
+            NCPoly.make({(x1, x3): one, (x3, x1): -c3}, rank=3),
+        )
+        g = groebner(Presentation(3, (x1, x2, x3), rels, "two dens"), 4)
+        x = NCPoly.make({(x1, x2, x3): one}, rank=3)
+        count = _reduction_paths(monkeypatch)
+        assert normal_form(x, g) == NCPoly.make({(x2, x3, x1): c2 * c3}, rank=3)
+        assert count == {"packed": int(path == "packed"), "exact": int(path == "exact")}
+
+
+@pytest.mark.parametrize(
+    "a, path",
+    [(2**63 - 5, "packed"), (-(2**63) + 5, "packed"), (2**63 - 4, "exact")],
+    ids=["2^63-5", "-2^63+5", "2^63-4"],
+)
+def test_packed_reduction_gives_up_at_the_bound_over_a_denominator(monkeypatch, a, path):
+    """Modulo x1 x2 = c x2 x1 with c = q / (1 + q^2), the normal form of
+    a x1x1x2 + x2x1x1 is (a q^2 / (1 + q^2)^2 + 1) x2x1x1.  The sum lifts
+    1 to (1 + q^2)^2 / (1 + q^2)^2, whose bound is |1 + q^2|_1^2 = 4, so the
+    bound of the sum is |a| + 4: below 2^63 the reduction stays packed, at
+    2^63 it is redone exactly, and both give the exact normal form."""
+    x1, x2 = _FREE_LETTERS[:2]
+    one = QScalar.one()
+    c = QScalar.q_pow(1) / QScalar(0, (1, 0, 1), (1,))
+    g = _q_commuting(c)
+    a = QScalar.from_rational(a)
+    x = NCPoly.make({(x1, x1, x2): a, (x2, x1, x1): one}, rank=2)
+    count = _reduction_paths(monkeypatch)
+    assert normal_form(x, g) == NCPoly.make({(x2, x1, x1): a * c * c + one}, rank=2)
+    assert count == {"packed": int(path == "packed"), "exact": int(path == "exact")}
+
+
+_FRACTION_COEFFS = st.sampled_from(
+    (
+        QScalar.one(),
+        -QScalar.one(),
+        QScalar.q_pow(1),
+        QScalar.from_rational(2),
+        QScalar.one() / QScalar(0, (1, 0, 1), (1,)),
+        QScalar.from_laurent({1: 1, -1: 1}) / QScalar(0, (1, 0, 1), (1,)),
+        QScalar.one() / QScalar(0, (1, 1), (1,)),
+        QScalar.from_rational(Fraction(1, 2)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pres=_multihomogeneous_presentations(_FRACTION_COEFFS), cap=st.integers(5, 7))
+def test_packed_reduction_over_a_denominator_keeps_random_bases(pres, cap):
+    """Random multihomogeneous relations whose coefficients include
+    1/(1 + q^2), (q + 1/q)/(1 + q^2), 1/(1 + q) and 1/2 complete to the same
+    basis with packed reduction and with every reduction exact."""
+    on = groebner(pres, cap).content_hash()
+    with mock.patch.object(gbasis, "_reduce_packed", lambda *args: None):
+        off = groebner(pres, cap).content_hash()
+    assert on == off
 
 
 # -- Anick chains ----------------------------------------------------------
@@ -1019,24 +1113,28 @@ def test_window_basis_hash_unchanged(request, window):
 
 
 # sha256 of GBResult.serialize() for windows at generic q (the default
-# lencap 2 * radius + 4); the bodies are those recorded in BENCH_14.json
-# as gb-A1q-r8 and gb-A2q-r2, whose window labels still carried a margin
+# lencap 2 * radius + 4); the first two bodies are those recorded in
+# BENCH_14.json as gb-A1q-r8 and gb-A2q-r2, whose window labels still
+# carried a margin; B2 was recorded by the reduction that packed no
+# denominator
 @pytest.mark.parametrize(
-    "rank, radius, digest",
+    "series, rank, radius, digest",
     [
-        (1, 8, "527f91706a7c86a5cb316fb4e7550cb03633e94a78fc3f89f788fedec53800a0"),
-        (2, 2, "2ef2ef9737d04d9c5571a8060e71249f0ac8e2e87875f9795695e6f089f4d392"),
+        ("A", 1, 8, "527f91706a7c86a5cb316fb4e7550cb03633e94a78fc3f89f788fedec53800a0"),
+        ("A", 2, 2, "2ef2ef9737d04d9c5571a8060e71249f0ac8e2e87875f9795695e6f089f4d392"),
+        ("B", 2, 2, "d2b5c05e86a794f7d8b9be15b4e8da4b87540c5b980274d69536538a7c050a1a"),
     ],
-    ids=["A1q-r8", "A2q-r2"],
+    ids=["A1q-r8", "A2q-r2", "B2q-r2"],
 )
-def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
-    quiver = instantiate_window(build_cartan("A", rank), f_qinteger, radius)
+def test_qinteger_window_basis_hash_unchanged(f_qinteger, series, rank, radius, digest):
+    quiver = instantiate_window(build_cartan(series, rank), f_qinteger, radius)
     assert groebner(quiver, 2 * radius + 4).content_hash() == digest
 
 
-# sha256 of GBResult.serialize() for free Serre presentations; the last four
+# sha256 of GBResult.serialize() for free Serre presentations; A5 to E6
 # were recorded by the completion that reduced every ambiguity, before the
-# chain criterion
+# chain criterion, and F4 by the reduction that packed no denominator (one
+# F4 element is over 1 + q^2; it divides a word from cap 9 on)
 @pytest.mark.parametrize(
     "series, rank, cap, digest",
     [
@@ -1049,8 +1147,10 @@ def test_qinteger_window_basis_hash_unchanged(f_qinteger, rank, radius, digest):
         ("C", 3, 10, "a65a55110cb302f16429bd071061f1be2e06610135c5413e84abc2a45449bae9"),
         ("D", 4, 10, "9a0c467171fe9205c9366101b9cc358c4d4da7b232a8d97d4ad78bdbc0b5e3e5"),
         ("E", 6, 8, "245e0497b535501b1ae4c0c7b527bde1346593b142d9cabed80d316d2ac05971"),
+        ("F", 4, 8, "35bb4d21be76fea0b6ecfa0cb7362aa579c8c23c2380acb381874498d8ff5eab"),
+        ("F", 4, 9, "afce99b72d83382c9a897c386f1bb9685bc64020d55291273c95f13e569ef546"),
     ],
-    ids=["A4", "B2", "B3", "C3", "G2", "A5", "C3-c10", "D4", "E6"],
+    ids=["A4", "B2", "B3", "C3", "G2", "A5", "C3-c10", "D4", "E6", "F4", "F4-c9"],
 )
 def test_free_basis_hash_unchanged(series, rank, cap, digest):
     g = groebner(un_presentation(build_cartan(series, rank)), cap=cap)

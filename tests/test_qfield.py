@@ -10,16 +10,22 @@ from hypothesis import strategies as st
 from schurq.qfield import (
     MOD_P,
     MOD_Q0,
+    PACK_BITS,
+    PACK_EXP,
+    PACK_SHIFT,
     CoefficientOverflowError,
     ModularPoleError,
+    PackedDen,
     QPoleError,
     QScalar,
     get_bit_ceiling,
+    pack_over,
     parse_qscalar,
     qbinom,
     qint,
     set_bit_ceiling,
     specialize,
+    unpack,
 )
 
 # small Laurent polynomials as hypothesis inputs
@@ -588,3 +594,61 @@ def test_modp_denominator_vanishing_mod_p_raises():
     with pytest.raises(ModularPoleError):
         QScalar.from_rational(Fraction(3, 7 * MOD_P)).modp()
     assert issubclass(ModularPoleError, QPoleError)
+
+
+# -- packing over one denominator -----------------------------------------
+
+
+_integer_laurents = st.dictionaries(
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-9, max_value=9),
+    max_size=4,
+).map(QScalar.from_laurent)
+
+_DENS = ((1, 0, 1), (1, 1), (2,), (1, -3, 2))
+
+
+@given(
+    a=_integer_laurents,
+    b=_integer_laurents,
+    den=st.sampled_from(_DENS),
+    ea=st.integers(0, 3),
+    eb=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_packed_sum_over_one_denominator(a, b, den, ea, eb):
+    """Numerators a and b packed over D**ea and D**eb add (``PackedDen.add``
+    across exponents, an aligned int sum within one) and unpack to
+    a / D**ea + b / D**eb; the bound still bounds the L1 norm of the
+    numerator."""
+    over = PackedDen(den)
+    d = QScalar(0, den, (1,))
+    pa, ka, ba = a.pack()
+    pb, kb, bb = b.pack()
+    ka += ea * PACK_EXP
+    kb += eb * PACK_EXP
+    if ea != eb:
+        p, k, bound = over.add(pa, ka, ba, pb, kb, bb)
+    elif ka <= kb:
+        p, k, bound = pa + (pb << PACK_BITS * (kb - ka)), ka, ba + bb
+    else:
+        p, k, bound = pb + (pa << PACK_BITS * (ka - kb)), kb, ba + bb
+    assert over.unpack(p, k) == a / d**ea + b / d**eb
+    assert sum(map(abs, unpack(p, 0).num)) <= bound
+
+
+def test_pack_over_fixes_the_first_denominator():
+    """The first denominator other than 1 fixes D; a second one, or a shift
+    of PACK_SHIFT, does not pack."""
+    one, q = QScalar.one(), QScalar.q_pow(1)
+    x = q / QScalar(0, (1, 0, 1), (1,))
+    y = one / QScalar(0, (1, 1), (1,))
+    over, packed = pack_over([one, x, q])
+    assert over.den == (1, 0, 1)
+    assert [over.unpack(p, k) for p, k, _b in packed] == [one, x, q]
+    assert pack_over([one, q]) == (None, [one.pack(), q.pack()])
+    assert pack_over([x, y]) is None
+    assert pack_over([y], over) is None
+    assert QScalar.q_pow(PACK_SHIFT - 1).pack() is not None
+    assert QScalar.q_pow(PACK_SHIFT).pack() is None
+    assert QScalar.q_pow(-PACK_SHIFT).pack() is None
